@@ -277,9 +277,9 @@ def pattern_yield(
     """Raw and deduplicated match counts per pattern id.
 
     `relations` is a sequence of (doc_id, relation) pairs; when omitted the
-    relations of `corpus` are used.  A (doc, company, products, trigger)
-    tuple counts towards the dedup column of the first pattern producing
-    it, so the totals row is always the sum of the per-pattern rows.
+    relations of `corpus` are used.  A relation `key` within a document
+    counts towards the dedup column of the first pattern producing it, so
+    the totals row is always the sum of the per-pattern rows.
     """
     if relations is None:
         if corpus is None:
@@ -295,7 +295,7 @@ def pattern_yield(
         pattern_id = rel.pattern_id or "(unpatterned)"
         raw_counts[pattern_id] = raw_counts.get(pattern_id, 0) + 1
         dedup_counts.setdefault(pattern_id, 0)
-        key = (doc_id, rel.company, rel.products, rel.trigger)
+        key = (doc_id, rel.key)
         if key not in seen:
             seen.add(key)
             dedup_counts[pattern_id] += 1

@@ -11,11 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Protocol, Sequence
 
-from .model import NOUN_TAGS, Span
+from .model import CONJUNCTIONS, NOUN_TAGS, TRADEMARK_TEXTS, Span
 
 CHUNK_TAGS = NOUN_TAGS | {"JJ", "CD", "VBG"}
-TRADEMARK_TEXTS = {"®", "™"}
-_CONJ = {"and", "or"}
 
 
 class TokenLike(Protocol):
@@ -88,16 +86,20 @@ def _adjective_runs(tokens: Sequence[TokenLike], taken: set[int]) -> list[Span]:
     return runs
 
 
-def _separator(tokens: Sequence[TokenLike], start: int, end: int) -> tuple[bool, bool]:
-    """Classify the gap tokens between two conjuncts: (is_separator, has_conjunction)."""
-    texts = [tokens[k].text.lower() for k in range(start, end)]
-    if texts == [","]:
-        return True, False
-    if len(texts) == 1 and texts[0] in _CONJ:
-        return True, True
-    if len(texts) == 2 and texts[0] == "," and texts[1] in _CONJ:
-        return True, True
-    return False, False
+def separator_ends(tokens: Sequence[TokenLike], pos: int, end: int) -> list[int]:
+    """End positions of the coordination separators starting at `pos`, longest first.
+
+    A separator is `,`, a conjunction, or `,` followed by a conjunction; it
+    must lie before `end`.
+    """
+    if pos >= end:
+        return []
+    text = tokens[pos].text.lower()
+    if text == ",":
+        if pos + 1 < end and tokens[pos + 1].text.lower() in CONJUNCTIONS:
+            return [pos + 2, pos + 1]
+        return [pos + 1]
+    return [pos + 1] if text in CONJUNCTIONS else []
 
 
 def split_coordination(
@@ -128,11 +130,11 @@ def split_coordination(
         conj_last = False
         j = i
         while j + 1 < len(units):
-            ok, conj = _separator(tokens, units[j][0].end, units[j + 1][0].start)
-            if not ok:
+            gap_end = units[j + 1][0].start
+            if gap_end not in separator_ends(tokens, units[j][0].end, len(tokens)):
                 break
             chain.append(units[j + 1])
-            conj_last = conj
+            conj_last = tokens[gap_end - 1].text.lower() in CONJUNCTIONS
             j += 1
         if len(chain) >= 2 and conj_last and chain[-1][1] is not None:
             non_final = chain[:-1]

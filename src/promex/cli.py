@@ -2,7 +2,8 @@
 
 Subcommands: `patterns expand`, `preannotate`, `validate`, `stats`,
 `agreement`, `convert`.  Human-readable output goes to stdout,
-diagnostics to stderr; exit code 2 signals usage or input problems.
+diagnostics to stderr; exit code 2 signals usage or input problems,
+including unreadable, non-UTF-8 or malformed input files.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from pathlib import Path
 from typing import Sequence
 
 from . import analytics, corpus_io, validator
-from .ingest import DEFAULT_LEXICON, OrgGazetteer, document_from_text, read_tagged
-from .model import Corpus
-from .patterns import PatternConfigError, expand, parse_config
+from .ingest import DEFAULT_LEXICON, IngestError, OrgGazetteer, document_from_text, read_tagged
+from .model import Corpus, ModelError
+from .patterns import PatternConfigError, SurfacePattern, expand, parse_config
 from .pipeline import preannotate_document
 
 
@@ -73,8 +74,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_corpus(path: str) -> Corpus:
     try:
         return corpus_io.load_corpus(path)
-    except (corpus_io.CorpusIOError, corpus_io.InvariantViolation, OSError) as exc:
+    except (corpus_io.CorpusIOError, corpus_io.InvariantViolation, UnicodeDecodeError, OSError) as exc:
         raise SystemExit(_fail(f"cannot read corpus {path!r}: {exc}"))
+
+
+def _load_surfaces(config: str | None) -> list[SurfacePattern]:
+    path = Path(config) if config else default_config_path()
+    try:
+        return expand(parse_config(path.read_text(encoding="utf-8")))
+    except (PatternConfigError, UnicodeDecodeError, OSError) as exc:
+        raise SystemExit(_fail(f"cannot expand {path}: {exc}"))
 
 
 def _fail(message: str) -> int:
@@ -83,12 +92,7 @@ def _fail(message: str) -> int:
 
 
 def _cmd_patterns_expand(args: argparse.Namespace) -> int:
-    path = Path(args.config) if args.config else default_config_path()
-    try:
-        config = parse_config(path.read_text(encoding="utf-8"))
-        surfaces = expand(config)
-    except (PatternConfigError, OSError) as exc:
-        return _fail(f"cannot expand {path}: {exc}")
+    surfaces = _load_surfaces(args.config)
     if args.count_only:
         print(len(surfaces))
     else:
@@ -98,14 +102,12 @@ def _cmd_patterns_expand(args: argparse.Namespace) -> int:
 
 
 def _cmd_preannotate(args: argparse.Namespace) -> int:
-    config_path = Path(args.config) if args.config else default_config_path()
+    surfaces = _load_surfaces(args.config)
     gazetteer_path = Path(args.gazetteer) if args.gazetteer else default_gazetteer_path()
     try:
-        config = parse_config(config_path.read_text(encoding="utf-8"))
-        surfaces = expand(config)
         gazetteer = OrgGazetteer.from_file(str(gazetteer_path))
-    except (PatternConfigError, OSError) as exc:
-        return _fail(str(exc))
+    except (UnicodeDecodeError, OSError) as exc:
+        return _fail(f"cannot read gazetteer {gazetteer_path}: {exc}")
 
     input_dir = Path(args.input_dir)
     if not input_dir.is_dir():
@@ -113,12 +115,16 @@ def _cmd_preannotate(args: argparse.Namespace) -> int:
     paths = sorted(p for p in input_dir.iterdir() if p.is_file() and not p.name.startswith("."))
 
     def process(path: Path):
-        text = path.read_text(encoding="utf-8")
-        if args.tagged:
-            doc = read_tagged(text, doc_id=path.stem)
-        else:
-            doc = document_from_text(text, doc_id=path.stem, lexicon=DEFAULT_LEXICON)
-        return preannotate_document(doc, gazetteer, surfaces)
+        """The file's result, or the message saying why it cannot be read."""
+        try:
+            text = path.read_text(encoding="utf-8")
+            if args.tagged:
+                doc = read_tagged(text, doc_id=path.stem)
+            else:
+                doc = document_from_text(text, doc_id=path.stem, lexicon=DEFAULT_LEXICON)
+            return preannotate_document(doc, gazetteer, surfaces)
+        except (IngestError, ModelError, UnicodeDecodeError, OSError) as exc:
+            return f"{path}: {exc}"
 
     jobs = max(1, args.jobs)
     if jobs == 1:
@@ -126,6 +132,9 @@ def _cmd_preannotate(args: argparse.Namespace) -> int:
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(process, paths))
+    failures = [r for r in results if isinstance(r, str)]
+    if failures:
+        return _fail("\n".join(failures))
 
     corpus = Corpus(
         schema_version=corpus_io.SCHEMA_VERSION,
@@ -155,8 +164,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                     line.strip().lower() for line in fh
                     if line.strip() and not line.startswith("#")
                 )
-        except OSError as exc:
-            return _fail(f"cannot read stoplist: {exc}")
+        except (UnicodeDecodeError, OSError) as exc:
+            return _fail(f"cannot read stoplist {args.stoplist!r}: {exc}")
     violations = validator.validate_corpus(corpus.documents, stoplist)
     rendered = validator.report(violations, args.fmt)
     if rendered:
@@ -195,7 +204,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
             with open(args.input, encoding="utf-8") as fh:
                 doc = read_tagged(fh.read(), doc_id=Path(args.input).stem)
         except (OSError, ValueError) as exc:
-            return _fail(f"cannot read column file: {exc}")
+            return _fail(f"cannot read column file {args.input!r}: {exc}")
         corpus = Corpus(schema_version=corpus_io.SCHEMA_VERSION, documents=(doc,))
         corpus_io.write_corpus(corpus, sys.stdout)
     return 0

@@ -9,6 +9,7 @@ All model invariants are re-checked on read.
 from __future__ import annotations
 
 import json
+import os
 from typing import IO, Iterable
 
 from .model import (
@@ -201,11 +202,23 @@ def read_corpus(source: IO[str] | Iterable[str]) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:
+    """Write `corpus` to `path`, replacing any old file only once the new one is whole.
+
+    The corpus goes to a temporary file beside `path`, which is then renamed
+    over it; on failure the temporary file is removed and `path` is untouched.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            write_corpus(corpus, fh)
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                write_corpus(corpus, fh)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
     except OSError as exc:
-        raise SinkFailure(f"could not open {path!r}: {exc}") from exc
+        raise SinkFailure(f"could not write {path!r}: {exc}") from exc
 
 
 def load_corpus(path: str) -> Corpus:

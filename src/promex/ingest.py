@@ -20,10 +20,14 @@ from .model import (
     EntityType,
     MentionKind,
     NOUN_TAGS,
+    PROPER_NOUN_TAGS,
     Provenance,
     Span,
     Token,
+    TRADEMARK_TEXTS,
+    attach_annotations,
     make_document,
+    mention_kind,
 )
 
 
@@ -47,7 +51,6 @@ class IllegalBioTransition(IngestError):
 # Tokenization
 
 _PUNCT = set(".,;:!?()\"'")
-_TRADEMARK = {"®", "™"}  # (R) and TM symbols
 _APOSTROPHES = {"'", "’"}
 _SENTENCE_FINAL = {".", "!", "?"}
 
@@ -58,7 +61,7 @@ def _split_core(core: str, offset: int) -> list[tuple[str, int, int]]:
     buf_start = offset
     buf = ""
     for i, ch in enumerate(core):
-        if ch in _TRADEMARK:
+        if ch in TRADEMARK_TEXTS:
             if buf:
                 parts.append((buf, buf_start, offset + i))
                 buf = ""
@@ -222,7 +225,7 @@ def tag(tokens: Sequence[str], lexicon: TaggerLexicon = DEFAULT_LEXICON) -> list
         if lower in lexicon.words:
             tags.append(lexicon.words[lower])
             continue
-        if text in _TRADEMARK:
+        if text in TRADEMARK_TEXTS:
             tags.append("SYM")
             continue
         if _is_punct(text):
@@ -248,15 +251,6 @@ def tag(tokens: Sequence[str], lexicon: TaggerLexicon = DEFAULT_LEXICON) -> list
 
 _BIO_TAGS = {"B-Company", "I-Company", "B-Product", "I-Product", "O"}
 _BIO_TYPE = {"Company": EntityType.COMPANY, "Product": EntityType.PRODUCT}
-
-
-def _mention_kind(tokens: Sequence[Token], span: Span) -> MentionKind:
-    window = tokens[span.start:span.end]
-    if window and all(t.pos in ("PRP", "PRP$") for t in window):
-        return MentionKind.PRONOMINAL
-    if any(t.pos in ("NNP", "NNPS") for t in window):
-        return MentionKind.NAME
-    return MentionKind.NOMINAL
 
 
 def read_tagged(column_text: str, doc_id: str = "doc") -> Document:
@@ -319,7 +313,7 @@ def read_tagged(column_text: str, doc_id: str = "doc") -> Document:
                     mention_id=f"{doc_id}-e{len(entities)}",
                     entity_type=open_type,
                     span=span,
-                    mention_kind=_mention_kind(doc.tokens, span),
+                    mention_kind=mention_kind(doc.tokens, span),
                     provenance=Provenance.HUMAN,
                 )
             )
@@ -335,9 +329,6 @@ def read_tagged(column_text: str, doc_id: str = "doc") -> Document:
             close(i)
             open_start, open_type = i, _BIO_TYPE[bio[2:]]
     close(len(rows))
-
-    from .model import attach_annotations
-
     return attach_annotations(doc, entities=entities)
 
 
@@ -401,9 +392,9 @@ def recognize_orgs(doc: Document, gazetteer: OrgGazetteer) -> list[EntityMention
         # capitalized proper-noun runs ending in a legal suffix
         i = s
         while i < e:
-            if doc.tokens[i].pos in ("NNP", "NNPS") and doc.tokens[i].text[:1].isupper():
+            if doc.tokens[i].pos in PROPER_NOUN_TAGS and doc.tokens[i].text[:1].isupper():
                 j = i
-                while j < e and doc.tokens[j].pos in ("NNP", "NNPS") and doc.tokens[j].text[:1].isupper():
+                while j < e and doc.tokens[j].pos in PROPER_NOUN_TAGS and doc.tokens[j].text[:1].isupper():
                     j += 1
                 for k in range(j - 1, i, -1):  # run of >= 2 tokens
                     if doc.tokens[k].text in gazetteer.suffixes:

@@ -16,6 +16,11 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 NOUN_TAGS = frozenset({"NN", "NNS", "NNP", "NNPS"})
+PROPER_NOUN_TAGS = frozenset({"NNP", "NNPS"})
+# trademark symbols: always their own token, matched exactly, never a boundary fault
+TRADEMARK_TEXTS = frozenset({"®", "™"})
+# the words that join the last two conjuncts of a coordination
+CONJUNCTIONS = frozenset({"and", "or"})
 
 
 class EntityType(str, Enum):
@@ -129,6 +134,11 @@ class RelationMention:
     provenance: Provenance
     pattern_id: str | None = None
 
+    @property
+    def key(self) -> tuple[str, tuple[str, ...], Span | None]:
+        """What makes two relations the same: company, products and trigger."""
+        return (self.company, self.products, self.trigger)
+
 
 @dataclass(frozen=True)
 class IdentityChain:
@@ -172,6 +182,16 @@ class Document:
 class Corpus:
     schema_version: str
     documents: tuple[Document, ...]
+
+
+def mention_kind(tokens: Sequence[Token], span: Span) -> MentionKind:
+    """Pronominal if every token is a pronoun, Name if any is a proper noun."""
+    window = tokens[span.start:span.end]
+    if window and all(t.pos in ("PRP", "PRP$") for t in window):
+        return MentionKind.PRONOMINAL
+    if any(t.pos in PROPER_NOUN_TAGS for t in window):
+        return MentionKind.NAME
+    return MentionKind.NOMINAL
 
 
 def _valid_pos(tag: str) -> bool:

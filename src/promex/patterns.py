@@ -11,30 +11,33 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, Sequence, TypeVar
 
-from .chunker import ChunkCandidate, span_matches_grammar
+from .chunker import ChunkCandidate, separator_ends, span_matches_grammar
 from .inflect import inflections
 from .model import (
     Document,
     EntityMention,
     EntityType,
-    MentionKind,
     Provenance,
     RelationMention,
     Sentence,
     Span,
+    TRADEMARK_TEXTS,
+    mention_kind,
 )
 
-_CONJ = {"and", "or"}
-_EXACT_LITERALS = {"'s", "’s", "®", "™"}
+_POSSESSIVE_CLITICS = frozenset({"'s", "’s"})
+_EXACT_LITERALS = _POSSESSIVE_CLITICS | TRADEMARK_TEXTS
 NESTED_PATTERN_ID = "nested"
 
 # Longest coordination the matcher will consume.  Keyword-spam pages carry
 # comma lists with thousands of conjuncts; the cap bounds recursion depth
 # while staying far above any legitimate product enumeration.
 MAX_CONJUNCTS = 25
+
+_Conjunct = TypeVar("_Conjunct")
 
 
 class PatternConfigError(ValueError):
@@ -359,30 +362,6 @@ def _element_variants(el: Element) -> list[tuple[SurfaceElement, ...]]:
     raise TypeError(el)
 
 
-def _variant_count(el: Element) -> int:
-    if isinstance(el, (OrgSlot, ProductSlot, PossessiveTrigger)):
-        return 1
-    if isinstance(el, (TriggerSlot, LiteralSlot)):
-        return sum(4 if alt.inflect else 1 for alt in el.alternatives)
-    if isinstance(el, OptionalGroup):
-        inner = 1
-        for e in el.elements:
-            inner *= _variant_count(e)
-        return 1 + inner
-    raise TypeError(el)
-
-
-def expansion_count(config: PatternConfig) -> int:
-    """Closed-form number of surface patterns, computable before expansion."""
-    total = 0
-    for pattern in config.patterns:
-        n = 1
-        for el in pattern.elements:
-            n *= _variant_count(el)
-        total += n
-    return total
-
-
 def _sort_key(elements: tuple[SurfaceElement, ...]) -> tuple:
     key = []
     for el in elements:
@@ -446,10 +425,11 @@ class _SentenceContext:
         for cand in self.candidates:
             for i in range(cand.span.start, cand.span.end):
                 self.covering[i] = cand.span
-        self.orgs_at: dict[int, list[EntityMention]] = {}
-        for mention in self.orgs:
-            self.orgs_at.setdefault(mention.span.start, []).append(mention)
-        self._firsts: dict[int, list[Span]] = {}
+        # first conjuncts as (conjunct, end): longest first, company ties by id
+        self._org_firsts: dict[int, list[tuple[EntityMention, int]]] = {}
+        for mention in sorted(self.orgs, key=lambda m: (-m.span.end, m.mention_id)):
+            self._org_firsts.setdefault(mention.span.start, []).append((mention, mention.span.end))
+        self._product_firsts: dict[int, list[tuple[Span, int]]] = {}
 
     def literal_at(self, pos: int, words: tuple[str, ...]) -> int | None:
         if pos + len(words) > self.end:
@@ -459,33 +439,27 @@ class _SentenceContext:
                 return None
         return pos + len(words)
 
-    def separator_at(self, pos: int) -> Iterator[int]:
-        """End positions of coordination separators starting at `pos`, longest first."""
-        if pos < self.end and self.tokens[pos].text == ",":
-            if pos + 1 < self.end and self.tokens[pos + 1].text.lower() in _CONJ:
-                yield pos + 2
-            yield pos + 1
-        elif pos < self.end and self.tokens[pos].text.lower() in _CONJ:
-            yield pos + 1
-
-    def org_coordinations(
-        self, pos: int, depth: int = MAX_CONJUNCTS
-    ) -> Iterator[tuple[list[EntityMention], int]]:
-        """Company coordinations starting at `pos`, larger parses first."""
+    def coordinations(
+        self,
+        pos: int,
+        firsts: Callable[[int], Sequence[tuple[_Conjunct, int]]],
+        depth: int = MAX_CONJUNCTS,
+    ) -> Iterator[tuple[list[_Conjunct], int]]:
+        """Coordinations of `firsts` conjuncts starting at `pos`, larger parses first."""
         if depth <= 0:
             return
-        starts = sorted(
-            self.orgs_at.get(pos, ()), key=lambda m: (-m.span.end, m.mention_id)
-        )
-        for mention in starts:
-            for sep_end in self.separator_at(mention.span.end):
-                for rest, rest_end in self.org_coordinations(sep_end, depth - 1):
-                    yield [mention, *rest], rest_end
-            yield [mention], mention.span.end
+        for first, first_end in firsts(pos):
+            for sep_end in separator_ends(self.tokens, first_end, self.end):
+                for rest, rest_end in self.coordinations(sep_end, firsts, depth - 1):
+                    yield [first, *rest], rest_end
+            yield [first], first_end
 
-    def product_firsts(self, pos: int) -> list[Span]:
+    def org_firsts(self, pos: int) -> list[tuple[EntityMention, int]]:
+        return self._org_firsts.get(pos, [])
+
+    def product_firsts(self, pos: int) -> list[tuple[Span, int]]:
         """Possible first-conjunct spans at `pos`, longest first."""
-        cached = self._firsts.get(pos)
+        cached = self._product_firsts.get(pos)
         if cached is not None:
             return cached
         spans: list[Span] = []
@@ -498,19 +472,9 @@ class _SentenceContext:
                 if sub not in spans and span_matches_grammar(self.tags[pos:q]):
                     spans.append(sub)
             spans.sort(key=lambda s: -s.end)
-        self._firsts[pos] = spans
-        return spans
-
-    def product_coordinations(
-        self, pos: int, depth: int = MAX_CONJUNCTS
-    ) -> Iterator[tuple[list[Span], int]]:
-        if depth <= 0:
-            return
-        for first in self.product_firsts(pos):
-            for sep_end in self.separator_at(first.end):
-                for rest, rest_end in self.product_coordinations(sep_end, depth - 1):
-                    yield [first, *rest], rest_end
-            yield [first], first.end
+        firsts = [(span, span.end) for span in spans]
+        self._product_firsts[pos] = firsts
+        return firsts
 
     def trigger_matches(self, pos: int, trig: TriggerLiteral) -> Iterator[tuple[Span, int]]:
         """(trigger span, end) options for a trigger element at `pos`.
@@ -539,7 +503,7 @@ class _SentenceContext:
             words, end = hit
             conjuncts.append((words, Span(p, end)))
             advanced = None
-            for sep_end in self.separator_at(end):
+            for sep_end in separator_ends(self.tokens, end, self.end):
                 if conjunct_at(sep_end) is not None:
                     advanced = sep_end
                     break
@@ -573,13 +537,13 @@ def _match_elements(
         return
     el = elements[idx]
     if isinstance(el, OrgSlot):
-        for mentions, end in ctx.org_coordinations(pos):
+        for mentions, end in ctx.coordinations(pos, ctx.org_firsts):
             yield from _match_elements(ctx, elements, idx + 1, end, mentions, products, trigger)
     elif isinstance(el, ProductSlot):
-        for spans, end in ctx.product_coordinations(pos):
+        for spans, end in ctx.coordinations(pos, ctx.product_firsts):
             yield from _match_elements(ctx, elements, idx + 1, end, companies, spans, trigger)
     elif isinstance(el, PossessiveTrigger):
-        if pos < ctx.end and ctx.tokens[pos].pos == "POS" and ctx.tokens[pos].text in ("'s", "’s"):
+        if pos < ctx.end and ctx.tokens[pos].pos == "POS" and ctx.tokens[pos].text in _POSSESSIVE_CLITICS:
             yield from _match_elements(
                 ctx, elements, idx + 1, pos + 1, companies, products, Span(pos, pos + 1)
             )
@@ -593,16 +557,11 @@ def _match_elements(
 
 
 def _product_mention_for(doc: Document, span: Span) -> EntityMention:
-    kind = (
-        MentionKind.NAME
-        if any(t.pos in ("NNP", "NNPS") for t in doc.tokens[span.start:span.end])
-        else MentionKind.NOMINAL
-    )
     return EntityMention(
         mention_id=f"{doc.doc_id}-pre-p{span.start}-{span.end}",
         entity_type=EntityType.PRODUCT,
         span=span,
-        mention_kind=kind,
+        mention_kind=mention_kind(doc.tokens, span),
         provenance=Provenance.PRE_ANNOTATION,
     )
 
@@ -693,34 +652,16 @@ def match_sentence(
     return SentenceMatches(relations=tuple(relations), product_mentions=tuple(ordered))
 
 
-def match(
-    doc: Document,
-    sentence: Sentence,
-    org_mentions: Sequence[EntityMention],
-    candidates: Sequence[ChunkCandidate],
-    surface_patterns: Sequence[SurfacePattern],
-) -> list[RelationMention]:
-    return list(
-        match_sentence(doc, sentence, org_mentions, candidates, surface_patterns).relations
-    )
-
-
 def fan_out_triggers(sentence_matches: Sequence[RelationMention]) -> list[RelationMention]:
     """One relation per distinct trigger of a (company, products) pair.
 
     Matching already emits one relation per trigger, so this reduces to
-    removing exact duplicates (same company, products and trigger),
-    keeping the first occurrence.
+    removing relations with the same `key` as an earlier one.
     """
-    out: list[RelationMention] = []
-    seen: set[tuple] = set()
+    first: dict[tuple, RelationMention] = {}
     for rel in sentence_matches:
-        key = (rel.company, rel.products, rel.trigger)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(rel)
-    return out
+        first.setdefault(rel.key, rel)
+    return list(first.values())
 
 
 def resolve_acronyms(relations: Sequence[RelationMention], doc: Document) -> list[RelationMention]:
@@ -730,35 +671,20 @@ def resolve_acronyms(relations: Sequence[RelationMention], doc: Document) -> lis
     longer same-sentence Company name mention, the relation attaches to the
     source; duplicates created by the move are dropped.
     """
-    source_of: dict[str, str] = {}
-    for chain in doc.chains:
-        for target in chain.targets:
-            source_of[target] = chain.source
+    by_id = {e.mention_id: e for e in doc.entities}
+    source_of = {target: by_id.get(chain.source) for chain in doc.chains for target in chain.targets}
 
-    out: list[RelationMention] = []
-    seen: set[tuple] = set()
-    for rel in relations:
-        company = doc.entity(rel.company)
-        source_id = source_of.get(rel.company)
-        if company is not None and source_id is not None:
-            source = doc.entity(source_id)
-            if (
-                source is not None
-                and source.entity_type is EntityType.COMPANY
-                and len(source.span) > len(company.span)
-                and doc.sentence_index(source.span.start) == doc.sentence_index(company.span.start)
-            ):
-                rel = RelationMention(
-                    relation_id=rel.relation_id,
-                    company=source_id,
-                    products=rel.products,
-                    trigger=rel.trigger,
-                    provenance=rel.provenance,
-                    pattern_id=rel.pattern_id,
-                )
-        key = (rel.company, rel.products, rel.trigger)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(rel)
-    return out
+    def repoint(rel: RelationMention) -> RelationMention:
+        company = by_id.get(rel.company)
+        source = source_of.get(rel.company)
+        if (
+            company is not None
+            and source is not None
+            and source.entity_type is EntityType.COMPANY
+            and len(source.span) > len(company.span)
+            and doc.sentence_index(source.span.start) == doc.sentence_index(company.span.start)
+        ):
+            return replace(rel, company=source.mention_id)
+        return rel
+
+    return fan_out_triggers([repoint(rel) for rel in relations])

@@ -1,4 +1,4 @@
-"""End-to-end pre-annotation: ingest, chunk, match, fan out, resolve.
+"""End-to-end pre-annotation: ingest, chunk, match, resolve, attach.
 
 Everything here is a pure function of its inputs; documents can be
 processed in parallel and the results merged in any order.
@@ -6,7 +6,7 @@ processed in parallel and the results merged in any order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .chunker import ChunkCandidate, chunk, split_coordination
@@ -18,12 +18,7 @@ from .model import (
     RelationMention,
     attach_annotations,
 )
-from .patterns import (
-    SurfacePattern,
-    fan_out_triggers,
-    match_sentence,
-    resolve_acronyms,
-)
+from .patterns import SurfacePattern, match_sentence, resolve_acronyms
 
 
 @dataclass(frozen=True)
@@ -68,11 +63,9 @@ def preannotate_document(
 
     raw: list[RelationMention] = []
     minted: dict[str, EntityMention] = {}
-    relations: list[RelationMention] = []
     for sentence in doc.sentences:
         found = match_sentence(doc, sentence, companies, candidates, surface_patterns)
         mentions = {m.mention_id: m for m in found.product_mentions}
-        sentence_raw: list[RelationMention] = []
         for rel in found.relations:
             spans = [mentions[p].span for p in rel.products]
             # a matched span that crosses an existing mention cannot be attached
@@ -87,27 +80,14 @@ def preannotate_document(
                     remapped.append(pid)
                 else:
                     remapped.append(existing)
-            sentence_raw.append(
-                RelationMention(
-                    relation_id=rel.relation_id,
-                    company=rel.company,
-                    products=tuple(remapped),
-                    trigger=rel.trigger,
-                    provenance=rel.provenance,
-                    pattern_id=rel.pattern_id,
-                )
-            )
-        raw.extend(sentence_raw)
-        relations.extend(fan_out_triggers(sentence_raw))
+            raw.append(replace(rel, products=tuple(remapped)))
 
     entities = tuple(doc.entities) + tuple(orgs) + tuple(
         sorted(minted.values(), key=lambda m: m.span)
     )
-    enriched = attach_annotations(
-        doc, entities=entities, relations=doc.relations, chains=doc.chains
-    )
-    resolved = resolve_acronyms(relations, enriched)
-
+    # re-pointing reads only entities and chains, and deduplicates the
+    # whole document; the one attach below checks every invariant
+    resolved = resolve_acronyms(raw, replace(doc, entities=entities))
     final = attach_annotations(
         doc,
         entities=entities,

@@ -30,10 +30,10 @@ from .model import (
     MentionKind,
     NOUN_TAGS,
     Span,
+    TRADEMARK_TEXTS,
 )
 
 BAD_BOUNDARY_TAGS = frozenset({"DT", "IN", "WDT", "WP", "CC"})
-TRADEMARK_TEXTS = {"®", "™"}
 
 DEFAULT_STOPLIST = frozenset({"advanced", "new", "innovative", "leading"})
 
@@ -168,22 +168,20 @@ def _v6_duplicate_linked_relations(doc: Document, by_id: dict[str, EntityMention
         members = {chain.source, *chain.targets}
         for mid in members:
             linked.setdefault(mid, set()).update(members - {mid})
-    seen: list[tuple[str, tuple[str, ...], Span | None, str]] = []
-    for rel in doc.relations:
-        for company, products, trigger, rel_id in seen:
+    for i, rel in enumerate(doc.relations):
+        for other in doc.relations[:i]:
             if (
-                rel.company != company
-                and company in linked.get(rel.company, set())
-                and rel.products == products
-                and rel.trigger == trigger
+                rel.company != other.company
+                and other.company in linked.get(rel.company, set())
+                and rel.products == other.products
+                and rel.trigger == other.trigger
             ):
                 anchor = by_id.get(rel.company)
                 span = anchor.span if anchor else Span(0, 1)
                 yield Violation(
                     "V6", Severity.ERROR, doc.doc_id, rel.relation_id, span,
-                    f"identity-linked company mentions both carry this relation (see {rel_id})",
+                    f"identity-linked company mentions both carry this relation (see {other.relation_id})",
                 )
-        seen.append((rel.company, rel.products, rel.trigger, rel.relation_id))
 
 
 def _v7_nouns(doc: Document) -> Iterable[Violation]:

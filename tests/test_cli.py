@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import hashlib
+
+import pytest
+
 from promex.corpus_io import load_corpus, save_corpus
 from promex.model import Corpus
 
@@ -82,6 +86,32 @@ class TestPreannotate:
         corpus = load_corpus(str(out_file))
         assert len(corpus.documents[0].relations) == 1
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        ("name", "content", "tagged", "message"),
+        [
+            ("bad.conll", b"Apple\tNNP\nWatch\n", True, "line 2: malformed column line"),
+            ("bad.txt", b"\xff\xfeAcme sells widgets.\n", False, "can't decode byte 0xff"),
+        ],
+        ids=["malformed-column", "non-utf8"],
+    )
+    def test_bad_input_file_exits_2_without_corpus(
+        self, name, content, tagged, message, jobs, tmp_path, capsys
+    ):
+        src = tmp_path / "docs"
+        src.mkdir()
+        good = "Sensata\tNNP\ndevelops\tVBZ\n" if tagged else "Sensata develops sensors."
+        (src / "a.txt").write_text(good)
+        (src / name).write_bytes(content)
+        out_file = tmp_path / "out.corpus"
+        argv = ["preannotate", "--in", str(src), "--out", str(out_file), "--jobs", jobs]
+        code, out, err = run_cli(argv + (["--tagged"] if tagged else []), capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"{src / name}: ") and message in err
+        assert len(err.splitlines()) == 1  # the good file is not reported
+        assert not out_file.exists()
+
     def test_missing_directory_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["preannotate", "--in", str(tmp_path / "nope"), "--out", "x.corpus"],
@@ -89,6 +119,42 @@ class TestPreannotate:
         )
         assert code == 2
         assert "directory" in err
+
+
+# sha256 of (corpus file, yield table) recorded before the pre-annotation
+# pipeline was refactored; any change to these bytes is a behaviour change
+PINNED_OUTPUT = {
+    "examples": (
+        "e67c0aa8f6d0bda575fc53662d1d0f5851aba3b7cf50c094fde76244e0209ef1",
+        "dd4856411187a8bffcbf810573b00b51324dc2a64d3b3ce915e2d2653fd159dd",
+    ),
+    "golden-raw": (
+        "a11eec3fb508cc3a152e78733b0abcda42b35fa0baa7080244b611ed6ff56240",
+        "4834d4c0f99c658a7e22c67c8b70466a7fdcebee5e0bcabb1066236381005c01",
+    ),
+}
+
+
+class TestOutputContract:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("source", sorted(PINNED_OUTPUT))
+    def test_preannotate_bytes_are_pinned(self, source, jobs, tmp_path, golden, capsys):
+        if source == "examples":
+            args = ["--in", EXAMPLES_DIR, "--tagged"]
+        else:
+            raw = tmp_path / "raw"
+            raw.mkdir()
+            for doc in golden.documents:
+                (raw / f"{doc.doc_id}.txt").write_text(doc.text, encoding="utf-8")
+            args = ["--in", str(raw)]
+        out_file = tmp_path / "out.corpus"
+        code, out, _ = run_cli(
+            ["preannotate", *args, "--out", str(out_file), "--jobs", jobs], capsys
+        )
+        assert code == 0
+        corpus_digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+        yield_digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert (corpus_digest, yield_digest) == PINNED_OUTPUT[source]
 
 
 class TestValidate:
@@ -172,6 +238,14 @@ class TestConvert:
         assert code == 0
         assert "BMW\tNNP\tB-Company" in out
 
+    def test_malformed_column_file_exits_2(self, tmp_path, capsys):
+        column = tmp_path / "bad.conll"
+        column.write_text("Apple\tNNP\nWatch\n")
+        code, out, err = run_cli(["convert", "--in", str(column), "--to", "corpus"], capsys)
+        assert code == 2
+        assert out == ""
+        assert str(column) in err and "line 2" in err
+
     def test_column_to_corpus(self, tmp_path, capsys):
         column = tmp_path / "doc.conll"
         column.write_text("Acme\tNNP\tB-Company\nwins\tVBZ\tO\n")
@@ -179,6 +253,32 @@ class TestConvert:
         assert code == 0
         assert out.startswith('{"schema_version":"1.0"}')
         assert '"doc_id":"doc"' in out
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--in", "{bad}"],
+            ["validate", "--in", GOLDEN, "--stoplist", "{bad}"],
+            ["stats", "--in", "{bad}"],
+            ["agreement", "--a", GOLDEN, "--b", "{bad}"],
+            ["convert", "--in", "{bad}", "--to", "column"],
+            ["patterns", "expand", "--config", "{bad}"],
+            ["preannotate", "--in", EXAMPLES_DIR, "--out", "{out}", "--config", "{bad}"],
+            ["preannotate", "--in", EXAMPLES_DIR, "--out", "{out}", "--gazetteer", "{bad}"],
+        ],
+        ids=["validate", "stoplist", "stats", "agreement", "convert", "patterns", "config",
+             "gazetteer"],
+    )
+    def test_exits_2_naming_the_file(self, argv, tmp_path, capsys):
+        bad = tmp_path / "latin1.corpus"
+        bad.write_bytes('{"schema_version":"1.0"}\n# caf\u00e9\n'.encode("latin-1"))
+        out = tmp_path / "out.corpus"
+        code, _, err = run_cli([a.format(bad=bad, out=out) for a in argv], capsys)
+        assert code == 2
+        assert str(bad) in err and "can't decode" in err
+        assert not out.exists()
 
 
 class TestUsage:

@@ -77,6 +77,29 @@ class TestRoundTrip:
         with pytest.raises(SinkFailure):
             save_corpus(golden, str(tmp_path / "missing-dir" / "out.corpus"))
 
+    def test_failed_write_keeps_old_file(self, tmp_path, golden, monkeypatch):
+        import promex.corpus_io
+        from promex.corpus_io import SinkFailure
+
+        path = tmp_path / "out.corpus"
+        save_corpus(Corpus("1.0", golden.documents[:1]), str(path))
+        old = path.read_bytes()
+        record = promex.corpus_io._document_record
+        written = []
+
+        def fail_on_second(doc):
+            if written:
+                raise OSError(28, "No space left on device")
+            written.append(doc.doc_id)
+            return record(doc)
+
+        monkeypatch.setattr(promex.corpus_io, "_document_record", fail_on_second)
+        with pytest.raises(SinkFailure):
+            save_corpus(golden, str(path))
+        assert written == [golden.documents[0].doc_id]  # failed mid-stream
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["out.corpus"]
+
 
 class TestReadErrors:
     def test_tampered_unknown_mention(self):

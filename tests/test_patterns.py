@@ -26,9 +26,8 @@ from promex.patterns import (
     TriggerSlot,
     UnknownSetReference,
     expand,
-    expansion_count,
     fan_out_triggers,
-    match,
+    match_sentence,
     parse_config,
     resolve_acronyms,
 )
@@ -38,6 +37,30 @@ from promex.pipeline import preannotate_document
 DEFAULT_CONFIG = default_config_path().read_text(encoding="utf-8")
 DEFAULT_SURFACES = expand(parse_config(DEFAULT_CONFIG))
 DEFAULT_GAZETTEER = OrgGazetteer.from_file(str(default_gazetteer_path()))
+
+
+def _variant_count(el) -> int:
+    if isinstance(el, (OrgSlot, ProductSlot, PossessiveTrigger)):
+        return 1
+    if isinstance(el, (TriggerSlot, LiteralSlot)):
+        return sum(4 if alt.inflect else 1 for alt in el.alternatives)
+    if isinstance(el, OptionalGroup):
+        inner = 1
+        for e in el.elements:
+            inner *= _variant_count(e)
+        return 1 + inner
+    raise TypeError(el)
+
+
+def expansion_count(config) -> int:
+    """Closed-form number of surface patterns: an oracle for `expand`."""
+    total = 0
+    for pattern in config.patterns:
+        n = 1
+        for el in pattern.elements:
+            n *= _variant_count(el)
+        total += n
+    return total
 
 
 def preannotate(tagged_sentences, gazetteer=DEFAULT_GAZETTEER, surfaces=DEFAULT_SURFACES):
@@ -196,7 +219,7 @@ class TestMatch:
         orgs = recognize_orgs(doc, OrgGazetteer.from_names(["Garmin"]))
         tokens = doc.sentence_tokens(doc.sentences[0])
         candidates = split_coordination(chunk(tokens), tokens)
-        relations = match(doc, doc.sentences[0], orgs, candidates, DEFAULT_SURFACES)
+        relations = match_sentence(doc, doc.sentences[0], orgs, candidates, DEFAULT_SURFACES).relations
         assert len(relations) == 1
         assert relations[0].trigger == Span(1, 2)
         assert relations[0].provenance is Provenance.PRE_ANNOTATION
@@ -286,6 +309,30 @@ class TestFanOut:
         a = RelationMention("r1", "c", ("p",), Span(1, 2), Provenance.PRE_ANNOTATION, "P03")
         b = RelationMention("r2", "c", ("p",), Span(1, 2), Provenance.PRE_ANNOTATION, "P08")
         assert fan_out_triggers([a, b]) == [a]
+
+
+class TestPreannotateDocument:
+    def test_attaches_annotations_once_per_document(self, monkeypatch):
+        import promex.pipeline
+
+        calls = []
+        original = promex.pipeline.attach_annotations
+
+        def counting(doc, *args, **kwargs):
+            calls.append(doc.doc_id)
+            return original(doc, *args, **kwargs)
+
+        monkeypatch.setattr(promex.pipeline, "attach_annotations", counting)
+        docs = [
+            tagged_document("one", ["Garmin/NNP makes/VBZ devices/NNS ./."]),
+            tagged_document("two", [
+                "Acme/NNP Corp./NNP sells/VBZ gadgets/NNS ./.",
+                "Sensata/NNP Technologies/NNP develops/VBZ sensors/NNS and/CC controls/NNS ./.",
+            ]),
+        ]
+        for doc in docs:
+            assert preannotate_document(doc, DEFAULT_GAZETTEER, DEFAULT_SURFACES).document.relations
+        assert calls == ["one", "two"]
 
 
 def acronym_document(attach_to="abbr"):
