@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from typing import Sequence
 
-from .model import Corpus, Document, EntityType, RelationMention
+from .model import Corpus, Document, EntityMention, EntityType, RelationMention
 
 
 class EmptyCorpus(ValueError):
@@ -165,8 +165,7 @@ def _f1(a: set, b: set) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def _relation_key(doc: Document, rel: RelationMention) -> tuple | None:
-    by_id = {e.mention_id: e for e in doc.entities}
+def _relation_key(by_id: dict[str, EntityMention], rel: RelationMention) -> tuple | None:
     company = by_id.get(rel.company)
     products = [by_id.get(p) for p in rel.products]
     if company is None or any(p is None for p in products):
@@ -190,6 +189,7 @@ def agreement(
     token_pairs: dict[str, list[tuple[bool, bool]]] = {t.value: [] for t in EntityType}
     mentions_a: dict[str, set] = {t.value: set() for t in EntityType}
     mentions_b: dict[str, set] = {t.value: set() for t in EntityType}
+    # (doc_id, relation key, trigger) per relation, in document order
     rels_a: list[tuple] = []
     rels_b: list[tuple] = []
 
@@ -208,24 +208,28 @@ def agreement(
                             inside[i] = True
             token_pairs[etype.value].extend(zip(inside_a, inside_b))
         for doc, bucket in ((a, rels_a), (b, rels_b)):
+            by_id = {e.mention_id: e for e in doc.entities}
             for rel in doc.relations:
-                key = _relation_key(doc, rel)
+                key = _relation_key(by_id, rel)
                 if key is not None:
                     trigger = (
                         (rel.trigger.start, rel.trigger.end) if rel.trigger else None
                     )
                     bucket.append((doc_id, key, trigger))
 
-    # relations match on arguments; triggers are compared only when both sides have one
-    matched_b: set[int] = set()
+    # relations match on arguments; triggers are compared only when both
+    # sides have one.  Each relation of `a` takes the first unmatched one
+    # of `b` with the same arguments, so unmatched ones are kept in order.
+    unmatched_b: dict[tuple, list[tuple | None]] = {}
+    for doc_id, key, trigger in rels_b:
+        unmatched_b.setdefault((doc_id, key), []).append(trigger)
     tp = 0
     for doc_id, key, trigger in rels_a:
-        for j, (doc_id_b, key_b, trigger_b) in enumerate(rels_b):
-            if j in matched_b or doc_id != doc_id_b or key != key_b:
-                continue
+        candidates = unmatched_b.get((doc_id, key), [])
+        for j, trigger_b in enumerate(candidates):
             if trigger is not None and trigger_b is not None and trigger != trigger_b:
                 continue
-            matched_b.add(j)
+            del candidates[j]
             tp += 1
             break
     if not rels_a and not rels_b:

@@ -113,6 +113,37 @@ def _require(record: dict, key: str, line_no: int):
     return record[key]
 
 
+def _require_strings(line_no: int, field: str, values: Iterable) -> None:
+    for value in values:
+        if not isinstance(value, str):
+            raise MalformedRecord(
+                line_no, f"{field} must be a string, not {type(value).__name__}"
+            )
+
+
+def _check_field_types(
+    line_no: int,
+    doc_id: object,
+    text: object,
+    tokens: list[Token],
+    entities: list[EntityMention],
+    relations: list[RelationMention],
+    chains: list[IdentityChain],
+) -> None:
+    """Reject ids and texts that are not strings before the model hashes or compares them."""
+    _require_strings(line_no, "doc_id", (doc_id,))
+    _require_strings(line_no, "text", (text,))
+    _require_strings(line_no, "token text", (t.text for t in tokens))
+    _require_strings(line_no, "token pos", (t.pos for t in tokens))
+    _require_strings(line_no, "mention id", (e.mention_id for e in entities))
+    for r in relations:
+        _require_strings(line_no, "relation id", (r.relation_id, r.company, *r.products))
+        if r.pattern_id is not None:
+            _require_strings(line_no, "pattern_id", (r.pattern_id,))
+    for c in chains:
+        _require_strings(line_no, "chain id", (c.chain_id, c.source, *c.targets))
+
+
 def _parse_document(record: dict, line_no: int) -> Document:
     try:
         doc_id = _require(record, "doc_id", line_no)
@@ -156,8 +187,9 @@ def _parse_document(record: dict, line_no: int) -> Document:
         ]
     except MalformedRecord:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedRecord(line_no, f"bad document record: {exc}") from exc
+    _check_field_types(line_no, doc_id, text, tokens, entities, relations, chains)
 
     try:
         doc = make_document(doc_id, text, tokens, sentences)

@@ -26,6 +26,7 @@ from .model import (
     Token,
     TRADEMARK_TEXTS,
     attach_annotations,
+    by_sentence,
     make_document,
     mention_kind,
 )
@@ -381,10 +382,11 @@ def recognize_orgs(doc: Document, gazetteer: OrgGazetteer) -> list[EntityMention
     """
     lowered = [t.text.lower() for t in doc.tokens]
     max_name = max((len(n) for n in gazetteer.names), default=0)
-    candidates: list[Span] = []
+    chosen: list[Span] = []
 
-    for sentence in doc.sentences:
+    for sentence, entities in zip(doc.sentences, by_sentence(doc, doc.entities, lambda m: m.span)):
         s, e = sentence.span.start, sentence.span.end
+        candidates: list[Span] = []
         for i in range(s, e):
             for width in range(min(max_name, e - i), 0, -1):
                 if tuple(lowered[i:i + width]) in gazetteer.names:
@@ -404,16 +406,18 @@ def recognize_orgs(doc: Document, gazetteer: OrgGazetteer) -> list[EntityMention
             else:
                 i += 1
 
-    existing = [m.span for m in doc.entities if m.entity_type is EntityType.COMPANY]
-    chosen: list[Span] = []
-    for span in sorted(set(candidates), key=lambda sp: (-len(sp), sp.start)):
-        if any(span.overlaps(other) for other in chosen):
-            continue
-        if any(span.overlaps(other) for other in existing):
-            continue
-        if any(span.crosses(m.span) for m in doc.entities):
-            continue
-        chosen.append(span)
+        # candidates and mentions of other sentences never overlap these
+        existing = [m.span for m in entities if m.entity_type is EntityType.COMPANY]
+        in_sentence: list[Span] = []
+        for span in sorted(set(candidates), key=lambda sp: (-len(sp), sp.start)):
+            if any(span.overlaps(other) for other in in_sentence):
+                continue
+            if any(span.overlaps(other) for other in existing):
+                continue
+            if any(span.crosses(m.span) for m in entities):
+                continue
+            in_sentence.append(span)
+        chosen.extend(in_sentence)
 
     chosen.sort()
     return [

@@ -13,7 +13,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Sequence, TypeVar
 
 NOUN_TAGS = frozenset({"NN", "NNS", "NNP", "NNPS"})
 PROPER_NOUN_TAGS = frozenset({"NNP", "NNPS"})
@@ -21,6 +22,9 @@ PROPER_NOUN_TAGS = frozenset({"NNP", "NNPS"})
 TRADEMARK_TEXTS = frozenset({"®", "™"})
 # the words that join the last two conjuncts of a coordination
 CONJUNCTIONS = frozenset({"and", "or"})
+
+
+_Item = TypeVar("_Item")
 
 
 class EntityType(str, Enum):
@@ -157,10 +161,14 @@ class Document:
     relations: tuple[RelationMention, ...] = ()
     chains: tuple[IdentityChain, ...] = ()
 
+    @cached_property
+    def _sentence_starts(self) -> list[int]:
+        # computed once per document; not a field, so equality ignores it
+        return [s.span.start for s in self.sentences]
+
     def sentence_index(self, token_index: int) -> int:
         """Index of the sentence containing `token_index` (-1 if out of range)."""
-        starts = [s.span.start for s in self.sentences]
-        i = bisect.bisect_right(starts, token_index) - 1
+        i = bisect.bisect_right(self._sentence_starts, token_index) - 1
         if 0 <= i < len(self.sentences) and token_index < self.sentences[i].span.end:
             return i
         return -1
@@ -176,6 +184,22 @@ class Document:
             if e.mention_id == mention_id:
                 return e
         return None
+
+
+def by_sentence(
+    doc: Document, items: Iterable[_Item], span_of: Callable[[_Item], Span]
+) -> list[list[_Item]]:
+    """`items` grouped by the sentence holding the start of their span, in input order.
+
+    Mentions never cross a sentence, so a sentence's group holds everything
+    that can overlap it.  Items starting outside every sentence are dropped.
+    """
+    groups: list[list[_Item]] = [[] for _ in doc.sentences]
+    for item in items:
+        i = doc.sentence_index(span_of(item).start)
+        if i >= 0:
+            groups[i].append(item)
+    return groups
 
 
 @dataclass(frozen=True)
@@ -242,7 +266,7 @@ def make_document(
 
 def _check_entity(doc: Document, mention: EntityMention) -> None:
     span = mention.span
-    if len(span) <= 0 or span.start < 0 or span.end > len(doc.tokens):
+    if span.end <= span.start or span.start < 0 or span.end > len(doc.tokens):
         raise InvariantViolation(f"mention {mention.mention_id} has an empty or out-of-bounds span")
     sent = doc.sentence_index(span.start)
     if sent < 0 or span.end > doc.sentences[sent].span.end:
@@ -278,7 +302,7 @@ def _check_relation(doc: Document, rel: RelationMention, by_id: dict[str, Entity
             )
     if rel.trigger is not None:
         trig = rel.trigger
-        if len(trig) <= 0 or trig.start < 0 or trig.end > len(doc.tokens):
+        if trig.end <= trig.start or trig.start < 0 or trig.end > len(doc.tokens):
             raise InvariantViolation(f"relation {rel.relation_id} trigger span is malformed")
         if doc.sentence_index(trig.start) != sent or trig.end > doc.sentences[sent].span.end:
             raise SpanCrossesSentence(
@@ -316,6 +340,24 @@ def _check_chains(chains: Sequence[IdentityChain], by_id: dict[str, EntityMentio
                 )
 
 
+def _check_nesting(ents: Sequence[EntityMention]) -> None:
+    """Reject two mentions that overlap without one containing the other.
+
+    One sweep in (start, -end) order with a stack of the spans still open:
+    a span that starts inside the innermost open span but ends after it
+    crosses that span.  Spans that no longer reach the sweep position are
+    popped first, so the innermost open span is always on top.
+    """
+    open_spans: list[EntityMention] = []
+    for mention in sorted(ents, key=lambda e: (e.span.start, -e.span.end)):
+        while open_spans and open_spans[-1].span.end <= mention.span.start:
+            open_spans.pop()
+        if open_spans and mention.span.end > open_spans[-1].span.end:
+            a, b = sorted((open_spans[-1].mention_id, mention.mention_id))
+            raise InvariantViolation(f"mentions {a!r} and {b!r} overlap without nesting")
+        open_spans.append(mention)
+
+
 def attach_annotations(
     doc: Document,
     entities: Iterable[EntityMention] = (),
@@ -338,12 +380,7 @@ def attach_annotations(
         by_id[e.mention_id] = e
         _check_entity(doc, e)
 
-    for a in ents:
-        for b in ents:
-            if a.mention_id < b.mention_id and a.span.crosses(b.span):
-                raise InvariantViolation(
-                    f"mentions {a.mention_id!r} and {b.mention_id!r} overlap without nesting"
-                )
+    _check_nesting(ents)
 
     seen_rel: set[str] = set()
     for r in rels:

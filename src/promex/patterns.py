@@ -418,8 +418,10 @@ class _SentenceContext:
 
     def __post_init__(self) -> None:
         self.tokens = self.doc.tokens
+        self.start = self.sentence.span.start
         self.end = self.sentence.span.end
-        self.tags = [t.pos for t in self.tokens]
+        # POS tags of this sentence only: index with `pos - self.start`
+        self.tags = [t.pos for t in self.tokens[self.start:self.end]]
         # candidates never overlap, so one span covers any given position
         self.covering: dict[int, Span] = {}
         for cand in self.candidates:
@@ -469,7 +471,7 @@ class _SentenceContext:
                 spans.append(cand)
             for q in range(cand.end, pos, -1):
                 sub = Span(pos, q)
-                if sub not in spans and span_matches_grammar(self.tags[pos:q]):
+                if sub not in spans and span_matches_grammar(self.tags[pos - self.start:q - self.start]):
                     spans.append(sub)
             spans.sort(key=lambda s: -s.end)
         firsts = [(span, span.end) for span in spans]

@@ -17,6 +17,7 @@ from .model import (
     EntityType,
     RelationMention,
     attach_annotations,
+    by_sentence,
 )
 from .patterns import SurfacePattern, match_sentence, resolve_acronyms
 
@@ -63,13 +64,20 @@ def preannotate_document(
 
     raw: list[RelationMention] = []
     minted: dict[str, EntityMention] = {}
-    for sentence in doc.sentences:
-        found = match_sentence(doc, sentence, companies, candidates, surface_patterns)
+    for sentence, sentence_companies, sentence_candidates, sentence_fixed in zip(
+        doc.sentences,
+        by_sentence(doc, companies, lambda m: m.span),
+        by_sentence(doc, candidates, lambda c: c.span),
+        by_sentence(doc, fixed_spans, lambda s: s),
+    ):
+        found = match_sentence(
+            doc, sentence, sentence_companies, sentence_candidates, surface_patterns
+        )
         mentions = {m.mention_id: m for m in found.product_mentions}
         for rel in found.relations:
             spans = [mentions[p].span for p in rel.products]
             # a matched span that crosses an existing mention cannot be attached
-            if any(s.crosses(other) for s in spans for other in fixed_spans):
+            if any(s.crosses(other) for s in spans for other in sentence_fixed):
                 continue
             remapped = []
             for pid in rel.products:

@@ -15,10 +15,17 @@ Rule registry:
     V7  product extent contains no noun token
     V8  product extent starts with a stoplisted adjective
     V9  relation without products, or with an unresolvable argument
+
+Each rule is linear in document length, apart from the size of its
+output: the rules that compare mentions or relations with each other
+(V2, V5, V6) look them up in indexes built once per document instead of
+scanning every pair.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -29,6 +36,7 @@ from .model import (
     EntityType,
     MentionKind,
     NOUN_TAGS,
+    RelationMention,
     Span,
     TRADEMARK_TEXTS,
 )
@@ -59,16 +67,8 @@ class Violation:
     message: str
 
 
-def _products(doc: Document) -> list[EntityMention]:
-    return [e for e in doc.entities if e.entity_type is EntityType.PRODUCT]
-
-
-def _companies(doc: Document) -> list[EntityMention]:
-    return [e for e in doc.entities if e.entity_type is EntityType.COMPANY]
-
-
-def _v1_boundaries(doc: Document) -> Iterable[Violation]:
-    for m in _products(doc):
+def _v1_boundaries(doc: Document, products: list[EntityMention]) -> Iterable[Violation]:
+    for m in products:
         first = doc.tokens[m.span.start]
         if first.pos in BAD_BOUNDARY_TAGS or first.text == ",":
             yield Violation(
@@ -85,9 +85,16 @@ def _v1_boundaries(doc: Document) -> Iterable[Violation]:
             )
 
 
-def _v2_possessive(doc: Document) -> Iterable[Violation]:
-    for product in _products(doc):
-        for company in _companies(doc):
+def _v2_possessive(
+    doc: Document, products: list[EntityMention], companies: list[EntityMention]
+) -> Iterable[Violation]:
+    # a company inside a product starts inside it: look only at those
+    by_start = sorted(companies, key=lambda c: c.span.start)
+    starts = [c.span.start for c in by_start]
+    for product in products:
+        lo = bisect.bisect_left(starts, product.span.start)
+        hi = bisect.bisect_left(starts, product.span.end)
+        for company in by_start[lo:hi]:
             if not product.span.contains(company.span) or product.span == company.span:
                 continue
             pos = company.span.end
@@ -142,22 +149,33 @@ def _v4_chains(doc: Document, by_id: dict[str, EntityMention]) -> Iterable[Viola
             membership[mid] = chain.chain_id
 
 
-def _v5_consistency(doc: Document) -> Iterable[Violation]:
+def _v5_consistency(doc: Document, products: list[EntityMention]) -> Iterable[Violation]:
     lowered = [t.text.lower() for t in doc.tokens]
-    product_spans = [m.span for m in _products(doc)]
+    n = len(lowered)
     sequences = {
-        tuple(lowered[m.span.start:m.span.end]): m.mention_id for m in _products(doc)
+        tuple(lowered[m.span.start:m.span.end]): m.mention_id for m in products
     }
+    # reach[s]: the largest end of any product starting at or before s, so
+    # some product contains [s, s + width) iff reach[s] >= s + width
+    reach = [-1] * (n + 1)
+    for m in products:
+        start = max(m.span.start, 0)
+        if start <= n:
+            reach[start] = max(reach[start], m.span.end)
+    reach = list(itertools.accumulate(reach, max))
+    positions: dict[str, list[int]] = {}
+    for i, word in enumerate(lowered):
+        positions.setdefault(word, []).append(i)
     for seq, mention_id in sorted(sequences.items(), key=lambda kv: kv[1]):
         width = len(seq)
-        for start in range(0, len(lowered) - width + 1):
-            span = Span(start, start + width)
-            if tuple(lowered[start:start + width]) != seq:
+        starts = positions.get(seq[0], ()) if seq else range(n + 1)
+        for start in starts:
+            if start + width > n or tuple(lowered[start:start + width]) != seq:
                 continue
-            if any(p.contains(span) for p in product_spans):
+            if reach[start] >= start + width:
                 continue
             yield Violation(
-                "V5", Severity.WARNING, doc.doc_id, mention_id, span,
+                "V5", Severity.WARNING, doc.doc_id, mention_id, Span(start, start + width),
                 f"token sequence {' '.join(seq)!r} is annotated as a product elsewhere but not here",
             )
 
@@ -168,24 +186,23 @@ def _v6_duplicate_linked_relations(doc: Document, by_id: dict[str, EntityMention
         members = {chain.source, *chain.targets}
         for mid in members:
             linked.setdefault(mid, set()).update(members - {mid})
-    for i, rel in enumerate(doc.relations):
-        for other in doc.relations[:i]:
-            if (
-                rel.company != other.company
-                and other.company in linked.get(rel.company, set())
-                and rel.products == other.products
-                and rel.trigger == other.trigger
-            ):
+    # only relations with the same products and trigger can duplicate each other
+    earlier: dict[tuple, list[RelationMention]] = {}
+    for rel in doc.relations:
+        group = earlier.setdefault((rel.products, rel.trigger), [])
+        for other in group:
+            if rel.company != other.company and other.company in linked.get(rel.company, ()):
                 anchor = by_id.get(rel.company)
                 span = anchor.span if anchor else Span(0, 1)
                 yield Violation(
                     "V6", Severity.ERROR, doc.doc_id, rel.relation_id, span,
                     f"identity-linked company mentions both carry this relation (see {other.relation_id})",
                 )
+        group.append(rel)
 
 
-def _v7_nouns(doc: Document) -> Iterable[Violation]:
-    for m in _products(doc):
+def _v7_nouns(doc: Document, products: list[EntityMention]) -> Iterable[Violation]:
+    for m in products:
         if not any(t.pos in NOUN_TAGS for t in doc.tokens[m.span.start:m.span.end]):
             yield Violation(
                 "V7", Severity.ERROR, doc.doc_id, m.mention_id, m.span,
@@ -193,8 +210,10 @@ def _v7_nouns(doc: Document) -> Iterable[Violation]:
             )
 
 
-def _v8_stoplist(doc: Document, stoplist: frozenset[str]) -> Iterable[Violation]:
-    for m in _products(doc):
+def _v8_stoplist(
+    doc: Document, products: list[EntityMention], stoplist: frozenset[str]
+) -> Iterable[Violation]:
+    for m in products:
         first = doc.tokens[m.span.start].text.lower()
         if first in stoplist:
             yield Violation(
@@ -229,15 +248,17 @@ def validate(doc: Document, stoplist: Iterable[str] = DEFAULT_STOPLIST) -> list[
     """
     stop = frozenset(w.lower() for w in stoplist)
     by_id = {e.mention_id: e for e in doc.entities}
+    products = [e for e in doc.entities if e.entity_type is EntityType.PRODUCT]
+    companies = [e for e in doc.entities if e.entity_type is EntityType.COMPANY]
     violations: list[Violation] = []
-    violations.extend(_v1_boundaries(doc))
-    violations.extend(_v2_possessive(doc))
+    violations.extend(_v1_boundaries(doc, products))
+    violations.extend(_v2_possessive(doc, products, companies))
     violations.extend(_v3_cross_sentence(doc, by_id))
     violations.extend(_v4_chains(doc, by_id))
-    violations.extend(_v5_consistency(doc))
+    violations.extend(_v5_consistency(doc, products))
     violations.extend(_v6_duplicate_linked_relations(doc, by_id))
-    violations.extend(_v7_nouns(doc))
-    violations.extend(_v8_stoplist(doc, stop))
+    violations.extend(_v7_nouns(doc, products))
+    violations.extend(_v8_stoplist(doc, products, stop))
     violations.extend(_v9_relations(doc, by_id))
     # errors sort before warnings at the same document position
     violations.sort(

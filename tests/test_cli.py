@@ -215,6 +215,15 @@ class TestStats:
         assert code == 0
         assert "documents_total\t19" in out
 
+    def test_wrongly_typed_field_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.corpus"
+        with open(GOLDEN, encoding="utf-8") as fh:
+            text = fh.read()
+        bad.write_text(text.replace('"doc_id":"bmw-1series"', '"doc_id":["bmw-1series"]', 1), encoding="utf-8")
+        code, _, err = run_cli(["stats", "--in", str(bad)], capsys)
+        assert code == 2
+        assert str(bad) in err and "doc_id must be a string" in err
+
 
 class TestAgreement:
     def test_identical_layers(self, capsys):

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import io
+import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from promex.corpus_io import (
+    CorpusIOError,
     MalformedRecord,
     SCHEMA_VERSION,
     SchemaVersionMismatch,
@@ -14,9 +17,9 @@ from promex.corpus_io import (
     save_corpus,
     write_corpus,
 )
-from promex.examples import annotated_document, apple_watch, tagged_document
+from promex.examples import annotated_document, apple_watch, golden_corpus, tagged_document
 from promex.ingest import read_tagged
-from promex.model import Corpus, InvariantViolation
+from promex.model import Corpus, InvariantViolation, ModelError
 
 
 def round_trip(corpus: Corpus) -> Corpus:
@@ -133,6 +136,76 @@ class TestReadErrors:
         write_corpus(Corpus(SCHEMA_VERSION, (doc, doc)), sink)
         with pytest.raises(InvariantViolation):
             read_corpus(io.StringIO(sink.getvalue()))
+
+
+def full_record() -> dict:
+    """The record of a golden document with mentions, relations, a trigger and a chain."""
+    doc = next(
+        d for d in golden_corpus().documents
+        if d.chains and any(r.trigger for r in d.relations)
+    )
+    sink = io.StringIO()
+    write_corpus(Corpus(SCHEMA_VERSION, (doc,)), sink)
+    return json.loads(sink.getvalue().splitlines()[1])
+
+
+def read_record(record: dict) -> Corpus:
+    header = json.dumps({"schema_version": SCHEMA_VERSION})
+    return read_corpus(io.StringIO(f"{header}\n{json.dumps(record)}\n"))
+
+
+def paths(value, prefix=()):
+    """Every (key or index) path into a JSON value, the value itself included."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from paths(child, (*prefix, key))
+
+
+def replaced(record: dict, path: tuple, new) -> dict:
+    record = json.loads(json.dumps(record))
+    if not path:
+        return new
+    target = record
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = new
+    return record
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize("path, value", [
+        (("entities", 0, "id"), ["x"]),
+        (("doc_id",), ["z"]),
+        (("text",), 5),
+        (("entities", 1, "id"), 7),
+        (("tokens", 0, "pos"), ["NNP"]),
+        (("relations", 0, "products", 0), None),
+        (("chains", 0, "targets", 0), 1),
+        (("tokens", 0, "start"), float("inf")),
+    ])
+    def test_wrong_type_is_a_malformed_record(self, path, value):
+        with pytest.raises(MalformedRecord) as exc:
+            read_record(replaced(full_record(), path, value))
+        assert exc.value.line_no == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mutated_field_types_fail_cleanly(self, data):
+        record = full_record()
+        path = data.draw(st.sampled_from(list(paths(record))))
+        mutated = replaced(record, path, data.draw(json_values))
+        try:
+            read_record(mutated)
+        except (CorpusIOError, ModelError):
+            pass
 
 
 class TestExportColumn:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -119,6 +121,15 @@ class TestAttachAnnotations:
         with pytest.raises(SpanCrossesSentence):
             attach_annotations(doc, [mention("p", EntityType.PRODUCT, 2, 5)])
 
+    def test_inverted_spans_rejected(self):
+        doc = self.build()
+        with pytest.raises(InvariantViolation):
+            attach_annotations(doc, [mention("c", EntityType.COMPANY, 2, 1)])
+        entities = [mention("c", EntityType.COMPANY, 0, 1), mention("p", EntityType.PRODUCT, 2, 3)]
+        rel = RelationMention("r", "c", ("p",), Span(2, 1), Provenance.HUMAN)
+        with pytest.raises(InvariantViolation):
+            attach_annotations(doc, entities, [rel])
+
     def test_crossing_overlap_rejected(self):
         doc = self.build()
         entities = [
@@ -127,6 +138,22 @@ class TestAttachAnnotations:
         ]
         with pytest.raises(InvariantViolation):
             attach_annotations(doc, entities)
+
+    def test_pairwise_crossing_names_a_crossing_pair(self):
+        tokens = simple_tokens("Acme/NNP makes/VBZ big/JJ red/JJ widgets/NNS ./.")
+        doc = make_document("d", "Acme makes big red widgets .", tokens, [(0, 6)])
+        # every two of these cross; ids run against span order
+        entities = [
+            mention("z", EntityType.COMPANY, 0, 3),
+            mention("y", EntityType.COMPANY, 1, 4),
+            mention("x", EntityType.COMPANY, 2, 5),
+        ]
+        with pytest.raises(InvariantViolation) as exc:
+            attach_annotations(doc, entities)
+        named = re.findall(r"'([^']*)'", str(exc.value))
+        assert len(named) == 2 and named[0] < named[1]
+        by_id = {e.mention_id: e for e in entities}
+        assert by_id[named[0]].span.crosses(by_id[named[1]].span)
 
     def test_nested_company_in_product_accepted(self):
         doc = self.build()

@@ -1,0 +1,389 @@
+"""Differential oracles for the per-document indexes.
+
+The validator rules V2, V5 and V6, the nesting check of
+`attach_annotations` and the relation matching of `agreement` used to
+compare every pair of mentions, positions or relations.  Those pairwise
+versions are kept here, verbatim apart from their signatures, and the
+indexed versions in `promex` must agree with them on random documents.
+"""
+
+from __future__ import annotations
+
+import re
+from dataclasses import replace
+from typing import Iterable, Sequence
+
+from hypothesis import given, settings, strategies as st
+
+from promex import validator
+from promex.analytics import (
+    AgreementScores,
+    TokenizationMismatch,
+    _as_documents,
+    _f1,
+    _kappa,
+    agreement,
+)
+from promex.examples import tagged_document
+from promex.model import (
+    Corpus,
+    Document,
+    EntityMention,
+    EntityType,
+    IdentityChain,
+    InvariantViolation,
+    MentionKind,
+    ModelError,
+    NOUN_TAGS,
+    Provenance,
+    RelationMention,
+    Span,
+    _check_chains,
+    _check_entity,
+    _check_relation,
+    attach_annotations,
+)
+from promex.validator import DEFAULT_STOPLIST, Severity, Violation, validate
+
+
+# ---------------------------------------------------------------------------
+# Pairwise oracles
+
+def oracle_v2(doc: Document, products, companies) -> Iterable[Violation]:
+    for product in products:
+        for company in companies:
+            if not product.span.contains(company.span) or product.span == company.span:
+                continue
+            pos = company.span.end
+            if pos < product.span.end and doc.tokens[pos].pos == "POS":
+                yield Violation(
+                    "V2", Severity.ERROR, doc.doc_id, product.mention_id, product.span,
+                    "company mention inside a product extent carries a possessive marker",
+                )
+
+
+def oracle_v5(doc: Document, products) -> Iterable[Violation]:
+    lowered = [t.text.lower() for t in doc.tokens]
+    product_spans = [m.span for m in products]
+    sequences = {
+        tuple(lowered[m.span.start:m.span.end]): m.mention_id for m in products
+    }
+    for seq, mention_id in sorted(sequences.items(), key=lambda kv: kv[1]):
+        width = len(seq)
+        for start in range(0, len(lowered) - width + 1):
+            span = Span(start, start + width)
+            if tuple(lowered[start:start + width]) != seq:
+                continue
+            if any(p.contains(span) for p in product_spans):
+                continue
+            yield Violation(
+                "V5", Severity.WARNING, doc.doc_id, mention_id, span,
+                f"token sequence {' '.join(seq)!r} is annotated as a product elsewhere but not here",
+            )
+
+
+def oracle_v6(doc: Document, by_id) -> Iterable[Violation]:
+    linked: dict[str, set[str]] = {}
+    for chain in doc.chains:
+        members = {chain.source, *chain.targets}
+        for mid in members:
+            linked.setdefault(mid, set()).update(members - {mid})
+    for i, rel in enumerate(doc.relations):
+        for other in doc.relations[:i]:
+            if (
+                rel.company != other.company
+                and other.company in linked.get(rel.company, set())
+                and rel.products == other.products
+                and rel.trigger == other.trigger
+            ):
+                anchor = by_id.get(rel.company)
+                span = anchor.span if anchor else Span(0, 1)
+                yield Violation(
+                    "V6", Severity.ERROR, doc.doc_id, rel.relation_id, span,
+                    f"identity-linked company mentions both carry this relation (see {other.relation_id})",
+                )
+
+
+def oracle_validate(doc: Document, stoplist=DEFAULT_STOPLIST) -> list[Violation]:
+    """`validate` with V2, V5 and V6 replaced by their pairwise oracles."""
+    stop = frozenset(w.lower() for w in stoplist)
+    by_id = {e.mention_id: e for e in doc.entities}
+    products = [e for e in doc.entities if e.entity_type is EntityType.PRODUCT]
+    companies = [e for e in doc.entities if e.entity_type is EntityType.COMPANY]
+    violations: list[Violation] = []
+    violations.extend(validator._v1_boundaries(doc, products))
+    violations.extend(oracle_v2(doc, products, companies))
+    violations.extend(validator._v3_cross_sentence(doc, by_id))
+    violations.extend(validator._v4_chains(doc, by_id))
+    violations.extend(oracle_v5(doc, products))
+    violations.extend(oracle_v6(doc, by_id))
+    violations.extend(validator._v7_nouns(doc, products))
+    violations.extend(validator._v8_stoplist(doc, products, stop))
+    violations.extend(validator._v9_relations(doc, by_id))
+    violations.sort(
+        key=lambda v: (v.span.start, v.span.end, v.severity is not Severity.ERROR, v.rule_id, v.target_id)
+    )
+    return violations
+
+
+def oracle_attach(doc, entities=(), relations=(), chains=()) -> Document:
+    """`attach_annotations` with the pairwise crossing loop."""
+    ents = tuple(entities)
+    rels = tuple(relations)
+    chns = tuple(chains)
+    by_id: dict[str, EntityMention] = {}
+    for e in ents:
+        if e.mention_id in by_id:
+            raise InvariantViolation(f"duplicate mention id {e.mention_id!r}")
+        by_id[e.mention_id] = e
+        _check_entity(doc, e)
+    for a in ents:
+        for b in ents:
+            if a.mention_id < b.mention_id and a.span.crosses(b.span):
+                raise InvariantViolation(
+                    f"mentions {a.mention_id!r} and {b.mention_id!r} overlap without nesting"
+                )
+    seen_rel: set[str] = set()
+    for r in rels:
+        if r.relation_id in seen_rel:
+            raise InvariantViolation(f"duplicate relation id {r.relation_id!r}")
+        seen_rel.add(r.relation_id)
+        _check_relation(doc, r, by_id)
+    seen_chain: set[str] = set()
+    for c in chns:
+        if c.chain_id in seen_chain:
+            raise InvariantViolation(f"duplicate chain id {c.chain_id!r}")
+        seen_chain.add(c.chain_id)
+    _check_chains(chns, by_id)
+    return replace(doc, entities=ents, relations=rels, chains=chns)
+
+
+def _oracle_relation_key(doc: Document, rel: RelationMention) -> tuple | None:
+    by_id = {e.mention_id: e for e in doc.entities}
+    company = by_id.get(rel.company)
+    products = [by_id.get(p) for p in rel.products]
+    if company is None or any(p is None for p in products):
+        return None
+    return (
+        (company.span.start, company.span.end),
+        frozenset((p.span.start, p.span.end) for p in products),
+    )
+
+
+def oracle_agreement(annotations_a, annotations_b) -> AgreementScores:
+    """`agreement` with the pairwise first-unmatched relation search."""
+    docs_a = {d.doc_id: d for d in _as_documents(annotations_a)}
+    docs_b = {d.doc_id: d for d in _as_documents(annotations_b)}
+    if set(docs_a) != set(docs_b):
+        raise TokenizationMismatch("the two layers cover different documents")
+
+    token_pairs: dict[str, list[tuple[bool, bool]]] = {t.value: [] for t in EntityType}
+    mentions_a: dict[str, set] = {t.value: set() for t in EntityType}
+    mentions_b: dict[str, set] = {t.value: set() for t in EntityType}
+    rels_a: list[tuple] = []
+    rels_b: list[tuple] = []
+
+    for doc_id in sorted(docs_a):
+        a, b = docs_a[doc_id], docs_b[doc_id]
+        if [t.text for t in a.tokens] != [t.text for t in b.tokens]:
+            raise TokenizationMismatch(f"document {doc_id!r} is tokenized differently")
+        for etype in EntityType:
+            inside_a = [False] * len(a.tokens)
+            inside_b = [False] * len(b.tokens)
+            for doc, inside, mentions in ((a, inside_a, mentions_a), (b, inside_b, mentions_b)):
+                for m in doc.entities:
+                    if m.entity_type is etype:
+                        mentions[etype.value].add((doc_id, m.span.start, m.span.end))
+                        for i in range(m.span.start, m.span.end):
+                            inside[i] = True
+            token_pairs[etype.value].extend(zip(inside_a, inside_b))
+        for doc, bucket in ((a, rels_a), (b, rels_b)):
+            for rel in doc.relations:
+                key = _oracle_relation_key(doc, rel)
+                if key is not None:
+                    trigger = (
+                        (rel.trigger.start, rel.trigger.end) if rel.trigger else None
+                    )
+                    bucket.append((doc_id, key, trigger))
+
+    matched_b: set[int] = set()
+    tp = 0
+    for doc_id, key, trigger in rels_a:
+        for j, (doc_id_b, key_b, trigger_b) in enumerate(rels_b):
+            if j in matched_b or doc_id != doc_id_b or key != key_b:
+                continue
+            if trigger is not None and trigger_b is not None and trigger != trigger_b:
+                continue
+            matched_b.add(j)
+            tp += 1
+            break
+    if not rels_a and not rels_b:
+        relation_f1 = 1.0
+    elif tp == 0:
+        relation_f1 = 0.0
+    else:
+        precision = tp / len(rels_a)
+        recall = tp / len(rels_b)
+        relation_f1 = 2 * precision * recall / (precision + recall)
+
+    return AgreementScores(
+        token_kappa={t: _kappa(pairs) for t, pairs in token_pairs.items()},
+        mention_f1={t: _f1(mentions_a[t], mentions_b[t]) for t in mentions_a},
+        relation_f1=relation_f1,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Random documents: a small vocabulary so that token sequences repeat
+
+VOCAB = (
+    "Acme/NNP", "BMW/NNP", "Inc./NNP", "'s/POS", "'s/POS", "sensor/NN", "sensors/NNS",
+    "chip/NN", "Z3/NNP", "the/DT", "and/CC", ",/,", "of/IN", "new/JJ", "makes/VBZ",
+    "®/SYM", "it/PRP",
+)
+
+
+@st.composite
+def tagged_documents(draw, doc_id: str = "d") -> Document:
+    sentences = draw(st.lists(
+        st.lists(st.sampled_from(VOCAB), min_size=1, max_size=7).map(" ".join),
+        min_size=1, max_size=4,
+    ))
+    return tagged_document(doc_id, sentences)
+
+
+@st.composite
+def spans_in(draw, doc: Document, loose: bool, near: Sequence[Span] = ()) -> Span:
+    """A non-empty span inside one sentence, often starting inside one of `near`.
+
+    When `loose`, it may also run across sentences.
+    """
+    if near and draw(st.booleans()):
+        # nested in a span drawn earlier, or crossing it
+        around = draw(st.sampled_from(near))
+        sentence = doc.sentences[doc.sentence_index(around.start)]
+        lo, hi = around.start, max(around.end, sentence.span.end)
+    elif loose and draw(st.booleans()):
+        lo, hi = 0, len(doc.tokens)
+    else:
+        sentence = draw(st.sampled_from(doc.sentences))
+        lo, hi = sentence.span.start, sentence.span.end
+    start = draw(st.integers(lo, hi - 1))
+    return Span(start, draw(st.integers(start + 1, hi)))
+
+
+@st.composite
+def annotations(draw, doc: Document, loose: bool):
+    """Random mentions, relations and chains over `doc`, sometimes malformed.
+
+    Relations often have twins that differ only in their company, which V6
+    reports when a chain links the two companies.  When `loose`, spans may
+    run across sentences and relations may have no products.
+    """
+    entities: list[EntityMention] = []
+    for i in range(draw(st.integers(0, 8))):
+        etype = draw(st.sampled_from(EntityType))
+        span = draw(spans_in(doc, loose, [e.span for e in entities]))
+        kind = draw(st.sampled_from(MentionKind))
+        window = doc.tokens[span.start:span.end]
+        if not loose and etype is EntityType.PRODUCT and not any(t.pos in NOUN_TAGS for t in window):
+            # a product without a noun is rejected first; let later checks run
+            kind = MentionKind.PRONOMINAL
+        entities.append(EntityMention(f"m{i}", etype, span, kind, Provenance.HUMAN))
+    # mostly known ids; "ghost" names no mention
+    ref = st.sampled_from([e.mention_id for e in entities] * 4 + ["ghost"])
+    products = st.lists(ref, min_size=0 if loose else 1, max_size=3).map(tuple)
+    triggers = st.none() | spans_in(doc, loose)
+    relations: list[RelationMention] = []
+    for i in range(draw(st.integers(0, 5))):
+        rel = RelationMention(f"r{i}", draw(ref), draw(products), draw(triggers), Provenance.HUMAN)
+        relations.append(rel)
+        for twin in range(draw(st.integers(0, 2))):
+            relations.append(replace(rel, relation_id=f"r{i}t{twin}", company=draw(ref)))
+    chains = [
+        IdentityChain(f"ch{i}", draw(ref), draw(st.lists(ref, max_size=3).map(tuple)))
+        for i in range(draw(st.integers(0, 2)))
+    ]
+    return entities, relations, chains
+
+
+@st.composite
+def annotated_documents(draw) -> Document:
+    doc = draw(tagged_documents())
+    entities, relations, chains = draw(annotations(doc, loose=True))
+    return replace(
+        doc, entities=tuple(entities), relations=tuple(relations), chains=tuple(chains)
+    )
+
+
+@st.composite
+def attach_inputs(draw):
+    doc = draw(tagged_documents())
+    return (doc, *draw(annotations(doc, loose=False)))
+
+
+@st.composite
+def some_of(draw, items: list) -> list:
+    """A random subset of `items`, in random order."""
+    return draw(st.permutations(items))[:draw(st.integers(0, len(items)))]
+
+
+@st.composite
+def layer_pairs(draw):
+    """Two layers over the same documents; the second keeps some of the first's
+    mentions and relations, reordered and often with another trigger."""
+    layers: tuple[list[Document], list[Document]] = ([], [])
+    for k in range(draw(st.integers(1, 2))):
+        doc = draw(tagged_documents(doc_id=f"d{k}"))
+        entities, relations, _ = draw(annotations(doc, loose=False))
+        layers[0].append(replace(doc, entities=tuple(entities), relations=tuple(relations)))
+        kept = [
+            replace(r, trigger=draw(st.sampled_from([r.trigger, None, Span(0, 1)])))
+            for r in draw(some_of(relations))
+        ]
+        layers[1].append(replace(
+            doc, entities=tuple(draw(some_of(entities))), relations=tuple(kept)
+        ))
+    return layers
+
+
+def outcome(attach, args: Sequence):
+    try:
+        return attach(*args)
+    except ModelError as exc:
+        return exc
+
+
+# ---------------------------------------------------------------------------
+# Differential tests
+
+@settings(max_examples=300, deadline=None)
+@given(annotated_documents())
+def test_validate_agrees_with_pairwise_rules(doc):
+    assert validate(doc) == oracle_validate(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(attach_inputs())
+def test_attach_agrees_with_pairwise_crossing_check(args):
+    new, old = outcome(attach_annotations, args), outcome(oracle_attach, args)
+    assert type(new) is type(old)
+    if isinstance(old, Document):
+        assert new == old
+    elif "without nesting" in str(old):
+        # both find a crossing pair, though not necessarily the same one
+        by_id = {e.mention_id: e for e in args[1]}
+        a, b = re.findall(r"'([^']*)'", str(new))
+        assert a < b
+        assert by_id[a].span.crosses(by_id[b].span)
+    else:
+        assert str(new) == str(old)
+
+
+@settings(max_examples=200, deadline=None)
+@given(layer_pairs())
+def test_agreement_agrees_with_pairwise_matching(layers):
+    a, b = layers
+    assert agreement(a, b) == oracle_agreement(a, b)
+    corpus_a, corpus_b = Corpus("1.0", tuple(a)), Corpus("1.0", tuple(b))
+    assert agreement(corpus_b, corpus_a) == oracle_agreement(corpus_b, corpus_a)

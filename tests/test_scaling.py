@@ -1,0 +1,85 @@
+"""Scaling guard: validating and checking a document stays linear in its length.
+
+One document is built from the golden documents laid end to end, `K`
+times over, and another 16 times as long.  Linear cost predicts a time
+ratio of 16 between them, quadratic cost 256; the bound of 48 leaves room
+for a host whose speed swings by a factor of two between runs.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import replace
+
+from promex.examples import golden_corpus
+from promex.model import Document, Span, Token, attach_annotations, make_document
+from promex.validator import validate
+
+K = 4
+GROWTH = 16
+MAX_RATIO = 48
+
+
+def repeated_golden(times: int) -> tuple[Document, tuple, tuple, tuple]:
+    """The golden documents laid end to end `times` times, with their annotations.
+
+    Returns the bare document and the entities, relations and chains to
+    attach to it, all with ids made unique per copy.
+    """
+    tokens: list[Token] = []
+    sentences: list[tuple[int, int]] = []
+    texts: list[str] = []
+    entities, relations, chains = [], [], []
+    chars = 0
+    golden = golden_corpus().documents
+    for copy in range(times):
+        for doc in golden:
+            base = len(tokens)
+            prefix = f"{copy}-{doc.doc_id}-"
+            tokens += [
+                replace(t, char_start=t.char_start + chars, char_end=t.char_end + chars)
+                for t in doc.tokens
+            ]
+            sentences += [(s.span.start + base, s.span.end + base) for s in doc.sentences]
+            entities += [
+                replace(e, mention_id=prefix + e.mention_id,
+                        span=Span(e.span.start + base, e.span.end + base))
+                for e in doc.entities
+            ]
+            relations += [
+                replace(
+                    r,
+                    relation_id=prefix + r.relation_id,
+                    company=prefix + r.company,
+                    products=tuple(prefix + p for p in r.products),
+                    trigger=r.trigger and Span(r.trigger.start + base, r.trigger.end + base),
+                )
+                for r in doc.relations
+            ]
+            chains += [
+                replace(c, chain_id=prefix + c.chain_id, source=prefix + c.source,
+                        targets=tuple(prefix + t for t in c.targets))
+                for c in doc.chains
+            ]
+            texts.append(doc.text)
+            chars += len(doc.text) + 1
+    bare = make_document("long", " ".join(texts), tokens, sentences)
+    return bare, tuple(entities), tuple(relations), tuple(chains)
+
+
+def seconds(inputs: tuple) -> float:
+    start = time.perf_counter()
+    validate(attach_annotations(*inputs))
+    return time.perf_counter() - start
+
+
+def test_validate_and_attach_scale_linearly():
+    short, long = repeated_golden(K), repeated_golden(GROWTH * K)
+    seconds(short)  # warm up
+    # best of 3, alternating, so that a slow spell of the host hits both sizes
+    best_short = best_long = float("inf")
+    for _ in range(3):
+        best_short = min(best_short, seconds(short))
+        best_long = min(best_long, seconds(long))
+    ratio = best_long / best_short
+    assert ratio < MAX_RATIO, f"{GROWTH}x longer document took {ratio:.0f}x as long"
