@@ -4,27 +4,22 @@ A candidate is a maximal token span whose tags match
 ``(VBG|NN*|JJ|CD)* (NN*)+ (NN*|JJ|CD)*`` where ``NN*`` ranges over the
 noun tags; gerunds are admitted as premodifiers only, never as heads.
 Matching is left-to-right maximal munch, so candidates never overlap.
+Both functions work in the token coordinates of the sentence they are given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Protocol, Sequence
+from typing import Sequence
 
-from .model import CONJUNCTIONS, NOUN_TAGS, TRADEMARK_TEXTS, Span
+from .model import CONJUNCTIONS, NOUN_TAGS, TRADEMARK_TEXTS, Span, Token
 
 CHUNK_TAGS = NOUN_TAGS | {"JJ", "CD", "VBG"}
-
-
-class TokenLike(Protocol):
-    text: str
-    pos: str
 
 
 @dataclass(frozen=True)
 class ChunkCandidate:
     span: Span
-    head_index: int  # last noun token in the span
     coordinated: bool = False
 
 
@@ -39,12 +34,11 @@ def span_matches_grammar(tags: Sequence[str]) -> bool:
     return all(t != "VBG" for t in tags[noun_positions[-1] + 1:])
 
 
-def chunk(tokens: Sequence[TokenLike], base: int = 0) -> list[ChunkCandidate]:
+def chunk(tokens: Sequence[Token]) -> list[ChunkCandidate]:
     """Maximal-munch candidates for one sentence.
 
-    Spans are offset by `base` so callers can work in document token
-    coordinates.  Trademark symbols immediately following a candidate are
-    absorbed into its span.
+    Trademark symbols immediately following a candidate are absorbed into
+    its span.
     """
     tags = [t.pos for t in tokens]
     out: list[ChunkCandidate] = []
@@ -52,26 +46,28 @@ def chunk(tokens: Sequence[TokenLike], base: int = 0) -> list[ChunkCandidate]:
     while i < n:
         j = i
         best = -1
-        last_noun = -1
+        headed = False  # a noun seen and no gerund since
         while j < n and tags[j] in CHUNK_TAGS:
             if tags[j] in NOUN_TAGS:
-                last_noun = j
+                headed = True
+            elif tags[j] == "VBG":
+                headed = False
             j += 1
-            if last_noun >= i and all(t != "VBG" for t in tags[last_noun + 1:j]):
+            if headed:
                 best = j
         if best < 0:
-            i += 1
+            # no noun before `j`, so no start before `j` can find one either
+            i = max(i + 1, j)
             continue
-        head = max(k for k in range(i, best) if tags[k] in NOUN_TAGS)
         end = best
         while end < n and tokens[end].text in TRADEMARK_TEXTS:
             end += 1
-        out.append(ChunkCandidate(span=Span(base + i, base + end), head_index=base + head))
+        out.append(ChunkCandidate(span=Span(i, end)))
         i = end
     return out
 
 
-def _adjective_runs(tokens: Sequence[TokenLike], taken: set[int]) -> list[Span]:
+def _adjective_runs(tokens: Sequence[Token], taken: set[int]) -> list[Span]:
     runs: list[Span] = []
     i, n = 0, len(tokens)
     while i < n:
@@ -86,7 +82,7 @@ def _adjective_runs(tokens: Sequence[TokenLike], taken: set[int]) -> list[Span]:
     return runs
 
 
-def separator_ends(tokens: Sequence[TokenLike], pos: int, end: int) -> list[int]:
+def separator_ends(tokens: Sequence[Token], pos: int, end: int) -> list[int]:
     """End positions of the coordination separators starting at `pos`, longest first.
 
     A separator is `,`, a conjunction, or `,` followed by a conjunction; it
@@ -103,9 +99,7 @@ def separator_ends(tokens: Sequence[TokenLike], pos: int, end: int) -> list[int]
 
 
 def split_coordination(
-    candidates: Sequence[ChunkCandidate],
-    tokens: Sequence[TokenLike],
-    base: int = 0,
+    candidates: Sequence[ChunkCandidate], tokens: Sequence[Token]
 ) -> list[ChunkCandidate]:
     """Apply the coordination rules to chunk output.
 
@@ -115,52 +109,36 @@ def split_coordination(
     when all non-final conjuncts are pure adjectives.  All members of a
     coordination come back with the `coordinated` flag set.
     """
-    local = [replace(c, span=Span(c.span.start - base, c.span.end - base),
-                     head_index=c.head_index - base) for c in candidates]
-    taken = {i for c in local for i in range(c.span.start, c.span.end)}
-
-    units: list[tuple[Span, ChunkCandidate | None]] = [(c.span, c) for c in local]
+    taken = {i for c in candidates for i in range(c.span.start, c.span.end)}
+    # units never share a start: adjective runs avoid candidate tokens
+    units: list[tuple[Span, ChunkCandidate | None]] = [(c.span, c) for c in candidates]
     units += [(run, None) for run in _adjective_runs(tokens, taken)]
     units.sort(key=lambda u: u[0].start)
 
     out: list[ChunkCandidate] = []
     i = 0
     while i < len(units):
-        chain = [units[i]]
-        conj_last = False
+        # the chain of units joined by separators, starting at unit i
         j = i
+        conj_last = False
         while j + 1 < len(units):
             gap_end = units[j + 1][0].start
             if gap_end not in separator_ends(tokens, units[j][0].end, len(tokens)):
                 break
-            chain.append(units[j + 1])
             conj_last = tokens[gap_end - 1].text.lower() in CONJUNCTIONS
             j += 1
-        if len(chain) >= 2 and conj_last and chain[-1][1] is not None:
-            non_final = chain[:-1]
-            if all(c is None for _, c in non_final):
-                final = chain[-1][1]
-                assert final is not None
-                out.append(
-                    ChunkCandidate(
-                        span=Span(chain[0][0].start, final.span.end),
-                        head_index=final.head_index,
-                        coordinated=True,
-                    )
-                )
+        chain = units[i:j + 1]
+        final = chain[-1][1]
+        if j > i and conj_last and final is not None:
+            if all(c is None for _, c in chain[:-1]):
+                out.append(ChunkCandidate(Span(chain[0][0].start, final.span.end), coordinated=True))
             else:
                 # every noun-bearing conjunct stands alone; bare adjective
                 # runs in mixed chains are dropped
                 out.extend(replace(c, coordinated=True) for _, c in chain if c is not None)
-            i = j + 1
         else:
-            if units[i][1] is not None:
-                out.append(units[i][1])
-            i += 1
-
-    out.sort(key=lambda c: c.span)
-    return [
-        replace(c, span=Span(c.span.start + base, c.span.end + base),
-                head_index=c.head_index + base)
-        for c in out
-    ]
+            # every later start in the chain ends in the same link and unit,
+            # so none of them coordinates either
+            out.extend(c for _, c in chain if c is not None)
+        i = j + 1
+    return out

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import analytics, corpus_io, validator
-from .ingest import DEFAULT_LEXICON, IngestError, OrgGazetteer, document_from_text, read_tagged
+from .ingest import IngestError, OrgGazetteer, document_from_text, read_tagged
 from .model import Corpus, ModelError
 from .patterns import PatternConfigError, SurfacePattern, expand, parse_config
 from .pipeline import preannotate_document
@@ -121,7 +121,7 @@ def _cmd_preannotate(args: argparse.Namespace) -> int:
             if args.tagged:
                 doc = read_tagged(text, doc_id=path.stem)
             else:
-                doc = document_from_text(text, doc_id=path.stem, lexicon=DEFAULT_LEXICON)
+                doc = document_from_text(text, doc_id=path.stem)
             return preannotate_document(doc, gazetteer, surfaces)
         except (IngestError, ModelError, UnicodeDecodeError, OSError) as exc:
             return f"{path}: {exc}"

@@ -8,6 +8,7 @@ clean reference corpus: the validator must stay silent on all of them.
 
 from __future__ import annotations
 
+from .ingest import document_from_tokens
 from .model import (
     Corpus,
     Document,
@@ -18,9 +19,7 @@ from .model import (
     Provenance,
     RelationMention,
     Span,
-    Token,
     attach_annotations,
-    make_document,
 )
 
 _KIND = {
@@ -32,21 +31,9 @@ _KIND = {
 
 def tagged_document(doc_id: str, sentences: list[str]) -> Document:
     """Build a Document from 'token/TAG token/TAG ...' sentence strings."""
-    tokens: list[Token] = []
-    spans: list[tuple[int, int]] = []
-    pieces: list[str] = []
-    cursor = 0
-    for sentence in sentences:
-        start = len(tokens)
-        for item in sentence.split():
-            text, _, pos = item.rpartition("/")
-            if pieces:
-                cursor += 1
-            pieces.append(text)
-            tokens.append(Token(text, pos, cursor, cursor + len(text)))
-            cursor += len(text)
-        spans.append((start, len(tokens)))
-    return make_document(doc_id, " ".join(pieces), tokens, spans)
+    return document_from_tokens(doc_id, [
+        [item.rpartition("/")[::2] for item in sentence.split()] for sentence in sentences
+    ])
 
 
 def annotated_document(

@@ -19,7 +19,6 @@ from .model import (
     EntityMention,
     EntityType,
     MentionKind,
-    NOUN_TAGS,
     PROPER_NOUN_TAGS,
     Provenance,
     Span,
@@ -141,24 +140,7 @@ def split_sentences(token_texts: Sequence[str]) -> list[tuple[int, int]]:
 _NUMERIC = re.compile(r"^\d[\d.,\-/]*$")
 
 
-@dataclass(frozen=True)
-class TaggerLexicon:
-    """Word map plus ordered suffix rules backing the fallback tagger."""
-
-    words: dict[str, str]
-    suffix_rules: tuple[tuple[str, str], ...]
-    default_tag: str = "NN"
-
-    def __post_init__(self) -> None:
-        if self.default_tag not in NOUN_TAGS:
-            raise ValueError(f"default tag must be a noun tag, got {self.default_tag!r}")
-        if any(not suffix for suffix, _ in self.suffix_rules):
-            raise ValueError("suffix rules must be non-empty strings")
-        ordered = tuple(sorted(self.suffix_rules, key=lambda r: -len(r[0])))
-        object.__setattr__(self, "suffix_rules", ordered)
-
-
-def _default_word_map() -> dict[str, str]:
+def _word_map() -> dict[str, str]:
     words = {
         "the": "DT", "a": "DT", "an": "DT", "this": "DT", "that": "DT",
         "these": "DT", "those": "DT", "each": "DT", "every": "DT",
@@ -197,7 +179,9 @@ def _default_word_map() -> dict[str, str]:
     return words
 
 
-DEFAULT_SUFFIX_RULES: tuple[tuple[str, str], ...] = (
+_WORDS = _word_map()
+# ordered longest suffix first; a word matching none is tagged NN
+_SUFFIX_RULES = (
     ("ing", "VBG"),
     ("eed", "NN"),
     ("ed", "VBN"),
@@ -205,14 +189,12 @@ DEFAULT_SUFFIX_RULES: tuple[tuple[str, str], ...] = (
     ("s", "NNS"),
 )
 
-DEFAULT_LEXICON = TaggerLexicon(words=_default_word_map(), suffix_rules=DEFAULT_SUFFIX_RULES)
-
 
 def _is_punct(text: str) -> bool:
     return bool(text) and not any(c.isalnum() for c in text)
 
 
-def tag(tokens: Sequence[str], lexicon: TaggerLexicon = DEFAULT_LEXICON) -> list[str]:
+def tag(tokens: Sequence[str]) -> list[str]:
     """Tag one sentence worth of token strings. Total and deterministic.
 
     Order: word map, punctuation/symbols, numerals, capitalized
@@ -223,14 +205,16 @@ def tag(tokens: Sequence[str], lexicon: TaggerLexicon = DEFAULT_LEXICON) -> list
     tags: list[str] = []
     for i, text in enumerate(tokens):
         lower = text.lower()
-        if lower in lexicon.words:
-            tags.append(lexicon.words[lower])
+        if lower in _WORDS:
+            tags.append(_WORDS[lower])
             continue
         if text in TRADEMARK_TEXTS:
             tags.append("SYM")
             continue
         if _is_punct(text):
-            tags.append(text if len(text) == 1 else "SYM")
+            # a lone mark is its own tag unless it counts as lowercase (ⓐ),
+            # which no POS tag may
+            tags.append(text if len(text) == 1 and not text.islower() else "SYM")
             continue
         if _NUMERIC.match(text):
             tags.append("CD")
@@ -238,12 +222,12 @@ def tag(tokens: Sequence[str], lexicon: TaggerLexicon = DEFAULT_LEXICON) -> list
         if i > 0 and text[:1].isupper():
             tags.append("NNP")
             continue
-        for suffix, suffix_tag in lexicon.suffix_rules:
+        for suffix, suffix_tag in _SUFFIX_RULES:
             if len(text) >= len(suffix) + 2 and lower.endswith(suffix):
                 tags.append(suffix_tag)
                 break
         else:
-            tags.append(lexicon.default_tag)
+            tags.append("NN")
     return tags
 
 
@@ -254,19 +238,33 @@ _BIO_TAGS = {"B-Company", "I-Company", "B-Product", "I-Product", "O"}
 _BIO_TYPE = {"Company": EntityType.COMPANY, "Product": EntityType.PRODUCT}
 
 
+def document_from_tokens(doc_id: str, sentences: Sequence[Sequence[tuple[str, str]]]) -> Document:
+    """A Document of (text, POS) sentences whose text is the tokens joined by spaces."""
+    tokens: list[Token] = []
+    spans: list[tuple[int, int]] = []
+    cursor = 0
+    for sentence in sentences:
+        start = len(tokens)
+        for text, pos in sentence:
+            tokens.append(Token(text, pos, cursor, cursor + len(text)))
+            cursor += len(text) + 1
+        spans.append((start, len(tokens)))
+    return make_document(doc_id, " ".join(t.text for t in tokens), tokens, spans)
+
+
 def read_tagged(column_text: str, doc_id: str = "doc") -> Document:
     """Parse the TOKEN/POS/BIO column format into a Document.
 
     BIO-marked Company/Product mentions are attached with Human provenance.
     """
-    rows: list[tuple[str, str, str]] = []  # token, pos, bio
-    sentence_breaks: list[int] = []
+    sentences: list[list[tuple[str, str]]] = [[]]
+    bios: list[str] = []
     for line_no, line in enumerate(column_text.splitlines(), start=1):
         if line.startswith("#"):
             continue
         if not line.strip():
-            if rows and (not sentence_breaks or sentence_breaks[-1] != len(rows)):
-                sentence_breaks.append(len(rows))
+            if sentences[-1]:
+                sentences.append([])
             continue
         fields = line.split("\t")
         if len(fields) not in (2, 3) or not fields[0] or not fields[1].strip():
@@ -274,73 +272,43 @@ def read_tagged(column_text: str, doc_id: str = "doc") -> Document:
         bio = fields[2].strip() if len(fields) == 3 else "O"
         if bio not in _BIO_TAGS:
             raise MalformedLine(line_no, f"unknown BIO tag {bio!r}")
-        prev_bio = rows[-1][2] if rows and (not sentence_breaks or sentence_breaks[-1] != len(rows)) else "O"
-        if bio.startswith("I-"):
-            ok = prev_bio in (f"B-{bio[2:]}", f"I-{bio[2:]}")
-            if not ok:
-                raise IllegalBioTransition(line_no, bio)
-        rows.append((fields[0], fields[1].strip(), bio))
-    if rows and (not sentence_breaks or sentence_breaks[-1] != len(rows)):
-        sentence_breaks.append(len(rows))
+        prev_bio = bios[-1] if sentences[-1] else "O"
+        if bio.startswith("I-") and prev_bio not in (f"B-{bio[2:]}", f"I-{bio[2:]}"):
+            raise IllegalBioTransition(line_no, bio)
+        sentences[-1].append((fields[0], fields[1].strip()))
+        bios.append(bio)
+    if not sentences[-1]:
+        sentences.pop()
+    doc = document_from_tokens(doc_id, sentences)
 
-    # document text is the space-joined token sequence
-    tokens: list[Token] = []
-    cursor = 0
-    pieces: list[str] = []
-    for text, pos, _ in rows:
-        if pieces:
-            cursor += 1
-        pieces.append(text)
-        tokens.append(Token(text, pos, cursor, cursor + len(text)))
-        cursor += len(text)
-
-    spans: list[tuple[int, int]] = []
-    start = 0
-    for end in sentence_breaks:
-        spans.append((start, end))
-        start = end
-    doc = make_document(doc_id, " ".join(pieces), tokens, spans)
-
+    # an I- tag never opens a sentence, so a mention never crosses one
     entities: list[EntityMention] = []
-    open_start: int | None = None
-    open_type: EntityType | None = None
-
-    def close(end: int) -> None:
-        nonlocal open_start, open_type
-        if open_start is not None and open_type is not None:
-            span = Span(open_start, end)
+    for start, bio in enumerate(bios):
+        if bio.startswith("B-"):
+            end = start + 1
+            while end < len(bios) and bios[end].startswith("I-"):
+                end += 1
+            span = Span(start, end)
             entities.append(
                 EntityMention(
                     mention_id=f"{doc_id}-e{len(entities)}",
-                    entity_type=open_type,
+                    entity_type=_BIO_TYPE[bio[2:]],
                     span=span,
                     mention_kind=mention_kind(doc.tokens, span),
                     provenance=Provenance.HUMAN,
                 )
             )
-        open_start, open_type = None, None
-
-    boundaries = set(sentence_breaks)
-    for i, (_, _, bio) in enumerate(rows):
-        if i in boundaries:
-            close(i)
-        if bio == "O":
-            close(i)
-        elif bio.startswith("B-"):
-            close(i)
-            open_start, open_type = i, _BIO_TYPE[bio[2:]]
-    close(len(rows))
     return attach_annotations(doc, entities=entities)
 
 
-def document_from_text(text: str, doc_id: str = "doc", lexicon: TaggerLexicon = DEFAULT_LEXICON) -> Document:
+def document_from_text(text: str, doc_id: str = "doc") -> Document:
     """Tokenize, sentence-split and tag raw text into a Document."""
     triples = tokenize(text)
     spans = split_sentences([t for t, _, _ in triples])
     tokens: list[Token] = []
     for start, end in spans:
         sentence_texts = [triples[i][0] for i in range(start, end)]
-        for (text_, cs, ce), pos in zip(triples[start:end], tag(sentence_texts, lexicon)):
+        for (text_, cs, ce), pos in zip(triples[start:end], tag(sentence_texts)):
             tokens.append(Token(text_, pos, cs, ce))
     return make_document(doc_id, text, tokens, spans)
 
@@ -348,30 +316,27 @@ def document_from_text(text: str, doc_id: str = "doc", lexicon: TaggerLexicon = 
 # ---------------------------------------------------------------------------
 # Organization recognition
 
-DEFAULT_LEGAL_SUFFIXES: tuple[str, ...] = (
+LEGAL_SUFFIXES = frozenset({
     "LLC", "Inc.", "Inc", "Corp.", "Corp", "Ltd.", "Ltd", "GmbH", "Co.", "Co", "AG", "Plc",
-)
+})
 
 
 @dataclass(frozen=True)
 class OrgGazetteer:
-    """Known company names (normalized token sequences) plus legal suffixes."""
+    """Known company names as normalized token sequences."""
 
     names: frozenset[tuple[str, ...]]
-    suffixes: frozenset[str] = frozenset(DEFAULT_LEGAL_SUFFIXES)
 
     @classmethod
-    def from_names(cls, names: Iterable[str], suffixes: Iterable[str] = DEFAULT_LEGAL_SUFFIXES) -> "OrgGazetteer":
-        normalized = frozenset(
+    def from_names(cls, names: Iterable[str]) -> "OrgGazetteer":
+        return cls(frozenset(
             tuple(w.lower() for w in name.split()) for name in names if name.strip()
-        )
-        return cls(names=normalized, suffixes=frozenset(suffixes))
+        ))
 
     @classmethod
-    def from_file(cls, path: str, suffixes: Iterable[str] = DEFAULT_LEGAL_SUFFIXES) -> "OrgGazetteer":
+    def from_file(cls, path: str) -> "OrgGazetteer":
         with open(path, encoding="utf-8") as fh:
-            names = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
-        return cls.from_names(names, suffixes)
+            return cls.from_names(line for line in fh if not line.startswith("#"))
 
 
 def recognize_orgs(doc: Document, gazetteer: OrgGazetteer) -> list[EntityMention]:
@@ -399,7 +364,7 @@ def recognize_orgs(doc: Document, gazetteer: OrgGazetteer) -> list[EntityMention
                 while j < e and doc.tokens[j].pos in PROPER_NOUN_TAGS and doc.tokens[j].text[:1].isupper():
                     j += 1
                 for k in range(j - 1, i, -1):  # run of >= 2 tokens
-                    if doc.tokens[k].text in gazetteer.suffixes:
+                    if doc.tokens[k].text in LEGAL_SUFFIXES:
                         candidates.append(Span(i, k + 1))
                         break
                 i = j

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .chunker import ChunkCandidate, separator_ends, span_matches_grammar
@@ -120,7 +120,6 @@ class BasePattern:
 
 @dataclass(frozen=True)
 class PatternConfig:
-    sets: dict[str, tuple[Alt, ...]] = field(default_factory=dict)
     patterns: tuple[BasePattern, ...] = ()
 
 
@@ -246,22 +245,17 @@ def _tokenize_elements(body: str, line_no: int) -> list[str]:
     return out
 
 
+_SLOTS = {"<ORG>": OrgSlot, "<PRO>": ProductSlot, "<POSS>": PossessiveTrigger}
+
+
 def _parse_element(raw: str, sets: dict[str, tuple[Alt, ...]], line_no: int, *, in_optional: bool) -> Element:
-    if raw == "<ORG>":
-        if in_optional:
-            raise PatternSyntaxError(line_no, "<ORG> may not appear inside an optional group")
-        return OrgSlot()
-    if raw == "<PRO>":
-        if in_optional:
-            raise PatternSyntaxError(line_no, "<PRO> may not appear inside an optional group")
-        return ProductSlot()
-    if raw == "<POSS>":
-        if in_optional:
-            raise PatternSyntaxError(line_no, "<POSS> may not appear inside an optional group")
-        return PossessiveTrigger()
-    if raw.startswith("<TRIG:") and raw.endswith(">"):
-        if in_optional:
-            raise PatternSyntaxError(line_no, "trigger may not appear inside an optional group")
+    is_trigger = raw.startswith("<TRIG:") and raw.endswith(">")
+    if in_optional and (is_trigger or raw in _SLOTS):
+        name = "trigger" if is_trigger else raw
+        raise PatternSyntaxError(line_no, f"{name} may not appear inside an optional group")
+    if raw in _SLOTS:
+        return _SLOTS[raw]()
+    if is_trigger:
         return TriggerSlot(_parse_alternation(raw[6:-1], sets, line_no))
     if raw.startswith("<"):
         raise PatternSyntaxError(line_no, f"unknown slot {raw!r}")
@@ -322,7 +316,7 @@ def parse_config(text: str) -> PatternConfig:
             raise PatternSyntaxError(line_no, f"pattern {pattern_id!r} must declare exactly one <PRO>")
         patterns.append(BasePattern(pattern_id, elements))
 
-    return PatternConfig(sets=sets, patterns=tuple(patterns))
+    return PatternConfig(patterns=tuple(patterns))
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .chunker import ChunkCandidate, chunk, split_coordination
+from .chunker import chunk, split_coordination
 from .ingest import OrgGazetteer, recognize_orgs
 from .model import (
     Document,
     EntityMention,
     EntityType,
     RelationMention,
+    Span,
     attach_annotations,
     by_sentence,
 )
@@ -27,16 +28,6 @@ class PreannotateResult:
     document: Document
     # every match before fan-out deduplication, for yield reporting
     raw_relations: tuple[RelationMention, ...]
-
-
-def document_candidates(doc: Document) -> list[ChunkCandidate]:
-    """Chunk candidates for every sentence, in document token coordinates."""
-    out: list[ChunkCandidate] = []
-    for sentence in doc.sentences:
-        tokens = doc.sentence_tokens(sentence)
-        base = sentence.span.start
-        out.extend(split_coordination(chunk(tokens, base), tokens, base))
-    return out
 
 
 def preannotate_document(
@@ -54,7 +45,6 @@ def preannotate_document(
     companies = [
         e for e in doc.entities if e.entity_type is EntityType.COMPANY
     ] + orgs
-    candidates = document_candidates(doc)
 
     existing_products = {
         e.span: e.mention_id for e in doc.entities
@@ -64,15 +54,18 @@ def preannotate_document(
 
     raw: list[RelationMention] = []
     minted: dict[str, EntityMention] = {}
-    for sentence, sentence_companies, sentence_candidates, sentence_fixed in zip(
+    for sentence, sentence_companies, sentence_fixed in zip(
         doc.sentences,
         by_sentence(doc, companies, lambda m: m.span),
-        by_sentence(doc, candidates, lambda c: c.span),
         by_sentence(doc, fixed_spans, lambda s: s),
     ):
-        found = match_sentence(
-            doc, sentence, sentence_companies, sentence_candidates, surface_patterns
-        )
+        tokens = doc.sentence_tokens(sentence)
+        base = sentence.span.start
+        candidates = [
+            replace(c, span=Span(c.span.start + base, c.span.end + base))
+            for c in split_coordination(chunk(tokens), tokens)
+        ]
+        found = match_sentence(doc, sentence, sentence_companies, candidates, surface_patterns)
         mentions = {m.mention_id: m for m in found.product_mentions}
         for rel in found.relations:
             spans = [mentions[p].span for p in rel.products]

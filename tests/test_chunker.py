@@ -70,10 +70,6 @@ class TestChunk:
     def test_gerund_never_head(self):
         assert self.spans("sensors/NNS communicating/VBG") == [Span(0, 1)]
 
-    def test_head_is_last_noun(self):
-        cands = chunk(simple_tokens("smart/JJ speed/NN sensors/NNS new/JJ"))
-        assert cands == [ChunkCandidate(span=Span(0, 4), head_index=2)]
-
     def test_trademark_absorbed(self):
         cands = chunk(simple_tokens("McRib/NNP ®/SYM burger/NN"))
         assert [c.span for c in cands] == [Span(0, 2), Span(2, 3)]
@@ -84,11 +80,6 @@ class TestChunk:
             tags = [rng.choice(TAG_POOL) for _ in range(rng.randint(0, 12))]
             for cand in chunk(tokens_for(tags)):
                 assert any(t in NOUN_TAGS for t in tags[cand.span.start:cand.span.end])
-
-    def test_base_offset(self):
-        cands = chunk(simple_tokens("sensors/NNS"), base=10)
-        assert cands[0].span == Span(10, 11)
-        assert cands[0].head_index == 10
 
     def test_agrees_with_oracle_seeded(self):
         rng = random.Random(20260808)
@@ -117,7 +108,6 @@ class TestSplitCoordination:
         out = self.split("wireless/JJ and/CC self-powered/JJ LED/NNP controls/NNS")
         assert [c.span for c in out] == [Span(0, 5)]
         assert out[0].coordinated
-        assert out[0].head_index == 4
 
     def test_plain_noun_coordination(self):
         out = self.split("sensors/NNS and/CC controls/NNS")
@@ -138,17 +128,12 @@ class TestSplitCoordination:
 
     def test_non_coordinated_pass_through(self):
         out = self.split("advanced/JJ sensors/NNS")
-        assert out == [ChunkCandidate(span=Span(0, 2), head_index=1)]
+        assert out == [ChunkCandidate(span=Span(0, 2))]
 
     def test_oxford_comma(self):
         out = self.split("sensors/NNS ,/, protectors/NNS ,/, and/CC breakers/NNS")
         assert [c.span for c in out] == [Span(0, 1), Span(2, 3), Span(5, 6)]
         assert all(c.coordinated for c in out)
-
-    def test_base_offset_preserved(self):
-        tokens = simple_tokens("sensors/NNS and/CC controls/NNS")
-        out = split_coordination(chunk(tokens, base=5), tokens, base=5)
-        assert [c.span for c in out] == [Span(5, 6), Span(7, 8)]
 
 
 class TestGrammar:

@@ -86,6 +86,15 @@ class TestPreannotate:
         corpus = load_corpus(str(out_file))
         assert len(corpus.documents[0].relations) == 1
 
+    def test_raw_text_with_lowercase_symbol(self, tmp_path, capsys):
+        src = tmp_path / "docs"
+        src.mkdir()
+        (src / "a.txt").write_text("Garmin sells ⓐ thermostats.", encoding="utf-8")
+        out_file = tmp_path / "out.corpus"
+        code, _, err = run_cli(["preannotate", "--in", str(src), "--out", str(out_file)], capsys)
+        assert (code, err) == (0, "")
+        assert load_corpus(str(out_file)).documents[0].tokens[2].pos == "SYM"
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize(
         ("name", "content", "tagged", "message"),

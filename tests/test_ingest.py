@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from promex.ingest import (
     IllegalBioTransition,
+    IngestError,
     MalformedLine,
     OrgGazetteer,
     document_from_text,
@@ -14,7 +15,7 @@ from promex.ingest import (
     tag,
     tokenize,
 )
-from promex.model import EntityType, Provenance, Span
+from promex.model import EntityType, ModelError, Provenance, Span
 
 from conftest import simple_tokens
 from promex.model import make_document
@@ -91,6 +92,12 @@ class TestTag:
 
     def test_possessive_clitic(self):
         assert tag(["BMW", "'s", "Z3"]) == ["NN", "POS", "NNP"]
+
+    def test_lowercase_symbol_is_sym(self):
+        # a lone mark is its own tag, but a POS tag may hold no lowercase letter
+        assert tag(["sells", "ⓐ", "\u0345", "-", "thermostats"]) == ["VBZ", "SYM", "SYM", "-", "NNS"]
+        doc = document_from_text("Acme sells ⓐ thermostats.")
+        assert doc.tokens[2].pos == "SYM"
 
 
 class TestReadTagged:
@@ -205,3 +212,42 @@ class TestDocumentFromText:
         tags = [t.pos for t in doc.tokens]
         assert tags[0] == "VBG"          # sentence-initial gerund
         assert tags[4] == "NNP"          # capitalized, non-initial
+
+
+# Pieces that trip tokenizers and taggers: apostrophes and clitics, trademark
+# signs, lowercase symbols (U+24D0, U+0345), titlecase, digits and punctuation.
+_PIECES = st.sampled_from([
+    "Acme", "sells", "Z3", "ǅ", "ß", "1500", "2.5", "ⓐ", "\u0345", "’", "'", "'s", "’s", "S",
+    "®", "™", ".", ",", "!", "?", ";", "(", ")", '"', "-", "/", " ", "  ", "\t", "\n",
+])
+_TEXTS = st.lists(st.one_of(_PIECES, st.characters()), max_size=30).map("".join)
+
+
+class TestFuzz:
+    @given(_TEXTS)
+    def test_tokenize_triples(self, text):
+        prev_end = 0
+        for token, start, end in tokenize(text):
+            assert token and prev_end <= start < end
+            assert text[start:end] == token
+            prev_end = end
+
+    @given(_TEXTS)
+    def test_document_from_text_accepts_any_string(self, text):
+        doc = document_from_text(text)
+        assert doc.text == text
+
+    @given(st.lists(st.one_of(
+        st.just(""),
+        _TEXTS.map(lambda t: "#" + t),
+        st.tuples(
+            _TEXTS, st.one_of(_TEXTS, st.sampled_from(["NN", "NNP", "VBZ", "SYM", ","])),
+            st.sampled_from(["", "\tO", "\tB-Company", "\tI-Company", "\tB-Product",
+                             "\tI-Product", "\tX", "\t"]),
+        ).map(lambda row: f"{row[0]}\t{row[1]}{row[2]}"),
+    ), max_size=12).map("\n".join))
+    def test_read_tagged_fails_only_cleanly(self, column_text):
+        try:
+            read_tagged(column_text)
+        except (IngestError, ModelError):
+            pass

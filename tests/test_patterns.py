@@ -334,6 +334,18 @@ class TestPreannotateDocument:
             assert preannotate_document(doc, DEFAULT_GAZETTEER, DEFAULT_SURFACES).document.relations
         assert calls == ["one", "two"]
 
+    def test_later_sentence_products_in_document_coordinates(self):
+        doc = preannotate([
+            "Garmin/NNP makes/VBZ devices/NNS ./.",
+            "Acme/NNP Corp./NNP offers/VBZ wireless/JJ sensors/NNS and/CC smart/JJ valves/NNS ./.",
+        ])
+        products = [e for e in doc.entities if e.entity_type is EntityType.PRODUCT]
+        assert [(e.span, doc.span_text(e.span)) for e in products] == [
+            (Span(2, 3), "devices"),
+            (Span(7, 9), "wireless sensors"),
+            (Span(10, 12), "smart valves"),
+        ]
+
 
 def acronym_document(attach_to="abbr"):
     company = "c1" if attach_to == "full" else "c2"

@@ -1,9 +1,8 @@
-"""Scaling guard: validating and checking a document stays linear in its length.
+"""Scaling guards: validating, checking and chunking stay linear in input length.
 
-One document is built from the golden documents laid end to end, `K`
-times over, and another 16 times as long.  Linear cost predicts a time
-ratio of 16 between them, quadratic cost 256; the bound of 48 leaves room
-for a host whose speed swings by a factor of two between runs.
+Each guard times one input and another 16 times as long.  Linear cost
+predicts a time ratio of 16 between them, quadratic cost 256; the bound of
+48 leaves room for a host whose speed swings by a factor of two between runs.
 """
 
 from __future__ import annotations
@@ -11,9 +10,14 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 
+import pytest
+
+from promex.chunker import chunk, split_coordination
 from promex.examples import golden_corpus
 from promex.model import Document, Span, Token, attach_annotations, make_document
 from promex.validator import validate
+
+from conftest import simple_tokens
 
 K = 4
 GROWTH = 16
@@ -67,19 +71,38 @@ def repeated_golden(times: int) -> tuple[Document, tuple, tuple, tuple]:
     return bare, tuple(entities), tuple(relations), tuple(chains)
 
 
-def seconds(inputs: tuple) -> float:
-    start = time.perf_counter()
-    validate(attach_annotations(*inputs))
-    return time.perf_counter() - start
+def growth_ratio(run, short, long) -> float:
+    """Best time of `run(long)` over best time of `run(short)`."""
+    def seconds(inputs) -> float:
+        start = time.perf_counter()
+        run(inputs)
+        return time.perf_counter() - start
 
-
-def test_validate_and_attach_scale_linearly():
-    short, long = repeated_golden(K), repeated_golden(GROWTH * K)
     seconds(short)  # warm up
     # best of 3, alternating, so that a slow spell of the host hits both sizes
     best_short = best_long = float("inf")
     for _ in range(3):
         best_short = min(best_short, seconds(short))
         best_long = min(best_long, seconds(long))
-    ratio = best_long / best_short
+    return best_long / best_short
+
+
+def test_validate_and_attach_scale_linearly():
+    ratio = growth_ratio(
+        lambda inputs: validate(attach_annotations(*inputs)),
+        repeated_golden(K), repeated_golden(GROWTH * K),
+    )
     assert ratio < MAX_RATIO, f"{GROWTH}x longer document took {ratio:.0f}x as long"
+
+
+# a comma list with no final conjunction never coordinates; a noun-less run
+# never yields a candidate
+@pytest.mark.parametrize("unit", ["widgets/NNS ,/,", "fast/JJ"], ids=["comma-list", "noun-less"])
+def test_chunk_and_split_coordination_scale_linearly(unit):
+    def split(tokens: list[Token]) -> None:
+        split_coordination(chunk(tokens), tokens)
+
+    short = simple_tokens(" ".join([unit] * 128))
+    long = simple_tokens(" ".join([unit] * GROWTH * 128))
+    ratio = growth_ratio(split, short, long)
+    assert ratio < MAX_RATIO, f"{GROWTH}x longer sentence took {ratio:.0f}x as long"
