@@ -19,6 +19,7 @@ from .model import (
     EntityMention,
     EntityType,
     MentionKind,
+    POSSESSIVE_CLITICS,
     PROPER_NOUN_TAGS,
     Provenance,
     Span,
@@ -160,7 +161,7 @@ def _word_map() -> dict[str, str]:
         "you": "PRP", "i": "PRP",
         "its": "PRP$", "their": "PRP$", "his": "PRP$", "her": "PRP$",
         "our": "PRP$", "your": "PRP$", "my": "PRP$",
-        "'s": "POS",
+        **dict.fromkeys(POSSESSIVE_CLITICS, "POS"),
         "not": "RB", "also": "RB", "very": "RB", "only": "RB",
         "new": "JJ", "large": "JJ", "small": "JJ", "high": "JJ", "low": "JJ",
         "business": "NN", "speed": "NN", "process": "NN",

@@ -20,6 +20,8 @@ NOUN_TAGS = frozenset({"NN", "NNS", "NNP", "NNPS"})
 PROPER_NOUN_TAGS = frozenset({"NNP", "NNPS"})
 # trademark symbols: always their own token, matched exactly, never a boundary fault
 TRADEMARK_TEXTS = frozenset({"®", "™"})
+# possessive clitics: tagged POS by the built-in tagger, matched exactly by <POSS>
+POSSESSIVE_CLITICS = frozenset({"'s", "’s"})
 # the words that join the last two conjuncts of a coordination
 CONJUNCTIONS = frozenset({"and", "or"})
 

@@ -20,6 +20,7 @@ from .model import (
     Document,
     EntityMention,
     EntityType,
+    POSSESSIVE_CLITICS,
     Provenance,
     RelationMention,
     Sentence,
@@ -28,8 +29,7 @@ from .model import (
     mention_kind,
 )
 
-_POSSESSIVE_CLITICS = frozenset({"'s", "’s"})
-_EXACT_LITERALS = _POSSESSIVE_CLITICS | TRADEMARK_TEXTS
+_EXACT_LITERALS = POSSESSIVE_CLITICS | TRADEMARK_TEXTS
 NESTED_PATTERN_ID = "nested"
 
 # Longest coordination the matcher will consume.  Keyword-spam pages carry
@@ -111,6 +111,10 @@ class OptionalGroup:
 
 Element = OrgSlot | ProductSlot | PossessiveTrigger | TriggerSlot | LiteralSlot | OptionalGroup
 
+# the one table of slot names, read by the parser and by `SurfacePattern.render`
+_SLOTS = {"<ORG>": OrgSlot, "<PRO>": ProductSlot, "<POSS>": PossessiveTrigger}
+_SLOT_NAMES = {slot: name for name, slot in _SLOTS.items()}
+
 
 @dataclass(frozen=True)
 class BasePattern:
@@ -134,8 +138,9 @@ class Words:
 @dataclass(frozen=True)
 class TriggerLiteral:
     words: tuple[str, ...]
-    # full trigger alternation of the base pattern, used to recognise
-    # coordinated trigger lists ("a developer, manufacturer and vendor of")
+    # distinct members of the base pattern's trigger alternation, longest
+    # first, used to recognise coordinated trigger lists ("a developer,
+    # manufacturer and vendor of")
     coordination_set: tuple[tuple[str, ...], ...]
 
 
@@ -151,16 +156,12 @@ class SurfacePattern:
     def render(self) -> str:
         parts = []
         for el in self.elements:
-            if isinstance(el, OrgSlot):
-                parts.append("<ORG>")
-            elif isinstance(el, ProductSlot):
-                parts.append("<PRO>")
-            elif isinstance(el, PossessiveTrigger):
-                parts.append("<POSS>")
-            elif isinstance(el, TriggerLiteral):
+            if isinstance(el, TriggerLiteral):
                 parts.append("<TRIG:%s>" % " ".join(el.words))
-            else:
+            elif isinstance(el, Words):
                 parts.append(" ".join(el.words))
+            else:
+                parts.append(_SLOT_NAMES[type(el)])
         return " ".join(parts)
 
 
@@ -169,6 +170,8 @@ class SurfacePattern:
 
 _SET_LINE = re.compile(r"^set\s+(\w+)\s*=\s*(.+)$")
 _PATTERN_LINE = re.compile(r"^(\S+?):\s+(.+)$")
+# opening bracket of a slot or alternation -> its closing bracket and name
+_CLOSERS = {"<": (">", "<...> element"), "{": ("}", "{...} alternation")}
 
 
 def _parse_alternation(body: str, sets: dict[str, tuple[Alt, ...]], line_no: int) -> tuple[Alt, ...]:
@@ -207,16 +210,11 @@ def _tokenize_elements(body: str, line_no: int) -> list[str]:
         c = body[i]
         if c.isspace():
             i += 1
-        elif c == "<":
-            j = body.find(">", i)
+        elif c in _CLOSERS:
+            close, name = _CLOSERS[c]
+            j = body.find(close, i)
             if j < 0:
-                raise PatternSyntaxError(line_no, "unterminated <...> element")
-            out.append(body[i:j + 1])
-            i = j + 1
-        elif c == "{":
-            j = body.find("}", i)
-            if j < 0:
-                raise PatternSyntaxError(line_no, "unterminated {...} alternation")
+                raise PatternSyntaxError(line_no, f"unterminated {name}")
             out.append(body[i:j + 1])
             i = j + 1
         elif c == "[":
@@ -245,9 +243,6 @@ def _tokenize_elements(body: str, line_no: int) -> list[str]:
     return out
 
 
-_SLOTS = {"<ORG>": OrgSlot, "<PRO>": ProductSlot, "<POSS>": PossessiveTrigger}
-
-
 def _parse_element(raw: str, sets: dict[str, tuple[Alt, ...]], line_no: int, *, in_optional: bool) -> Element:
     is_trigger = raw.startswith("<TRIG:") and raw.endswith(">")
     if in_optional and (is_trigger or raw in _SLOTS):
@@ -259,8 +254,6 @@ def _parse_element(raw: str, sets: dict[str, tuple[Alt, ...]], line_no: int, *, 
         return TriggerSlot(_parse_alternation(raw[6:-1], sets, line_no))
     if raw.startswith("<"):
         raise PatternSyntaxError(line_no, f"unknown slot {raw!r}")
-    if raw.startswith("{") and raw.endswith("}"):
-        return LiteralSlot(_parse_alternation(raw[1:-1], sets, line_no))
     if raw.startswith("[") and raw.endswith("]"):
         inner = _tokenize_elements(raw[1:-1], line_no)
         if not inner:
@@ -269,12 +262,9 @@ def _parse_element(raw: str, sets: dict[str, tuple[Alt, ...]], line_no: int, *, 
             _parse_element(item, sets, line_no, in_optional=True) for item in inner
         )
         return OptionalGroup(elements)
-    if raw.startswith("@"):
-        name = raw[1:]
-        if name not in sets:
-            raise UnknownSetReference(name, line_no)
-        return LiteralSlot(sets[name])
-    return LiteralSlot((Alt(words=(raw,)),))
+    # a bare word, ~verb or @set reads like a one-alternative {...}
+    body = raw[1:-1] if raw.startswith("{") and raw.endswith("}") else raw
+    return LiteralSlot(_parse_alternation(body, sets, line_no))
 
 
 def parse_config(text: str) -> PatternConfig:
@@ -310,10 +300,9 @@ def parse_config(text: str) -> PatternConfig:
             raise MultipleTriggers(pattern_id)
         if triggers == 0:
             raise PatternSyntaxError(line_no, f"pattern {pattern_id!r} declares no trigger element")
-        if sum(isinstance(e, OrgSlot) for e in elements) != 1:
-            raise PatternSyntaxError(line_no, f"pattern {pattern_id!r} must declare exactly one <ORG>")
-        if sum(isinstance(e, ProductSlot) for e in elements) != 1:
-            raise PatternSyntaxError(line_no, f"pattern {pattern_id!r} must declare exactly one <PRO>")
+        for name in ("<ORG>", "<PRO>"):
+            if sum(isinstance(e, _SLOTS[name]) for e in elements) != 1:
+                raise PatternSyntaxError(line_no, f"pattern {pattern_id!r} must declare exactly one {name}")
         patterns.append(BasePattern(pattern_id, elements))
 
     return PatternConfig(patterns=tuple(patterns))
@@ -329,17 +318,14 @@ def _alt_variants(alt: Alt) -> list[tuple[str, ...]]:
 
 
 def _element_variants(el: Element) -> list[tuple[SurfaceElement, ...]]:
-    if isinstance(el, OrgSlot):
-        return [(OrgSlot(),)]
-    if isinstance(el, ProductSlot):
-        return [(ProductSlot(),)]
-    if isinstance(el, PossessiveTrigger):
-        return [(PossessiveTrigger(),)]
+    if type(el) in _SLOT_NAMES:
+        return [(el,)]
     if isinstance(el, TriggerSlot):
-        full = tuple(
-            variant for alt in el.alternatives for variant in _alt_variants(alt)
-        )
-        return [(TriggerLiteral(words=v, coordination_set=full),) for v in full]
+        members = tuple(sorted(
+            {variant for alt in el.alternatives for variant in _alt_variants(alt)},
+            key=lambda words: (-len(words), words),
+        ))
+        return [(TriggerLiteral(words=v, coordination_set=members),) for v in members]
     if isinstance(el, LiteralSlot):
         return [
             (Words(words=v),)
@@ -356,20 +342,11 @@ def _element_variants(el: Element) -> list[tuple[SurfaceElement, ...]]:
     raise TypeError(el)
 
 
+_SORT_RANK = {OrgSlot: 0, ProductSlot: 1, PossessiveTrigger: 2, TriggerLiteral: 3, Words: 4}
+
+
 def _sort_key(elements: tuple[SurfaceElement, ...]) -> tuple:
-    key = []
-    for el in elements:
-        if isinstance(el, OrgSlot):
-            key.append((0,))
-        elif isinstance(el, ProductSlot):
-            key.append((1,))
-        elif isinstance(el, PossessiveTrigger):
-            key.append((2,))
-        elif isinstance(el, TriggerLiteral):
-            key.append((3, el.words))
-        else:
-            key.append((4, el.words))
-    return tuple(key)
+    return tuple((_SORT_RANK[type(el)], getattr(el, "words", ())) for el in elements)
 
 
 def expand(config: PatternConfig) -> list[SurfacePattern]:
@@ -408,7 +385,7 @@ class _SentenceContext:
     doc: Document
     sentence: Sentence
     orgs: list[EntityMention]
-    candidates: list[ChunkCandidate]
+    candidates: Sequence[ChunkCandidate]
 
     def __post_init__(self) -> None:
         self.tokens = self.doc.tokens
@@ -458,65 +435,52 @@ class _SentenceContext:
         cached = self._product_firsts.get(pos)
         if cached is not None:
             return cached
-        spans: list[Span] = []
+        firsts: list[tuple[Span, int]] = []
         cand = self.covering.get(pos)
         if cand is not None:
-            if cand.start == pos:
-                spans.append(cand)
+            # the candidate itself when it starts here, then its grammatical
+            # prefixes from `pos`; descending ends, so longest first
             for q in range(cand.end, pos, -1):
-                sub = Span(pos, q)
-                if sub not in spans and span_matches_grammar(self.tags[pos - self.start:q - self.start]):
-                    spans.append(sub)
-            spans.sort(key=lambda s: -s.end)
-        firsts = [(span, span.end) for span in spans]
+                if (q == cand.end and cand.start == pos) or span_matches_grammar(
+                    self.tags[pos - self.start:q - self.start]
+                ):
+                    firsts.append((Span(pos, q), q))
         self._product_firsts[pos] = firsts
         return firsts
 
-    def trigger_matches(self, pos: int, trig: TriggerLiteral) -> Iterator[tuple[Span, int]]:
+    def member_at(self, pos: int, trig: TriggerLiteral) -> tuple[tuple[str, ...], int] | None:
+        """The longest member of the trigger's coordination set at `pos`, with its end."""
+        for words in trig.coordination_set:
+            end = self.literal_at(pos, words)
+            if end is not None:
+                return words, end
+        return None
+
+    def trigger_matches(self, pos: int, trig: TriggerLiteral) -> list[tuple[Span, int]]:
         """(trigger span, end) options for a trigger element at `pos`.
 
         Besides the plain literal, a coordination of members of the base
         trigger alternation is consumed as a whole provided the designated
         literal is one of its conjuncts.
         """
-        members = sorted(set(trig.coordination_set), key=lambda w: (-len(w), w))
-
-        def conjunct_at(p: int) -> tuple[tuple[str, ...], int] | None:
-            for words in members:
-                end = self.literal_at(p, words)
-                if end is not None:
-                    return words, end
-            return None
-
-        options: list[tuple[Span, int]] = []
-        # maximal coordination parse
-        conjuncts: list[tuple[tuple[str, ...], Span]] = []
-        p = pos
-        while True:
-            hit = conjunct_at(p)
-            if hit is None:
-                break
+        # maximal coordination parse: each separator leads to the next member
+        designated: Span | None = None
+        start, end = pos, pos
+        hit = self.member_at(pos, trig)
+        while hit is not None:
             words, end = hit
-            conjuncts.append((words, Span(p, end)))
-            advanced = None
-            for sep_end in separator_ends(self.tokens, end, self.end):
-                if conjunct_at(sep_end) is not None:
-                    advanced = sep_end
+            if designated is None and words == trig.words:
+                designated = Span(start, end)
+            hit = None
+            for start in separator_ends(self.tokens, end, self.end):
+                hit = self.member_at(start, trig)
+                if hit is not None:
                     break
-            if advanced is None:
-                p = end
-                break
-            p = advanced
-        if conjuncts and any(words == trig.words for words, _ in conjuncts):
-            span = next(s for words, s in conjuncts if words == trig.words)
-            options.append((span, p))
-        # plain literal at pos
+        options = [] if designated is None else [(designated, end)]
         plain_end = self.literal_at(pos, trig.words)
-        if plain_end is not None:
-            plain = (Span(pos, plain_end), plain_end)
-            if plain not in options:
-                options.append(plain)
-        return iter(options)
+        if plain_end is not None and (Span(pos, plain_end), plain_end) not in options:
+            options.append((Span(pos, plain_end), plain_end))
+        return options
 
 
 def _match_elements(
@@ -539,7 +503,7 @@ def _match_elements(
         for spans, end in ctx.coordinations(pos, ctx.product_firsts):
             yield from _match_elements(ctx, elements, idx + 1, end, companies, spans, trigger)
     elif isinstance(el, PossessiveTrigger):
-        if pos < ctx.end and ctx.tokens[pos].pos == "POS" and ctx.tokens[pos].text in _POSSESSIVE_CLITICS:
+        if pos < ctx.end and ctx.tokens[pos].pos == "POS" and ctx.tokens[pos].text in POSSESSIVE_CLITICS:
             yield from _match_elements(
                 ctx, elements, idx + 1, pos + 1, companies, products, Span(pos, pos + 1)
             )
@@ -577,20 +541,17 @@ def match_sentence(
 ) -> SentenceMatches:
     """Match every surface pattern against one sentence.
 
+    `org_mentions` and `candidates` are taken as given: they must be the
+    company mentions and chunk candidates of this sentence, in document
+    coordinates (`preannotate_document` groups them with `by_sentence`).
+
     One match is kept per (surface pattern, anchor position); matches from
     different patterns may overlap.  Product mentions referenced by the
     relations are minted deterministically from their spans.
     """
     span_lo, span_hi = sentence.span.start, sentence.span.end
-    orgs = sorted(
-        (m for m in org_mentions if span_lo <= m.span.start < span_hi),
-        key=lambda m: m.span,
-    )
-    cands = sorted(
-        (c for c in candidates if span_lo <= c.span.start < span_hi),
-        key=lambda c: c.span,
-    )
-    ctx = _SentenceContext(doc, sentence, orgs, cands)
+    orgs = sorted(org_mentions, key=lambda m: m.span)
+    ctx = _SentenceContext(doc, sentence, orgs, candidates)
 
     # (anchor, surface_id, company order) -> raw match tuples
     raw: list[tuple[int, str, int, EntityMention, tuple[Span, ...], Span | None, str]] = []
@@ -599,7 +560,7 @@ def match_sentence(
         if isinstance(first, OrgSlot):
             anchors = [m.span.start for m in orgs]
         elif isinstance(first, ProductSlot):
-            anchors = [c.span.start for c in cands]
+            anchors = [c.span.start for c in candidates]
         else:
             anchors = list(range(span_lo, span_hi))
         for anchor in dict.fromkeys(anchors):
@@ -616,7 +577,7 @@ def match_sentence(
 
     # nested company-in-candidate rule: a company mention strictly inside a
     # product candidate with no possessive token reads as a relation
-    for cand in cands:
+    for cand in candidates:
         if any(doc.tokens[i].pos == "POS" for i in range(cand.span.start, cand.span.end)):
             continue
         for org in orgs:

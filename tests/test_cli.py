@@ -95,6 +95,20 @@ class TestPreannotate:
         assert (code, err) == (0, "")
         assert load_corpus(str(out_file)).documents[0].tokens[2].pos == "SYM"
 
+    @pytest.mark.parametrize("clitic", ["'s", "’s"])
+    def test_raw_text_possessive_clitic(self, clitic, tmp_path, capsys):
+        src = tmp_path / "docs"
+        src.mkdir()
+        (src / "a.txt").write_text(f"Apple{clitic} iPhone is great.", encoding="utf-8")
+        out_file = tmp_path / "out.corpus"
+        code, out, _ = run_cli(["preannotate", "--in", str(src), "--out", str(out_file)], capsys)
+        assert code == 0
+        doc = load_corpus(str(out_file)).documents[0]
+        [rel] = doc.relations
+        assert (rel.pattern_id, doc.span_text(rel.trigger)) == ("P01", clitic)
+        assert [doc.span_text(doc.entity(p).span) for p in rel.products] == ["iPhone"]
+        assert "nested" not in out
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize(
         ("name", "content", "tagged", "message"),
@@ -144,7 +158,15 @@ PINNED_OUTPUT = {
 }
 
 
+PINNED_EXPANSION = "6c556d78e41b804d6cab1770f05762f5d02b3ad5aee786722fafc07cfac970a2"
+
+
 class TestOutputContract:
+    def test_patterns_expand_bytes_are_pinned(self, capsys):
+        code, out, _ = run_cli(["patterns", "expand"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_EXPANSION
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("source", sorted(PINNED_OUTPUT))
     def test_preannotate_bytes_are_pinned(self, source, jobs, tmp_path, golden, capsys):

@@ -93,6 +93,9 @@ class TestTag:
     def test_possessive_clitic(self):
         assert tag(["BMW", "'s", "Z3"]) == ["NN", "POS", "NNP"]
 
+    def test_typographic_possessive_clitic(self):
+        assert tag(["Apple", "’s", "iPhone"]) == ["NN", "POS", "NN"]
+
     def test_lowercase_symbol_is_sym(self):
         # a lone mark is its own tag, but a POS tag may hold no lowercase letter
         assert tag(["sells", "ⓐ", "\u0345", "-", "thermostats"]) == ["VBZ", "SYM", "SYM", "-", "NNS"]

@@ -1,17 +1,19 @@
-"""Differential oracles for the per-document indexes.
+"""Differential oracles for the per-document indexes and the matcher.
 
 The validator rules V2, V5 and V6, the nesting check of
 `attach_annotations` and the relation matching of `agreement` used to
 compare every pair of mentions, positions or relations.  Those pairwise
 versions are kept here, verbatim apart from their signatures, and the
 indexed versions in `promex` must agree with them on random documents.
+So is the trigger-coordination parse that sorted its trigger set on every
+call and tested each conjunct position twice.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from hypothesis import given, settings, strategies as st
 
@@ -42,6 +44,15 @@ from promex.model import (
     _check_entity,
     _check_relation,
     attach_annotations,
+)
+from promex.chunker import separator_ends
+from promex.cli import default_config_path
+from promex.patterns import (
+    MAX_CONJUNCTS,
+    TriggerLiteral,
+    _SentenceContext,
+    expand,
+    parse_config,
 )
 from promex.validator import DEFAULT_STOPLIST, Severity, Violation, validate
 
@@ -233,6 +244,47 @@ def oracle_agreement(annotations_a, annotations_b) -> AgreementScores:
     )
 
 
+def oracle_trigger_matches(ctx: _SentenceContext, pos: int, trig: TriggerLiteral) -> Iterator[tuple[Span, int]]:
+    members = sorted(set(trig.coordination_set), key=lambda w: (-len(w), w))
+
+    def conjunct_at(p: int) -> tuple[tuple[str, ...], int] | None:
+        for words in members:
+            end = ctx.literal_at(p, words)
+            if end is not None:
+                return words, end
+        return None
+
+    options: list[tuple[Span, int]] = []
+    # maximal coordination parse
+    conjuncts: list[tuple[tuple[str, ...], Span]] = []
+    p = pos
+    while True:
+        hit = conjunct_at(p)
+        if hit is None:
+            break
+        words, end = hit
+        conjuncts.append((words, Span(p, end)))
+        advanced = None
+        for sep_end in separator_ends(ctx.tokens, end, ctx.end):
+            if conjunct_at(sep_end) is not None:
+                advanced = sep_end
+                break
+        if advanced is None:
+            p = end
+            break
+        p = advanced
+    if conjuncts and any(words == trig.words for words, _ in conjuncts):
+        span = next(s for words, s in conjuncts if words == trig.words)
+        options.append((span, p))
+    # plain literal at pos
+    plain_end = ctx.literal_at(pos, trig.words)
+    if plain_end is not None:
+        plain = (Span(pos, plain_end), plain_end)
+        if plain not in options:
+            options.append(plain)
+    return iter(options)
+
+
 # ---------------------------------------------------------------------------
 # Random documents: a small vocabulary so that token sequences repeat
 
@@ -347,6 +399,46 @@ def layer_pairs(draw):
     return layers
 
 
+# every trigger alternation of the shipped inventory, plus one whose members
+# are prefixes of one another, so that longest-first order decides, and
+# which holds a conjunction, so that `, and` may end at either separator
+TRIGGER_SETS = sorted({
+    el.coordination_set
+    for config in (
+        default_config_path().read_text(encoding="utf-8"),
+        "P1: <ORG> <TRIG:maker|maker of|Vendor|vendor of|of|~make|and> <PRO>",
+    )
+    for surface in expand(parse_config(config))
+    for el in surface.elements
+    if isinstance(el, TriggerLiteral)
+})
+SEPARATORS = (",/,", "and/CC", "or/CC", ",/, and/CC", ",/, or/CC")
+
+
+@st.composite
+def trigger_sentences(draw):
+    """A coordination set and a sentence of its members, separators and noise.
+
+    Lists of members run past MAX_CONJUNCTS, and members are sometimes
+    capitalised, since literals match case-insensitively.
+    """
+    members = draw(st.sampled_from(TRIGGER_SETS))
+    member = st.builds(
+        lambda words, upper: " ".join(f"{w.title() if upper else w}/NN" for w in words),
+        st.sampled_from(members), st.booleans(),
+    )
+    units = draw(st.lists(
+        st.one_of(member, st.sampled_from(SEPARATORS), st.just("sensors/NNS")),
+        max_size=12,
+    ))
+    if draw(st.booleans()):
+        chain = draw(st.lists(member, min_size=2, max_size=MAX_CONJUNCTS + 10))
+        separator = draw(st.sampled_from(SEPARATORS))
+        units.insert(draw(st.integers(0, len(units))), f" {separator} ".join(chain))
+    units.append("./.")
+    return members, tagged_document("d", [" ".join(units)])
+
+
 def outcome(attach, args: Sequence):
     try:
         return attach(*args)
@@ -387,3 +479,14 @@ def test_agreement_agrees_with_pairwise_matching(layers):
     assert agreement(a, b) == oracle_agreement(a, b)
     corpus_a, corpus_b = Corpus("1.0", tuple(a)), Corpus("1.0", tuple(b))
     assert agreement(corpus_b, corpus_a) == oracle_agreement(corpus_b, corpus_a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trigger_sentences())
+def test_trigger_matches_agree_with_per_call_sort(case):
+    members, doc = case
+    ctx = _SentenceContext(doc, doc.sentences[0], [], [])
+    for words in members:
+        trig = TriggerLiteral(words, members)
+        for pos in range(len(doc.tokens)):
+            assert ctx.trigger_matches(pos, trig) == list(oracle_trigger_matches(ctx, pos, trig))

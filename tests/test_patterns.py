@@ -120,6 +120,26 @@ class TestParseConfig:
             (Alt(("make",), inflect=True), Alt(("offer",)))
         )
 
+    @pytest.mark.parametrize("element", ["~make", "@maker", "make|made", "of"])
+    def test_bare_element_reads_like_braces(self, element):
+        sets = "set maker = ~make|made by\n"
+        bare = parse_config(f"{sets}P1: <ORG> {element} <PRO> <TRIG:by>")
+        braced = parse_config(f"{sets}P1: <ORG> {{{element}}} <PRO> <TRIG:by>")
+        assert bare == braced
+
+    def test_bare_inflection_expands(self):
+        surfaces = expand(parse_config("P01: <ORG> ~make <PRO> <TRIG:by>"))
+        assert [s.render() for s in surfaces] == [
+            "<ORG> made <PRO> <TRIG:by>",
+            "<ORG> make <PRO> <TRIG:by>",
+            "<ORG> makes <PRO> <TRIG:by>",
+            "<ORG> making <PRO> <TRIG:by>",
+        ]
+
+    def test_inflected_set_reference_rejected(self):
+        with pytest.raises(PatternSyntaxError, match="apply ~"):
+            parse_config("set v = make\nP1: <ORG> ~@v <PRO> <TRIG:by>")
+
     def test_optional_group_with_alternation(self):
         config = parse_config("P1: <ORG> [{a|the|an}] <POSS> <PRO>")
         group = config.patterns[0].elements[1]
