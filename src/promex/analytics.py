@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from typing import Sequence
 
-from .model import Corpus, Document, EntityMention, EntityType, RelationMention
+from .model import Corpus, Document, EntityMention, EntityType, RelationMention, is_word
 
 
 class EmptyCorpus(ValueError):
@@ -32,10 +32,6 @@ STAT_ROWS: tuple[tuple[str, str], ...] = (
     ("products", "# Products"),
     ("relations", "# CompanyProvidesProduct"),
 )
-
-
-def _is_word(text: str) -> bool:
-    return any(c.isalnum() for c in text)
 
 
 def mean_string(total: int, documents: int) -> str:
@@ -65,7 +61,7 @@ class CorpusStats:
             documents=len(corpus.documents),
             sentences=sum(len(d.sentences) for d in corpus.documents),
             words=sum(
-                1 for d in corpus.documents for t in d.tokens if _is_word(t.text)
+                1 for d in corpus.documents for t in d.tokens if is_word(t.text)
             ),
             companies=sum(
                 1

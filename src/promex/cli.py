@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
@@ -113,6 +114,9 @@ def _cmd_preannotate(args: argparse.Namespace) -> int:
     if not input_dir.is_dir():
         return _fail(f"not a directory: {input_dir}")
     paths = sorted(p for p in input_dir.iterdir() if p.is_file() and not p.name.startswith("."))
+    # a file's stem is its document's doc_id, which a corpus holds only once
+    stems = Counter(p.stem for p in paths)
+    failures = [f"{p}: duplicate doc_id {p.stem!r}" for p in paths if stems[p.stem] > 1]
 
     def process(path: Path):
         """The file's result, or the message saying why it cannot be read."""
@@ -132,7 +136,7 @@ def _cmd_preannotate(args: argparse.Namespace) -> int:
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(process, paths))
-    failures = [r for r in results if isinstance(r, str)]
+    failures += [r for r in results if isinstance(r, str)]
     if failures:
         return _fail("\n".join(failures))
 

@@ -107,89 +107,88 @@ def write_corpus(corpus: Corpus, sink: IO[str]) -> None:
         raise SinkFailure(f"could not write corpus: {exc}") from exc
 
 
-def _require(record: dict, key: str, line_no: int):
-    if key not in record:
-        raise MalformedRecord(line_no, f"missing field {key!r}")
-    return record[key]
+# Record layouts as (field, kind) pairs.  A kind is str, int, list, an Enum
+# whose value the field holds, `tuple` for a list of strings, or the layout
+# of a nested object.  The fields in `_OPTIONAL` may be absent or null.
+_SPAN = (("start", int), ("end", int))
+_TOKEN = (("text", str), ("pos", str), *_SPAN)
+_ENTITY = (("id", str), ("type", EntityType), ("kind", MentionKind), *_SPAN,
+           ("provenance", Provenance))
+_RELATION = (("id", str), ("company", str), ("products", tuple), ("trigger", _SPAN),
+             ("provenance", Provenance), ("pattern_id", str))
+_CHAIN = (("id", str), ("source", str), ("targets", tuple))
+_OPTIONAL = frozenset({"trigger", "pattern_id"})
+_MEMBERS = {kind: {m.value: m for m in kind} for kind in (EntityType, MentionKind, Provenance)}
+_KIND_NAMES = {str: "a string", int: "an integer", list: "a list", tuple: "a list of strings",
+               **{kind: "one of " + ", ".join(map(repr, m)) for kind, m in _MEMBERS.items()}}
 
 
-def _require_strings(line_no: int, field: str, values: Iterable) -> None:
-    for value in values:
-        if not isinstance(value, str):
-            raise MalformedRecord(
-                line_no, f"{field} must be a string, not {type(value).__name__}"
-            )
+def _path_name(path: tuple) -> str:
+    """A field path as messages spell it, such as ``tokens[3].start``."""
+    return "".join(f"[{p}]" if type(p) is int else f".{p}" for p in path)[1:]
 
 
-def _check_field_types(
-    line_no: int,
-    doc_id: object,
-    text: object,
-    tokens: list[Token],
-    entities: list[EntityMention],
-    relations: list[RelationMention],
-    chains: list[IdentityChain],
-) -> None:
-    """Reject ids and texts that are not strings before the model hashes or compares them."""
-    _require_strings(line_no, "doc_id", (doc_id,))
-    _require_strings(line_no, "text", (text,))
-    _require_strings(line_no, "token text", (t.text for t in tokens))
-    _require_strings(line_no, "token pos", (t.pos for t in tokens))
-    _require_strings(line_no, "mention id", (e.mention_id for e in entities))
-    for r in relations:
-        _require_strings(line_no, "relation id", (r.relation_id, r.company, *r.products))
-        if r.pattern_id is not None:
-            _require_strings(line_no, "pattern_id", (r.pattern_id,))
-    for c in chains:
-        _require_strings(line_no, "chain id", (c.chain_id, c.source, *c.targets))
+def _field(container, key, kind, line_no: int, path: tuple = ()):
+    """`container[key]` read as `kind`, whose JSON type it must have exactly.
+
+    A bool, a float or a numeric string is not an integer.  An enum reads as
+    its member, a nested object as the tuple of its fields.  `path` locates
+    `container` in the record, to name the field in a MalformedRecord.
+    """
+    value = container.get(key) if type(container) is dict else container[key]
+    if value is None and key in _OPTIONAL:
+        return None
+    if value is None and type(container) is dict and key not in container:
+        raise MalformedRecord(line_no, f"missing field {_path_name((*path, key))!r}")
+    if type(value) is kind:
+        return value
+    if kind in _MEMBERS and type(value) is str and value in _MEMBERS[kind]:
+        return _MEMBERS[kind][value]
+    where = (*path, key)
+    # plain strings and integers inside are taken as they are, without a call
+    if type(kind) is tuple and type(value) is dict:
+        return tuple([v if type(v := value.get(name)) is k else _field(value, name, k, line_no, where)
+                      for name, k in kind])
+    if kind is tuple and type(value) is list:
+        return tuple([v if type(v) is str else _field(value, i, str, line_no, where)
+                      for i, v in enumerate(value)])
+    expected = "an object" if type(kind) is tuple else _KIND_NAMES[kind]
+    found = repr(value) if type(value) is str else type(value).__name__
+    raise MalformedRecord(line_no, f"{_path_name(where)} must be {expected}, not {found}")
+
+
+def _objects(record: dict, key: str, layout: tuple, line_no: int) -> list[tuple]:
+    """The list of objects `record[key]`, each read as the values of its `layout`."""
+    items, path = _field(record, key, list, line_no), (key,)
+    return [_field(items, i, layout, line_no, path) for i in range(len(items))]
 
 
 def _parse_document(record: dict, line_no: int) -> Document:
-    try:
-        doc_id = _require(record, "doc_id", line_no)
-        text = _require(record, "text", line_no)
-        tokens = [
-            Token(t["text"], t["pos"], int(t["start"]), int(t["end"]))
-            for t in _require(record, "tokens", line_no)
-        ]
-        sentences = [
-            (int(s["start"]), int(s["end"]))
-            for s in _require(record, "sentences", line_no)
-        ]
-        entities = [
-            EntityMention(
-                mention_id=e["id"],
-                entity_type=EntityType(e["type"]),
-                span=Span(int(e["start"]), int(e["end"])),
-                mention_kind=MentionKind(e["kind"]),
-                provenance=Provenance(e["provenance"]),
-            )
-            for e in _require(record, "entities", line_no)
-        ]
-        relations = [
-            RelationMention(
-                relation_id=r["id"],
-                company=r["company"],
-                products=tuple(r["products"]),
-                trigger=Span(int(r["trigger"]["start"]), int(r["trigger"]["end"]))
-                if r.get("trigger") is not None
-                else None,
-                provenance=Provenance(r["provenance"]),
-                pattern_id=r.get("pattern_id"),
-            )
-            for r in _require(record, "relations", line_no)
-        ]
-        chains = [
-            IdentityChain(
-                chain_id=c["id"], source=c["source"], targets=tuple(c["targets"])
-            )
-            for c in _require(record, "chains", line_no)
-        ]
-    except MalformedRecord:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MalformedRecord(line_no, f"bad document record: {exc}") from exc
-    _check_field_types(line_no, doc_id, text, tokens, entities, relations, chains)
+    """Build a document from `record`, reading and type-checking each field once."""
+    doc_id = _field(record, "doc_id", str, line_no)
+    text = _field(record, "text", str, line_no)
+    raw_tokens = _field(record, "tokens", list, line_no)
+    # the hot path tests each token's types inline; should one fail, the
+    # tokens are read again through `_field`, which names the bad field
+    tokens = [
+        Token(tok_text, pos, start, end) for t in raw_tokens
+        if type(t) is dict and type(tok_text := t.get("text")) is str and type(pos := t.get("pos")) is str
+        and type(start := t.get("start")) is int and type(end := t.get("end")) is int
+    ]
+    if len(tokens) < len(raw_tokens):
+        tokens = [Token(*values) for values in _objects(record, "tokens", _TOKEN, line_no)]
+    sentences = _objects(record, "sentences", _SPAN, line_no)
+    entities = [
+        EntityMention(mention_id, entity_type, Span(start, end), kind, provenance)
+        for mention_id, entity_type, kind, start, end, provenance
+        in _objects(record, "entities", _ENTITY, line_no)
+    ]
+    relations = [
+        RelationMention(relation_id, company, products, trigger and Span(*trigger), provenance, pattern)
+        for relation_id, company, products, trigger, provenance, pattern
+        in _objects(record, "relations", _RELATION, line_no)
+    ]
+    chains = [IdentityChain(*chain) for chain in _objects(record, "chains", _CHAIN, line_no)]
 
     try:
         doc = make_document(doc_id, text, tokens, sentences)
@@ -216,9 +215,7 @@ def read_corpus(source: IO[str] | Iterable[str]) -> Corpus:
         if not isinstance(record, dict):
             raise MalformedRecord(line_no, "record is not an object")
         if version is None:
-            if "schema_version" not in record:
-                raise MalformedRecord(line_no, "first record must carry schema_version")
-            version = str(record["schema_version"])
+            version = _field(record, "schema_version", str, line_no)
             major = version.split(".", 1)[0]
             if major != SCHEMA_VERSION.split(".", 1)[0]:
                 raise SchemaVersionMismatch(version)

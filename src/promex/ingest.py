@@ -27,6 +27,7 @@ from .model import (
     TRADEMARK_TEXTS,
     attach_annotations,
     by_sentence,
+    is_word,
     make_document,
     mention_kind,
 )
@@ -191,10 +192,6 @@ _SUFFIX_RULES = (
 )
 
 
-def _is_punct(text: str) -> bool:
-    return bool(text) and not any(c.isalnum() for c in text)
-
-
 def tag(tokens: Sequence[str]) -> list[str]:
     """Tag one sentence worth of token strings. Total and deterministic.
 
@@ -212,7 +209,7 @@ def tag(tokens: Sequence[str]) -> list[str]:
         if text in TRADEMARK_TEXTS:
             tags.append("SYM")
             continue
-        if _is_punct(text):
+        if text and not is_word(text):
             # a lone mark is its own tag unless it counts as lowercase (ⓐ),
             # which no POS tag may
             tags.append(text if len(text) == 1 and not text.islower() else "SYM")

@@ -26,6 +26,11 @@ POSSESSIVE_CLITICS = frozenset({"'s", "’s"})
 CONJUNCTIONS = frozenset({"and", "or"})
 
 
+def is_word(text: str) -> bool:
+    """Whether `text` holds a letter or digit: a word to `stats`, not punctuation to the tagger."""
+    return any(c.isalnum() for c in text)
+
+
 _Item = TypeVar("_Item")
 
 
@@ -228,7 +233,7 @@ def make_document(
     doc_id: str,
     text: str,
     tokens: Sequence[Token],
-    sentences: Sequence[tuple[int, int]] | Sequence[Span],
+    sentences: Sequence[tuple[int, int]],
 ) -> Document:
     """Build a Document with empty annotation lists, checking token/sentence invariants.
 
@@ -249,7 +254,7 @@ def make_document(
             raise InvariantViolation(f"token {i} has malformed POS tag {tok.pos!r}")
         prev_end = tok.char_end
 
-    spans = [s if isinstance(s, Span) else Span(*s) for s in sentences]
+    spans = [Span(*s) for s in sentences]
     expected_start = 0
     for i, span in enumerate(spans):
         if span.start != expected_start or span.end <= span.start:

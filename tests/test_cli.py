@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -135,6 +136,23 @@ class TestPreannotate:
         assert len(err.splitlines()) == 1  # the good file is not reported
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_same_stem_exits_2_without_corpus(self, jobs, tmp_path, capsys):
+        src = tmp_path / "docs"
+        src.mkdir()
+        (src / "a.txt").write_text("Sensata develops sensors.")
+        (src / "a.md").write_text("Acme sells widgets.")
+        (src / "b.txt").write_text("Acme sells gadgets.")
+        out_file = tmp_path / "out.corpus"
+        argv = ["preannotate", "--in", str(src), "--out", str(out_file), "--jobs", jobs]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"{src / 'a.md'}: duplicate doc_id 'a'", f"{src / 'a.txt'}: duplicate doc_id 'a'",
+        ]
+        assert not out_file.exists()
+
     def test_missing_directory_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["preannotate", "--in", str(tmp_path / "nope"), "--out", "x.corpus"],
@@ -254,6 +272,28 @@ class TestStats:
         code, _, err = run_cli(["stats", "--in", str(bad)], capsys)
         assert code == 2
         assert str(bad) in err and "doc_id must be a string" in err
+
+    @pytest.mark.parametrize("field, value", [
+        (("tokens", 0, "start"), 0.9),
+        (("entities", 0, "start"), False),
+        (("entities", 0, "end"), "1"),
+        (("relations", 0, "products"), {"p1": 1}),
+        (("sentences", 0, "end"), 9.0),
+    ])
+    def test_coercible_value_exits_2_naming_file_and_line(self, field, value, tmp_path, capsys):
+        lines = open(GOLDEN, encoding="utf-8").read().splitlines()
+        record = json.loads(lines[1])
+        target = record
+        for key in field[:-1]:
+            target = target[key]
+        target[field[-1]] = value
+        lines[1] = json.dumps(record)
+        bad = tmp_path / "bad.corpus"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run_cli(["stats", "--in", str(bad)], capsys)
+        assert code == 2
+        assert out == ""
+        assert str(bad) in err and "line 2: " in err
 
 
 class TestAgreement:

@@ -149,9 +149,17 @@ def full_record() -> dict:
     return json.loads(sink.getvalue().splitlines()[1])
 
 
-def read_record(record: dict) -> Corpus:
-    header = json.dumps({"schema_version": SCHEMA_VERSION})
-    return read_corpus(io.StringIO(f"{header}\n{json.dumps(record)}\n"))
+HEADER = {"schema_version": SCHEMA_VERSION}
+OPTIONAL_FIELDS = ("trigger", "pattern_id")
+
+
+def dump_lines(records: list) -> str:
+    return "".join(json.dumps(r, ensure_ascii=False, separators=(",", ":")) + "\n" for r in records)
+
+
+def read_records(records: list) -> Corpus:
+    """Read the stream whose lines are `records`, a header and then documents."""
+    return read_corpus(io.StringIO(dump_lines(records)))
 
 
 def paths(value, prefix=()):
@@ -181,31 +189,49 @@ json_values = st.recursive(
 
 
 class TestFieldTypes:
+    # a path starts with the index of the line: 0 the header, 1 the document
     @pytest.mark.parametrize("path, value", [
-        (("entities", 0, "id"), ["x"]),
-        (("doc_id",), ["z"]),
-        (("text",), 5),
-        (("entities", 1, "id"), 7),
-        (("tokens", 0, "pos"), ["NNP"]),
-        (("relations", 0, "products", 0), None),
-        (("chains", 0, "targets", 0), 1),
-        (("tokens", 0, "start"), float("inf")),
+        ((1, "entities", 0, "id"), ["x"]),
+        ((1, "doc_id"), ["z"]),
+        ((1, "text"), 5),
+        ((1, "entities", 1, "id"), 7),
+        ((1, "tokens", 0, "pos"), ["NNP"]),
+        ((1, "relations", 0, "products", 0), None),
+        ((1, "chains", 0, "targets", 0), 1),
+        ((1, "tokens", 0, "start"), float("inf")),
+        ((1, "tokens", 0, "start"), 0.9),
+        ((1, "tokens", 0, "start"), False),
+        ((1, "entities", 0, "start"), False),
+        ((1, "entities", 0, "end"), "1"),
+        ((1, "relations", 0, "products"), {"p1": 1}),
+        ((1, "chains", 0, "targets"), "c2"),
+        ((1, "sentences", 0, "end"), 15.0),
+        ((0, "schema_version"), 1),
+        ((1, "entities", 0, "type"), "company"),
     ])
     def test_wrong_type_is_a_malformed_record(self, path, value):
         with pytest.raises(MalformedRecord) as exc:
-            read_record(replaced(full_record(), path, value))
-        assert exc.value.line_no == 2
+            read_records(replaced([HEADER, full_record()], path, value))
+        assert exc.value.line_no == path[0] + 1
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_mutated_field_types_fail_cleanly(self, data):
-        record = full_record()
-        path = data.draw(st.sampled_from(list(paths(record))))
-        mutated = replaced(record, path, data.draw(json_values))
+        records = [HEADER, full_record()]
+        path = data.draw(st.sampled_from(list(paths(records))[1:]))
+        mutated = replaced(records, path, data.draw(json_values))
         try:
-            read_record(mutated)
+            corpus = read_records(mutated)
         except (CorpusIOError, ModelError):
-            pass
+            return
+        # accepted: every value comes back as it was, and a null optional field is omitted
+        for rel in mutated[1]["relations"]:
+            for key in OPTIONAL_FIELDS:
+                if key in rel and rel[key] is None:
+                    del rel[key]
+        sink = io.StringIO()
+        write_corpus(corpus, sink)
+        assert sink.getvalue() == dump_lines(mutated)
 
 
 class TestExportColumn:

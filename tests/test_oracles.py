@@ -6,18 +6,22 @@ compare every pair of mentions, positions or relations.  Those pairwise
 versions are kept here, verbatim apart from their signatures, and the
 indexed versions in `promex` must agree with them on random documents.
 So is the trigger-coordination parse that sorted its trigger set on every
-call and tested each conjunct position twice.
+call and tested each conjunct position twice, and the corpus reader that
+coerced offsets with `int(...)` and type-checked the built objects in a
+second walk.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import re
 from dataclasses import replace
 from typing import Iterable, Iterator, Sequence
 
 from hypothesis import given, settings, strategies as st
 
-from promex import validator
+from promex import corpus_io, validator
 from promex.analytics import (
     AgreementScores,
     TokenizationMismatch,
@@ -26,7 +30,7 @@ from promex.analytics import (
     _kappa,
     agreement,
 )
-from promex.examples import tagged_document
+from promex.examples import golden_corpus, tagged_document
 from promex.model import (
     Corpus,
     Document,
@@ -40,13 +44,16 @@ from promex.model import (
     Provenance,
     RelationMention,
     Span,
+    Token,
     _check_chains,
     _check_entity,
     _check_relation,
     attach_annotations,
+    make_document,
 )
 from promex.chunker import separator_ends
 from promex.cli import default_config_path
+from promex.corpus_io import CorpusIOError, MalformedRecord, write_corpus
 from promex.patterns import (
     MAX_CONJUNCTS,
     TriggerLiteral,
@@ -286,6 +293,102 @@ def oracle_trigger_matches(ctx: _SentenceContext, pos: int, trig: TriggerLiteral
 
 
 # ---------------------------------------------------------------------------
+# The corpus reader that coerced offsets and type-checked in a second walk
+
+def _require(record: dict, key: str, line_no: int):
+    if key not in record:
+        raise MalformedRecord(line_no, f"missing field {key!r}")
+    return record[key]
+
+
+def _require_strings(line_no: int, field: str, values: Iterable) -> None:
+    for value in values:
+        if not isinstance(value, str):
+            raise MalformedRecord(
+                line_no, f"{field} must be a string, not {type(value).__name__}"
+            )
+
+
+def _check_field_types(
+    line_no: int,
+    doc_id: object,
+    text: object,
+    tokens: list[Token],
+    entities: list[EntityMention],
+    relations: list[RelationMention],
+    chains: list[IdentityChain],
+) -> None:
+    """Reject ids and texts that are not strings before the model hashes or compares them."""
+    _require_strings(line_no, "doc_id", (doc_id,))
+    _require_strings(line_no, "text", (text,))
+    _require_strings(line_no, "token text", (t.text for t in tokens))
+    _require_strings(line_no, "token pos", (t.pos for t in tokens))
+    _require_strings(line_no, "mention id", (e.mention_id for e in entities))
+    for r in relations:
+        _require_strings(line_no, "relation id", (r.relation_id, r.company, *r.products))
+        if r.pattern_id is not None:
+            _require_strings(line_no, "pattern_id", (r.pattern_id,))
+    for c in chains:
+        _require_strings(line_no, "chain id", (c.chain_id, c.source, *c.targets))
+
+
+def oracle_parse_document(record: dict, line_no: int) -> Document:
+    try:
+        doc_id = _require(record, "doc_id", line_no)
+        text = _require(record, "text", line_no)
+        tokens = [
+            Token(t["text"], t["pos"], int(t["start"]), int(t["end"]))
+            for t in _require(record, "tokens", line_no)
+        ]
+        sentences = [
+            (int(s["start"]), int(s["end"]))
+            for s in _require(record, "sentences", line_no)
+        ]
+        entities = [
+            EntityMention(
+                mention_id=e["id"],
+                entity_type=EntityType(e["type"]),
+                span=Span(int(e["start"]), int(e["end"])),
+                mention_kind=MentionKind(e["kind"]),
+                provenance=Provenance(e["provenance"]),
+            )
+            for e in _require(record, "entities", line_no)
+        ]
+        relations = [
+            RelationMention(
+                relation_id=r["id"],
+                company=r["company"],
+                products=tuple(r["products"]),
+                trigger=Span(int(r["trigger"]["start"]), int(r["trigger"]["end"]))
+                if r.get("trigger") is not None
+                else None,
+                provenance=Provenance(r["provenance"]),
+                pattern_id=r.get("pattern_id"),
+            )
+            for r in _require(record, "relations", line_no)
+        ]
+        chains = [
+            IdentityChain(
+                chain_id=c["id"], source=c["source"], targets=tuple(c["targets"])
+            )
+            for c in _require(record, "chains", line_no)
+        ]
+    except MalformedRecord:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise MalformedRecord(line_no, f"bad document record: {exc}") from exc
+    _check_field_types(line_no, doc_id, text, tokens, entities, relations, chains)
+
+    try:
+        doc = make_document(doc_id, text, tokens, sentences)
+        return attach_annotations(doc, entities, relations, chains)
+    except InvariantViolation:
+        raise
+    except ModelError as exc:
+        raise InvariantViolation(f"document {doc_id!r}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
 # Random documents: a small vocabulary so that token sequences repeat
 
 VOCAB = (
@@ -439,10 +542,103 @@ def trigger_sentences(draw):
     return members, tagged_document("d", [" ".join(units)])
 
 
-def outcome(attach, args: Sequence):
+# ---------------------------------------------------------------------------
+# Mutated corpus records
+
+SPAN_TYPES = {"start": int, "end": int}
+# the JSON type of each document-record field as the writer gives it
+RECORD_TYPES = {
+    "doc_id": str,
+    "text": str,
+    "tokens": [{"text": str, "pos": str, "start": int, "end": int}],
+    "sentences": [SPAN_TYPES],
+    "entities": [
+        {"id": str, "type": str, "kind": str, "start": int, "end": int, "provenance": str}
+    ],
+    "relations": [
+        {"id": str, "company": str, "products": [str], "trigger": SPAN_TYPES,
+         "provenance": str, "pattern_id": str}
+    ],
+    "chains": [{"id": str, "source": str, "targets": [str]}],
+}
+DELETE = object()
+
+
+def exactly_typed(value, types) -> bool:
+    """Whether each field of `value` that `types` names is null or has exactly that type."""
+    if isinstance(types, dict):
+        return type(value) is dict and all(
+            value.get(key) is None or exactly_typed(value[key], t) for key, t in types.items()
+        )
+    if isinstance(types, list):
+        return type(value) is list and all(exactly_typed(v, types[0]) for v in value)
+    return type(value) is types
+
+
+def golden_records() -> list[dict]:
+    sink = io.StringIO()
+    write_corpus(golden_corpus(), sink)
+    return [json.loads(line) for line in sink.getvalue().splitlines()[1:]]
+
+
+GOLDEN_RECORDS = golden_records()
+
+
+def json_paths(value, prefix=()) -> Iterator[tuple[tuple, object]]:
+    """(path, value) for `value` and everything inside it."""
+    yield prefix, value
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from json_paths(child, (*prefix, key))
+
+
+def lookalikes(value) -> list:
+    """Values of other JSON types that a lax reader could take for `value`."""
+    if type(value) is int:
+        return [float(value), value + 0.5, value == 1, str(value), [value], None]
+    if type(value) is str:
+        return [[value], {value: 1}, None, 1, value.lower()]
+    if type(value) is list:
+        return [{str(v): 1 for v in value}, "".join(map(str, value)), value[:1]]
+    if type(value) is dict:
+        return [list(value.values()), dict(list(value.items())[1:]), {**value, "x": 1}]
+    return []
+
+
+json_scalars = st.none() | st.booleans() | st.integers(-2, 40) | st.floats() | st.text(max_size=3)
+
+
+@st.composite
+def mutated_records(draw) -> dict:
+    """A golden document record with up to two values replaced or deleted.
+
+    The field to change is drawn within a drawn top-level field, so that
+    the few entities and relations are changed about as often as the many
+    tokens.
+    """
+    record = json.loads(json.dumps(draw(st.sampled_from(GOLDEN_RECORDS))))
+    for _ in range(draw(st.integers(0, 2))):
+        section = draw(st.sampled_from(sorted(record)))
+        located = list(json_paths(record[section], (section,)))
+        path, old = draw(st.sampled_from(located))
+        same_type = [old, *(v for _, v in located if type(v) is type(old) in (str, int))]
+        new = draw(
+            st.sampled_from([DELETE, *lookalikes(old)]) | st.sampled_from(same_type) | json_scalars
+        )
+        parent = record
+        for key in path[:-1]:
+            parent = parent[key]
+        if new is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = new
+    return record
+
+
+def outcome(build, args: Sequence):
     try:
-        return attach(*args)
-    except ModelError as exc:
+        return build(*args)
+    except (CorpusIOError, ModelError) as exc:
         return exc
 
 
@@ -490,3 +686,24 @@ def test_trigger_matches_agree_with_per_call_sort(case):
         trig = TriggerLiteral(words, members)
         for pos in range(len(doc.tokens)):
             assert ctx.trigger_matches(pos, trig) == list(oracle_trigger_matches(ctx, pos, trig))
+
+
+def written(doc: Document) -> str:
+    sink = io.StringIO()
+    write_corpus(Corpus("1.0", (doc,)), sink)
+    return sink.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_records())
+def test_reader_agrees_with_coercing_reader(record):
+    new = outcome(corpus_io._parse_document, (record, 2))
+    old = outcome(oracle_parse_document, (record, 2))
+    if isinstance(new, Document):
+        # `==` takes True for 1; the written bytes do not
+        assert new == old and written(new) == written(old)
+    elif isinstance(old, Document):
+        # only a value the old reader coerced may be rejected now
+        assert not exactly_typed(record, RECORD_TYPES)
+    if isinstance(new, MalformedRecord):
+        assert new.line_no == 2
