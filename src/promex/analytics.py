@@ -9,6 +9,7 @@ exact-span mention F1 per entity type, and relation F1 over
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from typing import Sequence
@@ -57,24 +58,13 @@ class CorpusStats:
     def from_corpus(cls, corpus: Corpus) -> "CorpusStats":
         if not corpus.documents:
             raise EmptyCorpus("corpus contains no documents")
+        types = Counter(e.entity_type for d in corpus.documents for e in d.entities)
         return cls(
             documents=len(corpus.documents),
             sentences=sum(len(d.sentences) for d in corpus.documents),
-            words=sum(
-                1 for d in corpus.documents for t in d.tokens if is_word(t.text)
-            ),
-            companies=sum(
-                1
-                for d in corpus.documents
-                for e in d.entities
-                if e.entity_type is EntityType.COMPANY
-            ),
-            products=sum(
-                1
-                for d in corpus.documents
-                for e in d.entities
-                if e.entity_type is EntityType.PRODUCT
-            ),
+            words=sum(1 for d in corpus.documents for t in d.tokens if is_word(t.text)),
+            companies=types[EntityType.COMPANY],
+            products=types[EntityType.PRODUCT],
             relations=sum(len(d.relations) for d in corpus.documents),
         )
 

@@ -214,23 +214,15 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS = {
+    "patterns": _cmd_patterns_expand, "preannotate": _cmd_preannotate, "validate": _cmd_validate,
+    "stats": _cmd_stats, "agreement": _cmd_agreement, "convert": _cmd_convert,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "patterns":
-        return _cmd_patterns_expand(args)
-    if args.command == "preannotate":
-        return _cmd_preannotate(args)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    if args.command == "stats":
-        return _cmd_stats(args)
-    if args.command == "agreement":
-        return _cmd_agreement(args)
-    if args.command == "convert":
-        return _cmd_convert(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    args = _build_parser().parse_args(argv)
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

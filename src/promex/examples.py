@@ -22,13 +22,6 @@ from .model import (
     attach_annotations,
 )
 
-_KIND = {
-    "name": MentionKind.NAME,
-    "nominal": MentionKind.NOMINAL,
-    "pronominal": MentionKind.PRONOMINAL,
-}
-
-
 def tagged_document(doc_id: str, sentences: list[str]) -> Document:
     """Build a Document from 'token/TAG token/TAG ...' sentence strings."""
     return document_from_tokens(doc_id, [
@@ -47,9 +40,9 @@ def annotated_document(
     ents = [
         EntityMention(
             mention_id=mid,
-            entity_type=EntityType.COMPANY if etype == "company" else EntityType.PRODUCT,
+            entity_type=EntityType(etype.title()),
             span=Span(start, end),
-            mention_kind=_KIND[kind],
+            mention_kind=MentionKind(kind.title()),
             provenance=Provenance.HUMAN,
         )
         for mid, etype, kind, start, end in entities

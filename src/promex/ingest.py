@@ -173,11 +173,8 @@ def _word_map() -> dict[str, str]:
         "launch", "release", "sell", "distribute", "provide", "supply",
         "include", "collect", "analyze", "invest", "have", "do",
     ):
-        base, third, past, gerund = inflections(verb)
-        words.setdefault(base, "VB")
-        words.setdefault(third, "VBZ")
-        words.setdefault(past, "VBD")
-        words.setdefault(gerund, "VBG")
+        for form, form_tag in zip(inflections(verb), ("VB", "VBZ", "VBD", "VBG")):
+            words.setdefault(form, form_tag)
     return words
 
 
@@ -192,6 +189,26 @@ _SUFFIX_RULES = (
 )
 
 
+def _tag_word(text: str, initial: bool) -> str:
+    lower = text.lower()
+    if lower in _WORDS:
+        return _WORDS[lower]
+    if text in TRADEMARK_TEXTS:
+        return "SYM"
+    if text and not is_word(text):
+        # a lone mark is its own tag unless it counts as lowercase (ⓐ),
+        # which no POS tag may
+        return text if len(text) == 1 and not text.islower() else "SYM"
+    if _NUMERIC.match(text):
+        return "CD"
+    if not initial and text[:1].isupper():
+        return "NNP"
+    for suffix, suffix_tag in _SUFFIX_RULES:
+        if len(text) >= len(suffix) + 2 and lower.endswith(suffix):
+            return suffix_tag
+    return "NN"
+
+
 def tag(tokens: Sequence[str]) -> list[str]:
     """Tag one sentence worth of token strings. Total and deterministic.
 
@@ -200,33 +217,7 @@ def tag(tokens: Sequence[str]) -> list[str]:
     is tested before the suffix rules so that proper nouns like plural
     company-name parts are not mis-read as common plurals.
     """
-    tags: list[str] = []
-    for i, text in enumerate(tokens):
-        lower = text.lower()
-        if lower in _WORDS:
-            tags.append(_WORDS[lower])
-            continue
-        if text in TRADEMARK_TEXTS:
-            tags.append("SYM")
-            continue
-        if text and not is_word(text):
-            # a lone mark is its own tag unless it counts as lowercase (ⓐ),
-            # which no POS tag may
-            tags.append(text if len(text) == 1 and not text.islower() else "SYM")
-            continue
-        if _NUMERIC.match(text):
-            tags.append("CD")
-            continue
-        if i > 0 and text[:1].isupper():
-            tags.append("NNP")
-            continue
-        for suffix, suffix_tag in _SUFFIX_RULES:
-            if len(text) >= len(suffix) + 2 and lower.endswith(suffix):
-                tags.append(suffix_tag)
-                break
-        else:
-            tags.append("NN")
-    return tags
+    return [_tag_word(text, i == 0) for i, text in enumerate(tokens)]
 
 
 # ---------------------------------------------------------------------------

@@ -225,10 +225,6 @@ def mention_kind(tokens: Sequence[Token], span: Span) -> MentionKind:
     return MentionKind.NOMINAL
 
 
-def _valid_pos(tag: str) -> bool:
-    return bool(tag) and not any(c.islower() for c in tag)
-
-
 def make_document(
     doc_id: str,
     text: str,
@@ -240,6 +236,8 @@ def make_document(
     `sentences` is a sequence of half-open token-index intervals that must
     partition the token sequence in order.
     """
+    # a POS tag is non-empty with no lowercase letter; each distinct tag is checked once
+    bad_tags = {tag for tag in {t.pos for t in tokens} if not tag or any(c.islower() for c in tag)}
     prev_end = 0
     for i, tok in enumerate(tokens):
         if tok.char_start < 0 or tok.char_end > len(text) or tok.char_start >= tok.char_end:
@@ -250,7 +248,7 @@ def make_document(
             raise InvariantViolation(
                 f"token {i} text {tok.text!r} does not match the document substring"
             )
-        if not _valid_pos(tok.pos):
+        if tok.pos in bad_tags:
             raise InvariantViolation(f"token {i} has malformed POS tag {tok.pos!r}")
         prev_end = tok.char_end
 

@@ -1,18 +1,19 @@
 """Bootstrap pattern compilation and matching.
 
 Base patterns are declared in a small line-oriented language (see
-`parse_config`), expanded into fully literal surface patterns, and matched
-token-by-token against tagged sentences that already carry company
-mentions and product chunk candidates.  Matches come back as
-CompanyProvidesProduct relation mentions.
+`parse_config`), expanded into fully literal surface patterns, compiled
+into one trie of elements and matched against tagged sentences that
+already carry company mentions and product chunk candidates.  Matches come
+back as CompanyProvidesProduct relation mentions.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
-from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence, TypeVar
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .chunker import ChunkCandidate, separator_ends, span_matches_grammar
 from .inflect import inflections
@@ -374,41 +375,78 @@ def expand(config: PatternConfig) -> list[SurfacePattern]:
 # ---------------------------------------------------------------------------
 # Matching
 
-def _texts_equal(token_text: str, word: str) -> bool:
-    if word in _EXACT_LITERALS:
-        return token_text == word
-    return token_text.lower() == word.lower()
+@functools.cache
+def _keys(words: tuple[str, ...]) -> tuple[tuple[str, bool], ...]:
+    """Literal words as compared: lowercased, but clitics and trademarks exactly as written."""
+    return tuple((w, True) if w in _EXACT_LITERALS else (w.lower(), False) for w in words)
 
 
-@dataclass
+@dataclass(eq=False)
+class _Node:
+    """A trie node: one element, or (`element` None) the end of `surfaces`."""
+
+    element: SurfaceElement | None
+    # lowercased words a literal or trigger element can begin with; None for wordless slots and ends
+    firsts: frozenset[str] | None = None
+    children: dict[SurfaceElement | None, _Node] = field(default_factory=dict)
+    surfaces: list[SurfacePattern] = field(default_factory=list)
+    size: int = 0  # surfaces ending at or below this node
+
+
+_compiled: tuple[tuple[SurfacePattern, ...], _Node] = ((), _Node(None))
+
+
+def _trie(surface_patterns: Sequence[SurfacePattern]) -> _Node:
+    """The root of the inventory's trie of elements, built again only when the inventory changes."""
+    global _compiled
+    surfaces, root = _compiled  # read once: another thread may replace it
+    if surfaces != tuple(surface_patterns):
+        surfaces, root = tuple(surface_patterns), _Node(None)
+        for surface in surfaces:
+            node = root
+            for el in (*surface.elements, None):
+                node.size += 1
+                if el not in node.children:
+                    starts = [getattr(el, "words", ()), *getattr(el, "coordination_set", ())]
+                    firsts = frozenset(w[0].lower() for w in starts) if all(starts) else None
+                    node.children[el] = _Node(el, firsts)
+                node = node.children[el]
+            node.size += 1
+            node.surfaces.append(surface)
+        _compiled = (surfaces, root)
+    return root
+
+
 class _SentenceContext:
-    doc: Document
-    sentence: Sentence
-    orgs: list[EntityMention]
-    candidates: Sequence[ChunkCandidate]
-
-    def __post_init__(self) -> None:
-        self.tokens = self.doc.tokens
-        self.start = self.sentence.span.start
-        self.end = self.sentence.span.end
-        # POS tags of this sentence only: index with `pos - self.start`
+    def __init__(self, doc: Document, sentence: Sentence, orgs: Sequence[EntityMention],
+                 candidates: Sequence[ChunkCandidate]) -> None:
+        self.tokens = doc.tokens
+        self.start, self.end = sentence.span.start, sentence.span.end
+        # token texts and POS tags of this sentence only: index with `pos - self.start`
+        self.texts = [t.text for t in self.tokens[self.start:self.end]]
+        self.lower = [text.lower() for text in self.texts]
         self.tags = [t.pos for t in self.tokens[self.start:self.end]]
         # candidates never overlap, so one span covers any given position
         self.covering: dict[int, Span] = {}
-        for cand in self.candidates:
+        for cand in candidates:
             for i in range(cand.span.start, cand.span.end):
                 self.covering[i] = cand.span
         # first conjuncts as (conjunct, end): longest first, company ties by id
         self._org_firsts: dict[int, list[tuple[EntityMention, int]]] = {}
-        for mention in sorted(self.orgs, key=lambda m: (-m.span.end, m.mention_id)):
+        for mention in sorted(orgs, key=lambda m: (-m.span.end, m.mention_id)):
             self._org_firsts.setdefault(mention.span.start, []).append((mention, mention.span.end))
         self._product_firsts: dict[int, list[tuple[Span, int]]] = {}
+        # (pos, coordination set) -> conjuncts of the maximal chain at pos, and its end
+        self._chains: dict[tuple[int, tuple], tuple[list[tuple[tuple[str, ...], Span]], int]] = {}
+        # walk state: surfaces matched at or below each node from the anchor, and the matches
+        self.done: dict[_Node, int] = {}
+        self.hits: list[tuple[SurfacePattern, list[EntityMention], list[Span], Span | None]] = []
 
     def literal_at(self, pos: int, words: tuple[str, ...]) -> int | None:
         if pos + len(words) > self.end:
             return None
-        for off, word in enumerate(words):
-            if not _texts_equal(self.tokens[pos + off].text, word):
+        for off, (key, exact) in enumerate(_keys(words)):
+            if (self.texts if exact else self.lower)[pos - self.start + off] != key:
                 return None
         return pos + len(words)
 
@@ -432,20 +470,17 @@ class _SentenceContext:
 
     def product_firsts(self, pos: int) -> list[tuple[Span, int]]:
         """Possible first-conjunct spans at `pos`, longest first."""
-        cached = self._product_firsts.get(pos)
-        if cached is not None:
-            return cached
-        firsts: list[tuple[Span, int]] = []
-        cand = self.covering.get(pos)
-        if cand is not None:
+        firsts = self._product_firsts.get(pos)
+        if firsts is None:
+            firsts = self._product_firsts[pos] = []
+            cand = self.covering.get(pos)
             # the candidate itself when it starts here, then its grammatical
             # prefixes from `pos`; descending ends, so longest first
-            for q in range(cand.end, pos, -1):
+            for q in range(cand.end, pos, -1) if cand else ():
                 if (q == cand.end and cand.start == pos) or span_matches_grammar(
                     self.tags[pos - self.start:q - self.start]
                 ):
                     firsts.append((Span(pos, q), q))
-        self._product_firsts[pos] = firsts
         return firsts
 
     def member_at(self, pos: int, trig: TriggerLiteral) -> tuple[tuple[str, ...], int] | None:
@@ -463,57 +498,65 @@ class _SentenceContext:
         trigger alternation is consumed as a whole provided the designated
         literal is one of its conjuncts.
         """
-        # maximal coordination parse: each separator leads to the next member
-        designated: Span | None = None
-        start, end = pos, pos
-        hit = self.member_at(pos, trig)
-        while hit is not None:
-            words, end = hit
-            if designated is None and words == trig.words:
-                designated = Span(start, end)
-            hit = None
-            for start in separator_ends(self.tokens, end, self.end):
-                hit = self.member_at(start, trig)
-                if hit is not None:
-                    break
-        options = [] if designated is None else [(designated, end)]
+        # maximal coordination parse, each separator leading to the next
+        # member; every literal of one base trigger shares it
+        key = (pos, trig.coordination_set)
+        if key not in self._chains:
+            conjuncts: list[tuple[tuple[str, ...], Span]] = []
+            start, end = pos, pos
+            hit = self.member_at(pos, trig)
+            while hit is not None:
+                words, end = hit
+                conjuncts.append((words, Span(start, end)))
+                hit = None
+                for start in separator_ends(self.tokens, end, self.end):
+                    hit = self.member_at(start, trig)
+                    if hit is not None:
+                        break
+            self._chains[key] = (conjuncts, end)
+        conjuncts, end = self._chains[key]
+        options = [(span, end) for words, span in conjuncts if words == trig.words][:1]
         plain_end = self.literal_at(pos, trig.words)
         if plain_end is not None and (Span(pos, plain_end), plain_end) not in options:
             options.append((Span(pos, plain_end), plain_end))
         return options
 
+    def step(self, node: _Node, pos: int, companies: list[EntityMention], products: list[Span],
+             trigger: Span | None) -> int:
+        """Match `node`'s element at `pos`, then the elements below it.
 
-def _match_elements(
-    ctx: _SentenceContext,
-    elements: tuple[SurfaceElement, ...],
-    idx: int,
-    pos: int,
-    companies: list[EntityMention],
-    products: list[Span],
-    trigger: Span | None,
-) -> Iterator[tuple[list[EntityMention], list[Span], Span | None]]:
-    if idx == len(elements):
-        yield companies, products, trigger
-        return
-    el = elements[idx]
-    if isinstance(el, OrgSlot):
-        for mentions, end in ctx.coordinations(pos, ctx.org_firsts):
-            yield from _match_elements(ctx, elements, idx + 1, end, mentions, products, trigger)
-    elif isinstance(el, ProductSlot):
-        for spans, end in ctx.coordinations(pos, ctx.product_firsts):
-            yield from _match_elements(ctx, elements, idx + 1, end, companies, spans, trigger)
-    elif isinstance(el, PossessiveTrigger):
-        if pos < ctx.end and ctx.tokens[pos].pos == "POS" and ctx.tokens[pos].text in POSSESSIVE_CLITICS:
-            yield from _match_elements(
-                ctx, elements, idx + 1, pos + 1, companies, products, Span(pos, pos + 1)
-            )
-    elif isinstance(el, TriggerLiteral):
-        for span, end in ctx.trigger_matches(pos, el):
-            yield from _match_elements(ctx, elements, idx + 1, end, companies, products, span)
-    else:
-        end = ctx.literal_at(pos, el.words)
-        if end is not None:
-            yield from _match_elements(ctx, elements, idx + 1, end, companies, products, trigger)
+        Each option of the element, in order, is followed into every child
+        that can begin where the option ends and has a surface below it not
+        yet matched from this anchor.  Returns the number of surfaces newly
+        matched at or below `node`.
+        """
+        done, el = self.done, node.element
+        if el is None:
+            self.hits.extend((s, companies, products, trigger) for s in node.surfaces)
+            done[node] = node.size
+            return node.size
+        options: Iterable[tuple[int, list[EntityMention], list[Span], Span | None]] = ()
+        if isinstance(el, OrgSlot):
+            options = ((e, c, products, trigger) for c, e in self.coordinations(pos, self.org_firsts))
+        elif isinstance(el, ProductSlot):
+            options = ((e, companies, p, trigger) for p, e in self.coordinations(pos, self.product_firsts))
+        elif isinstance(el, PossessiveTrigger):
+            if pos < self.end and self.tokens[pos].pos == "POS" and self.tokens[pos].text in POSSESSIVE_CLITICS:
+                options = [(pos + 1, companies, products, Span(pos, pos + 1))]
+        elif isinstance(el, TriggerLiteral):
+            options = [(e, companies, products, t) for t, e in self.trigger_matches(pos, el)]
+        elif (end := self.literal_at(pos, el.words)) is not None:
+            options = [(end, companies, products, trigger)]
+        found = before = done.get(node, 0)
+        for end, *state in options:
+            word = self.lower[end - self.start] if end < self.end else None
+            for child in node.children.values():
+                if (child.firsts is None or word in child.firsts) and done.get(child, 0) < child.size:
+                    found += self.step(child, end, *state)
+            if found == node.size:
+                break
+        done[node] = found
+        return found - before
 
 
 def _product_mention_for(doc: Document, span: Span) -> EntityMention:
@@ -545,35 +588,34 @@ def match_sentence(
     company mentions and chunk candidates of this sentence, in document
     coordinates (`preannotate_document` groups them with `by_sentence`).
 
-    One match is kept per (surface pattern, anchor position); matches from
-    different patterns may overlap.  Product mentions referenced by the
-    relations are minted deterministically from their spans.
+    Each anchor takes one walk of the inventory's trie, so a coordination
+    is parsed once for all the surfaces that share the elements before it.
+    One match is kept per (surface pattern, anchor position): the first in
+    option order (larger coordinations first, a trigger chain before the
+    plain trigger), as a search of that surface alone would find it.
+    Literals compare case-insensitively, possessive clitics and trademark
+    symbols exactly.  Matches from different patterns may overlap.  Product
+    mentions referenced by the relations are minted from their spans.
     """
-    span_lo, span_hi = sentence.span.start, sentence.span.end
     orgs = sorted(org_mentions, key=lambda m: m.span)
     ctx = _SentenceContext(doc, sentence, orgs, candidates)
 
     # (anchor, surface_id, company order) -> raw match tuples
     raw: list[tuple[int, str, int, EntityMention, tuple[Span, ...], Span | None, str]] = []
-    for pattern in surface_patterns:
-        first = pattern.elements[0]
+    for node in _trie(surface_patterns).children.values():
+        first = node.element
         if isinstance(first, OrgSlot):
             anchors = [m.span.start for m in orgs]
         elif isinstance(first, ProductSlot):
             anchors = [c.span.start for c in candidates]
         else:
-            anchors = list(range(span_lo, span_hi))
+            anchors = list(range(sentence.span.start, sentence.span.end))
         for anchor in dict.fromkeys(anchors):
-            found = next(
-                _match_elements(ctx, pattern.elements, 0, anchor, [], [], None), None
-            )
-            if found is None:
-                continue
-            companies, product_spans, trigger = found
-            for k, company in enumerate(companies):
-                raw.append(
-                    (anchor, pattern.surface_id, k, company, tuple(product_spans), trigger, pattern.base_id)
-                )
+            ctx.done, ctx.hits = {}, []
+            ctx.step(node, anchor, [], [], None)
+            for surface, companies, product_spans, trigger in ctx.hits:
+                raw.extend((anchor, surface.surface_id, k, company, tuple(product_spans), trigger, surface.base_id)
+                           for k, company in enumerate(companies))
 
     # nested company-in-candidate rule: a company mention strictly inside a
     # product candidate with no possessive token reads as a relation

@@ -72,16 +72,10 @@ def preannotate_document(
             # a matched span that crosses an existing mention cannot be attached
             if any(s.crosses(other) for s in spans for other in sentence_fixed):
                 continue
-            remapped = []
-            for pid in rel.products:
-                mention = mentions[pid]
-                existing = existing_products.get(mention.span)
-                if existing is None:
-                    minted[pid] = mention
-                    remapped.append(pid)
-                else:
-                    remapped.append(existing)
-            raw.append(replace(rel, products=tuple(remapped)))
+            # a product span already annotated keeps its mention; others are minted
+            pairs = list(zip(rel.products, spans))
+            minted.update((pid, mentions[pid]) for pid, span in pairs if span not in existing_products)
+            raw.append(replace(rel, products=tuple(existing_products.get(span, pid) for pid, span in pairs)))
 
     entities = tuple(doc.entities) + tuple(orgs) + tuple(
         sorted(minted.values(), key=lambda m: m.span)

@@ -19,7 +19,7 @@ import re
 from dataclasses import replace
 from typing import Iterable, Iterator, Sequence
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from promex import corpus_io, validator
 from promex.analytics import (
@@ -41,8 +41,10 @@ from promex.model import (
     MentionKind,
     ModelError,
     NOUN_TAGS,
+    POSSESSIVE_CLITICS,
     Provenance,
     RelationMention,
+    Sentence,
     Span,
     Token,
     _check_chains,
@@ -51,14 +53,26 @@ from promex.model import (
     attach_annotations,
     make_document,
 )
-from promex.chunker import separator_ends
+from promex.chunker import ChunkCandidate, chunk, separator_ends, split_coordination
 from promex.cli import default_config_path
 from promex.corpus_io import CorpusIOError, MalformedRecord, write_corpus
+from promex.ingest import document_from_tokens, tag
 from promex.patterns import (
     MAX_CONJUNCTS,
+    NESTED_PATTERN_ID,
+    OrgSlot,
+    PossessiveTrigger,
+    ProductSlot,
+    SentenceMatches,
+    SurfaceElement,
+    SurfacePattern,
     TriggerLiteral,
+    Words,
+    _EXACT_LITERALS,
     _SentenceContext,
+    _product_mention_for,
     expand,
+    match_sentence,
     parse_config,
 )
 from promex.validator import DEFAULT_STOPLIST, Severity, Violation, validate
@@ -290,6 +304,140 @@ def oracle_trigger_matches(ctx: _SentenceContext, pos: int, trig: TriggerLiteral
         if plain not in options:
             options.append(plain)
     return iter(options)
+
+
+# ---------------------------------------------------------------------------
+# The matcher that searched each surface at each anchor on its own
+
+def _texts_equal(token_text: str, word: str) -> bool:
+    if word in _EXACT_LITERALS:
+        return token_text == word
+    return token_text.lower() == word.lower()
+
+
+class OracleContext(_SentenceContext):
+    """The sentence context with per-comparison lowercasing and an unshared trigger parse."""
+
+    def literal_at(self, pos: int, words: tuple[str, ...]) -> int | None:
+        if pos + len(words) > self.end:
+            return None
+        for off, word in enumerate(words):
+            if not _texts_equal(self.tokens[pos + off].text, word):
+                return None
+        return pos + len(words)
+
+    def trigger_matches(self, pos: int, trig: TriggerLiteral) -> list[tuple[Span, int]]:
+        return list(oracle_trigger_matches(self, pos, trig))
+
+
+def _match_elements(
+    ctx: _SentenceContext,
+    elements: tuple[SurfaceElement, ...],
+    idx: int,
+    pos: int,
+    companies: list[EntityMention],
+    products: list[Span],
+    trigger: Span | None,
+) -> Iterator[tuple[list[EntityMention], list[Span], Span | None]]:
+    if idx == len(elements):
+        yield companies, products, trigger
+        return
+    el = elements[idx]
+    if isinstance(el, OrgSlot):
+        for mentions, end in ctx.coordinations(pos, ctx.org_firsts):
+            yield from _match_elements(ctx, elements, idx + 1, end, mentions, products, trigger)
+    elif isinstance(el, ProductSlot):
+        for spans, end in ctx.coordinations(pos, ctx.product_firsts):
+            yield from _match_elements(ctx, elements, idx + 1, end, companies, spans, trigger)
+    elif isinstance(el, PossessiveTrigger):
+        if pos < ctx.end and ctx.tokens[pos].pos == "POS" and ctx.tokens[pos].text in POSSESSIVE_CLITICS:
+            yield from _match_elements(
+                ctx, elements, idx + 1, pos + 1, companies, products, Span(pos, pos + 1)
+            )
+    elif isinstance(el, TriggerLiteral):
+        for span, end in ctx.trigger_matches(pos, el):
+            yield from _match_elements(ctx, elements, idx + 1, end, companies, products, span)
+    else:
+        end = ctx.literal_at(pos, el.words)
+        if end is not None:
+            yield from _match_elements(ctx, elements, idx + 1, end, companies, products, trigger)
+
+
+def oracle_match_sentence(
+    doc: Document,
+    sentence: Sentence,
+    org_mentions: Sequence[EntityMention],
+    candidates: Sequence[ChunkCandidate],
+    surface_patterns: Sequence[SurfacePattern],
+) -> SentenceMatches:
+    """`match_sentence` with one backtracking search per surface and anchor.
+
+    `org_mentions` and `candidates` are taken as given: they must be the
+    company mentions and chunk candidates of this sentence, in document
+    coordinates (`preannotate_document` groups them with `by_sentence`).
+
+    One match is kept per (surface pattern, anchor position); matches from
+    different patterns may overlap.  Product mentions referenced by the
+    relations are minted deterministically from their spans.
+    """
+    span_lo, span_hi = sentence.span.start, sentence.span.end
+    orgs = sorted(org_mentions, key=lambda m: m.span)
+    ctx = OracleContext(doc, sentence, orgs, candidates)
+
+    # (anchor, surface_id, company order) -> raw match tuples
+    raw: list[tuple[int, str, int, EntityMention, tuple[Span, ...], Span | None, str]] = []
+    for pattern in surface_patterns:
+        first = pattern.elements[0]
+        if isinstance(first, OrgSlot):
+            anchors = [m.span.start for m in orgs]
+        elif isinstance(first, ProductSlot):
+            anchors = [c.span.start for c in candidates]
+        else:
+            anchors = list(range(span_lo, span_hi))
+        for anchor in dict.fromkeys(anchors):
+            found = next(
+                _match_elements(ctx, pattern.elements, 0, anchor, [], [], None), None
+            )
+            if found is None:
+                continue
+            companies, product_spans, trigger = found
+            for k, company in enumerate(companies):
+                raw.append(
+                    (anchor, pattern.surface_id, k, company, tuple(product_spans), trigger, pattern.base_id)
+                )
+
+    # nested company-in-candidate rule: a company mention strictly inside a
+    # product candidate with no possessive token reads as a relation
+    for cand in candidates:
+        if any(doc.tokens[i].pos == "POS" for i in range(cand.span.start, cand.span.end)):
+            continue
+        for org in orgs:
+            if cand.span.contains(org.span) and cand.span != org.span:
+                raw.append(
+                    (cand.span.start, NESTED_PATTERN_ID, 0, org, (cand.span,), None, NESTED_PATTERN_ID)
+                )
+
+    raw.sort(key=lambda r: (r[0], r[1], r[2]))
+    relations: list[RelationMention] = []
+    mentions: dict[str, EntityMention] = {}
+    for i, (_, _, _, company, product_spans, trigger, base_id) in enumerate(raw):
+        product_ids = []
+        for span in product_spans:
+            mention = _product_mention_for(doc, span)
+            mentions[mention.mention_id] = mention
+            product_ids.append(mention.mention_id)
+        relations.append(
+            RelationMention(
+                relation_id=f"{doc.doc_id}-pre-s{sentence.index}-r{i}",
+                company=company.mention_id,
+                products=tuple(product_ids),
+                trigger=trigger,
+                provenance=Provenance.PRE_ANNOTATION,
+                pattern_id=base_id,
+            )
+        )
+    ordered = sorted(mentions.values(), key=lambda m: m.span)
+    return SentenceMatches(relations=tuple(relations), product_mentions=tuple(ordered))
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +690,134 @@ def trigger_sentences(draw):
     return members, tagged_document("d", [" ".join(units)])
 
 
+# the shipped inventory, and a small one with a surface that starts with a
+# literal, two base patterns with the same elements (one trie leaf ends
+# both), a capitalised literal, literals compared exactly, a trigger member
+# that extends another into a product word (so that the chain and the plain
+# trigger can both match) and two trigger sets that share a member
+SMALL_CONFIG = """
+set verbs = ~make|sells|and
+S1: Of <PRO> <TRIG:by|from> <ORG>
+S2: <ORG> <TRIG:@verbs> <PRO>
+S3: <ORG> <TRIG:@verbs> <PRO>
+S4: <ORG> 's [new] <PRO> <TRIG:line|™>
+S5: <ORG> <POSS> <PRO> ®
+S6: <ORG> <TRIG:maker|maker sensors> <PRO>
+S7: <ORG> <TRIG:sells|offers> <PRO>
+"""
+INVENTORIES = {
+    "default": expand(parse_config(default_config_path().read_text(encoding="utf-8"))),
+    "small": expand(parse_config(SMALL_CONFIG)),
+}
+# every literal of an inventory, and its trigger coordination sets
+LITERALS = {
+    name: sorted({el.words for s in surfaces for el in s.elements if isinstance(el, (Words, TriggerLiteral))})
+    for name, surfaces in INVENTORIES.items()
+}
+COORDINATION_SETS = {
+    name: sorted({el.coordination_set for s in surfaces for el in s.elements if isinstance(el, TriggerLiteral)})
+    for name, surfaces in INVENTORIES.items()
+}
+COMPANY_NAMES = (("Acme",), ("BMW",), ("Bosch", "GmbH"), ("IBM",))
+PRODUCT_PHRASES = (("sensors",), ("smart", "chip"), ("Z3",), ("new", "modules"), ("Galaxy", "phones", "®"))
+NOISE = ("'s", "’s", "'S", "®", "™", ",", "and", "or", "the", "it")
+
+
+@st.composite
+def coordinated(draw, phrases, max_size: int) -> tuple[list[str], list[tuple[int, int]]]:
+    """Phrases joined by separators, with the (start, end) of each phrase."""
+    words: list[str] = []
+    spans: list[tuple[int, int]] = []
+    for i, phrase in enumerate(draw(st.lists(st.sampled_from(phrases), min_size=1, max_size=max_size))):
+        if i:
+            words += draw(st.sampled_from(SEPARATORS)).replace(",/,", ",").replace("/CC", "").split()
+        spans.append((len(words), len(words) + len(phrase)))
+        words += phrase
+    return words, spans
+
+
+@st.composite
+def realised(draw, el: SurfaceElement) -> tuple[list[str], list[tuple[int, int]]]:
+    """Words that `el` can match, with the (start, end) of their companies."""
+    if isinstance(el, OrgSlot):
+        return draw(coordinated(COMPANY_NAMES, 4))
+    if isinstance(el, ProductSlot):
+        return draw(coordinated(PRODUCT_PHRASES, 4))[0], []
+    if isinstance(el, PossessiveTrigger):
+        return [draw(st.sampled_from(sorted(POSSESSIVE_CLITICS)))], []
+    if isinstance(el, TriggerLiteral) and draw(st.booleans()):
+        return draw(coordinated(el.coordination_set, MAX_CONJUNCTS + 10))[0], []
+    return list(el.words), []
+
+
+@st.composite
+def units(draw, kind: str, name: str) -> tuple[list[str], list[tuple[int, int]]]:
+    """The words of one sentence unit, with the (start, end) of its companies."""
+    if kind == "surface":
+        words: list[str] = []
+        companies: list[tuple[int, int]] = []
+        for el in draw(st.sampled_from(INVENTORIES[name])).elements:
+            unit, spans = draw(realised(el))
+            companies += [(len(words) + a, len(words) + b) for a, b in spans]
+            words += unit
+        return words, companies
+    if kind == "companies":
+        return draw(realised(OrgSlot()))
+    if kind == "products":
+        return draw(realised(ProductSlot()))
+    if kind == "chain":
+        return draw(coordinated(draw(st.sampled_from(COORDINATION_SETS[name])), MAX_CONJUNCTS + 10))[0], []
+    if kind == "literal":
+        return list(draw(st.sampled_from(LITERALS[name]))), []
+    return [draw(st.sampled_from(NOISE))], []
+
+
+@st.composite
+def match_cases(draw):
+    """An inventory and `match_sentence`'s other arguments for one sentence.
+
+    The sentence strings together realisations of the inventory's surfaces
+    (company and product coordinations, trigger chains past MAX_CONJUNCTS
+    or single triggers) with more coordinations, chains, literals, clitics,
+    trademarks and separators, each word in a drawn case.  It sometimes
+    follows another sentence, so that its positions do not start at 0;
+    company mentions sometimes nest, so that two start at the same token.
+    """
+    name = draw(st.sampled_from(sorted(INVENTORIES)))
+    words: list[str] = []
+    companies: list[tuple[int, int]] = []
+    kinds = st.sampled_from(["surface", "surface", "companies", "products", "chain", "literal", "noise"])
+    for kind in draw(st.lists(kinds, max_size=6)):
+        unit, spans = draw(units(kind, name))
+        companies += [(len(words) + a, len(words) + b) for a, b in spans]
+        words += [draw(st.sampled_from([w, w.lower(), w.title(), w.upper()])) for w in unit]
+    sentences = [["It", "is", "."]] if draw(st.booleans()) else []
+    if draw(st.booleans()):
+        companies += [(a, a + 1) for a, b in companies if b - a > 1]
+    return match_case(name, sentences + [words or ["it"]], companies)
+
+
+def match_case(name: str, sentences: list[list[str]], companies: list[tuple[int, int]]):
+    """An inventory and `match_sentence`'s other arguments for the last of `sentences`.
+
+    `companies` are (start, end) pairs within that sentence.
+    """
+    doc = document_from_tokens("d", [list(zip(texts, tag(texts))) for texts in sentences])
+    sentence = doc.sentences[-1]
+    base = sentence.span.start
+    orgs = [
+        EntityMention(f"c{i}", EntityType.COMPANY, Span(base + a, base + b), MentionKind.NAME,
+                      Provenance.PRE_ANNOTATION)
+        for i, (a, b) in enumerate(companies)
+    ]
+    tokens = doc.sentence_tokens(sentence)
+    candidates = [
+        replace(c, span=Span(c.span.start + base, c.span.end + base))
+        for c in split_coordination(chunk(tokens), tokens)
+    ]
+    return INVENTORIES[name], (doc, sentence, orgs, candidates)
+
+
 # ---------------------------------------------------------------------------
 # Mutated corpus records
 
@@ -682,10 +958,21 @@ def test_agreement_agrees_with_pairwise_matching(layers):
 def test_trigger_matches_agree_with_per_call_sort(case):
     members, doc = case
     ctx = _SentenceContext(doc, doc.sentences[0], [], [])
+    oracle = OracleContext(doc, doc.sentences[0], [], [])
     for words in members:
         trig = TriggerLiteral(words, members)
         for pos in range(len(doc.tokens)):
-            assert ctx.trigger_matches(pos, trig) == list(oracle_trigger_matches(ctx, pos, trig))
+            assert ctx.trigger_matches(pos, trig) == list(oracle_trigger_matches(oracle, pos, trig))
+
+
+@settings(max_examples=300, deadline=None)
+@given(match_cases())
+# the trigger chain ("maker sensors , maker") and the plain trigger ("maker",
+# then the products "sensors , maker chips") both match; the chain comes first
+@example(match_case("small", [["Acme", "maker", "sensors", ",", "maker", "chips"]], [(0, 1)]))
+def test_match_sentence_agrees_with_per_surface_search(case):
+    surfaces, args = case
+    assert match_sentence(*args, surfaces) == oracle_match_sentence(*args, surfaces)
 
 
 def written(doc: Document) -> str:

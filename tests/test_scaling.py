@@ -3,6 +3,8 @@
 Each guard times one input and another 16 times as long.  Linear cost
 predicts a time ratio of 16 between them, quadratic cost 256; the bound of
 48 leaves room for a host whose speed swings by a factor of two between runs.
+Matching is guarded by counting work instead: a company coordination is
+parsed once per anchor, however many surfaces start with `<ORG>`.
 """
 
 from __future__ import annotations
@@ -13,8 +15,20 @@ from dataclasses import replace
 import pytest
 
 from promex.chunker import chunk, split_coordination
-from promex.examples import golden_corpus
-from promex.model import Document, Span, Token, attach_annotations, make_document
+from promex.cli import default_config_path
+from promex.examples import golden_corpus, tagged_document
+from promex.model import (
+    Document,
+    EntityMention,
+    EntityType,
+    MentionKind,
+    Provenance,
+    Span,
+    Token,
+    attach_annotations,
+    make_document,
+)
+from promex.patterns import OrgSlot, _SentenceContext, expand, match_sentence, parse_config
 from promex.validator import validate
 
 from conftest import simple_tokens
@@ -106,3 +120,32 @@ def test_chunk_and_split_coordination_scale_linearly(unit):
     long = simple_tokens(" ".join([unit] * GROWTH * 128))
     ratio = growth_ratio(split, short, long)
     assert ratio < MAX_RATIO, f"{GROWTH}x longer sentence took {ratio:.0f}x as long"
+
+
+def test_company_coordination_is_parsed_once_for_all_surfaces(monkeypatch):
+    surfaces = expand(parse_config(default_config_path().read_text(encoding="utf-8")))
+    doc = tagged_document("d", ["Acme/NNP ,/, BMW/NNP and/CC Bosch/NNP make/VBP sensors/NNS ./."])
+    orgs = [
+        EntityMention(f"c{i}", EntityType.COMPANY, Span(p, p + 1), MentionKind.NAME, Provenance.HUMAN)
+        for i, p in enumerate((0, 2, 4))
+    ]
+    candidates = split_coordination(chunk(doc.tokens), doc.tokens)
+    calls = []
+    org_firsts = _SentenceContext.org_firsts
+
+    def counted(ctx, pos):
+        calls.append(pos)
+        return org_firsts(ctx, pos)
+
+    monkeypatch.setattr(_SentenceContext, "org_firsts", counted)
+
+    def count(inventory) -> int:
+        calls.clear()
+        match_sentence(doc, doc.sentences[0], orgs, candidates, inventory)
+        return len(calls)
+
+    org_initial = [s for s in surfaces if isinstance(s.elements[0], OrgSlot)]
+    assert len(org_initial) == 158
+    # each company anchor parses the coordination from there once: 3 + 2 + 1
+    # lookups, where a search per surface makes that many per <ORG> surface
+    assert count(surfaces) == count(org_initial[:1]) == 6
