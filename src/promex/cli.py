@@ -9,16 +9,17 @@ including unreadable, non-UTF-8 or malformed input files.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import zlib
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import analytics, corpus_io, validator
 from .ingest import IngestError, OrgGazetteer, document_from_text, read_tagged
-from .model import Corpus, ModelError
+from .model import Corpus, ModelError, RelationMention
 from .patterns import PatternConfigError, SurfacePattern, expand, parse_config
 from .pipeline import preannotate_document
 
@@ -50,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("--in", dest="input_dir", required=True, help="directory of input documents")
     p_pre.add_argument("--out", dest="output", required=True, help="corpus file to write")
     p_pre.add_argument("--tagged", action="store_true", help="inputs are TOKEN/POS[/BIO] column files")
-    p_pre.add_argument("--jobs", type=int, default=1, help="parallel workers (output is order-independent)")
+    p_pre.add_argument("--jobs", type=int, default=1, help="worker processes (output is order-independent)")
 
     p_val = sub.add_parser("validate", help="check a corpus against the annotation guidelines")
     p_val.add_argument("--in", dest="input", required=True, help="corpus file")
@@ -102,6 +103,41 @@ def _cmd_patterns_expand(args: argparse.Namespace) -> int:
     return 0
 
 
+_job: tuple = ()  # what `_process` works with: gazetteer, surfaces, whether inputs are tagged
+
+
+def _start_worker(*job) -> None:
+    global _job
+    _job = job
+
+
+def _process(path: Path, compress: bool = False) -> tuple[str | bytes, tuple[RelationMention, ...]] | str:
+    """One input file pre-annotated: its corpus line and raw relations, or why it cannot be read.
+    Workers compress the line: a fifth of the bytes to send and to hold until its turn to be written."""
+    gazetteer, surfaces, tagged = _job
+    try:
+        text = path.read_text(encoding="utf-8")
+        doc = read_tagged(text, doc_id=path.stem) if tagged else document_from_text(text, doc_id=path.stem)
+        result = preannotate_document(doc, gazetteer, surfaces)
+    except (IngestError, ModelError, UnicodeDecodeError, OSError) as exc:
+        return f"{path}: {exc}"
+    line = corpus_io.document_line(result.document)
+    return (zlib.compress(line.encode(), 1) if compress else line), result.raw_relations
+
+
+def _results(paths: list[Path], workers: int, job: tuple) -> Iterator:
+    """`_process` of each path, in input order.  Worker processes take the
+    largest files first, so that none is left with a large one at the end."""
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=job) as pool:
+            futures = {p: pool.submit(_process, p, True) for p in sorted(paths, key=lambda p: -p.stat().st_size)}
+            yield from (futures.pop(p).result() for p in paths)
+    else:
+        _start_worker(*job)
+        yield from map(_process, paths)
+
+
 def _cmd_preannotate(args: argparse.Namespace) -> int:
     surfaces = _load_surfaces(args.config)
     gazetteer_path = Path(args.gazetteer) if args.gazetteer else default_gazetteer_path()
@@ -117,43 +153,23 @@ def _cmd_preannotate(args: argparse.Namespace) -> int:
     # a file's stem is its document's doc_id, which a corpus holds only once
     stems = Counter(p.stem for p in paths)
     failures = [f"{p}: duplicate doc_id {p.stem!r}" for p in paths if stems[p.stem] > 1]
+    raw: list[tuple[str, RelationMention]] = []
 
-    def process(path: Path):
-        """The file's result, or the message saying why it cannot be read."""
-        try:
-            text = path.read_text(encoding="utf-8")
-            if args.tagged:
-                doc = read_tagged(text, doc_id=path.stem)
+    def lines() -> Iterator[str]:
+        workers = min(args.jobs, len(paths), os.cpu_count() or 1)
+        for path, result in zip(paths, _results(paths, workers, (gazetteer, surfaces, args.tagged))):
+            if isinstance(result, str):
+                failures.append(result)
             else:
-                doc = document_from_text(text, doc_id=path.stem)
-            return preannotate_document(doc, gazetteer, surfaces)
-        except (IngestError, ModelError, UnicodeDecodeError, OSError) as exc:
-            return f"{path}: {exc}"
+                raw.extend((path.stem, rel) for rel in result[1])
+                yield result[0] if isinstance(result[0], str) else zlib.decompress(result[0]).decode()
+        if failures:  # raised while the corpus is still a temporary file, which is then removed
+            raise IngestError("\n".join(failures))
 
-    jobs = max(1, args.jobs)
-    if jobs == 1:
-        results = [process(p) for p in paths]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(process, paths))
-    failures += [r for r in results if isinstance(r, str)]
-    if failures:
-        return _fail("\n".join(failures))
-
-    corpus = Corpus(
-        schema_version=corpus_io.SCHEMA_VERSION,
-        documents=tuple(r.document for r in results),
-    )
     try:
-        corpus_io.save_corpus(corpus, args.output)
-    except corpus_io.SinkFailure as exc:
+        corpus_io.save_document_lines(lines(), args.output, corpus_io.SCHEMA_VERSION)
+    except (IngestError, corpus_io.SinkFailure) as exc:
         return _fail(str(exc))
-
-    raw = [
-        (result.document.doc_id, rel)
-        for result in results
-        for rel in result.raw_relations
-    ]
     print(analytics.pattern_yield(relations=raw).render())
     return 0
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from sys import intern
 from typing import IO, Iterable
 
 from .model import (
@@ -97,12 +98,16 @@ def _document_record(doc: Document) -> dict:
     return record
 
 
+def document_line(doc: Document) -> str:
+    """The line that holds `doc` in a corpus file, with its newline."""
+    return _dump(_document_record(doc)) + "\n"
+
+
 def write_corpus(corpus: Corpus, sink: IO[str]) -> None:
     """Write `corpus` to a text sink, one record per line after the header."""
     try:
         sink.write(_dump({"schema_version": corpus.schema_version}) + "\n")
-        for doc in corpus.documents:
-            sink.write(_dump(_document_record(doc)) + "\n")
+        sink.writelines(map(document_line, corpus.documents))
     except OSError as exc:
         raise SinkFailure(f"could not write corpus: {exc}") from exc
 
@@ -168,10 +173,10 @@ def _parse_document(record: dict, line_no: int) -> Document:
     doc_id = _field(record, "doc_id", str, line_no)
     text = _field(record, "text", str, line_no)
     raw_tokens = _field(record, "tokens", list, line_no)
-    # the hot path tests each token's types inline; should one fail, the
-    # tokens are read again through `_field`, which names the bad field
+    # the hot path tests each token's types inline and keeps one string per tag; should
+    # one fail, the tokens are read again through `_field`, which names the bad field
     tokens = [
-        Token(tok_text, pos, start, end) for t in raw_tokens
+        Token(tok_text, intern(pos), start, end) for t in raw_tokens
         if type(t) is dict and type(tok_text := t.get("text")) is str and type(pos := t.get("pos")) is str
         and type(start := t.get("start")) is int and type(end := t.get("end")) is int
     ]
@@ -231,16 +236,19 @@ def read_corpus(source: IO[str] | Iterable[str]) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:
-    """Write `corpus` to `path`, replacing any old file only once the new one is whole.
+    """Write `corpus` to `path`, replacing any old file only once the new one is whole."""
+    save_document_lines(map(document_line, corpus.documents), path, corpus.schema_version)
 
-    The corpus goes to a temporary file beside `path`, which is then renamed
-    over it; on failure the temporary file is removed and `path` is untouched.
-    """
+
+def save_document_lines(lines: Iterable[str], path: str, schema_version: str) -> None:
+    """Write the header and each `document_line` of `lines` as it comes to a file beside `path`,
+    renamed over `path` once whole; on any error it is removed (an OSError raises SinkFailure)."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                write_corpus(corpus, fh)
+                fh.write(_dump({"schema_version": schema_version}) + "\n")
+                fh.writelines(lines)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -10,7 +10,7 @@ gazetteer plus a legal-suffix heuristic over capitalized proper-noun runs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .inflect import inflections
@@ -55,26 +55,14 @@ class IllegalBioTransition(IngestError):
 _PUNCT = set(".,;:!?()\"'")
 _APOSTROPHES = {"'", "’"}
 _SENTENCE_FINAL = {".", "!", "?"}
+# a trademark symbol, which always stands alone, or a run of other characters
+_CORE_PART = re.compile("[{0}]|[^{0}]+".format("".join(sorted(TRADEMARK_TEXTS))))
 
 
 def _split_core(core: str, offset: int) -> list[tuple[str, int, int]]:
-    # trademark symbols always stand alone
-    parts: list[tuple[str, int, int]] = []
-    buf_start = offset
-    buf = ""
-    for i, ch in enumerate(core):
-        if ch in TRADEMARK_TEXTS:
-            if buf:
-                parts.append((buf, buf_start, offset + i))
-                buf = ""
-            parts.append((ch, offset + i, offset + i + 1))
-            buf_start = offset + i + 1
-        else:
-            if not buf:
-                buf_start = offset + i
-            buf += ch
-    if buf:
-        parts.append((buf, buf_start, offset + len(core)))
+    # almost no chunk holds a trademark symbol
+    parts = ([(core, offset, offset + len(core))] if TRADEMARK_TEXTS.isdisjoint(core)
+             else [(m.group(), offset + m.start(), offset + m.end()) for m in _CORE_PART.finditer(core)])
 
     out: list[tuple[str, int, int]] = []
     for text, start, end in parts:
@@ -315,6 +303,19 @@ class OrgGazetteer:
     """Known company names as normalized token sequences."""
 
     names: frozenset[tuple[str, ...]]
+    # the lengths of the names that start with each word, longest first
+    _widths: dict[str, list[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        widths: dict[str, set[int]] = {}
+        for name in filter(None, self.names):
+            widths.setdefault(name[0], set()).add(len(name))
+        object.__setattr__(self, "_widths", {w: sorted(ns, reverse=True) for w, ns in widths.items()})
+
+    def spans(self, lowered: Sequence[str], start: int, end: int) -> list[Span]:
+        """Where the lowercased words `lowered[start:end]` hold a name: by start, longest first."""
+        return [Span(i, i + n) for i in range(start, end) for n in self._widths.get(lowered[i], ())
+                if n <= end - i and tuple(lowered[i:i + n]) in self.names]
 
     @classmethod
     def from_names(cls, names: Iterable[str]) -> "OrgGazetteer":
@@ -335,16 +336,11 @@ def recognize_orgs(doc: Document, gazetteer: OrgGazetteer) -> list[EntityMention
     returned spans never overlap each other or existing Company mentions.
     """
     lowered = [t.text.lower() for t in doc.tokens]
-    max_name = max((len(n) for n in gazetteer.names), default=0)
     chosen: list[Span] = []
 
     for sentence, entities in zip(doc.sentences, by_sentence(doc, doc.entities, lambda m: m.span)):
         s, e = sentence.span.start, sentence.span.end
-        candidates: list[Span] = []
-        for i in range(s, e):
-            for width in range(min(max_name, e - i), 0, -1):
-                if tuple(lowered[i:i + width]) in gazetteer.names:
-                    candidates.append(Span(i, i + width))
+        candidates = gazetteer.spans(lowered, s, e)
         # capitalized proper-noun runs ending in a legal suffix
         i = s
         while i < e:

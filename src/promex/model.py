@@ -1,11 +1,11 @@
 """Immutable document model for company/product annotation corpora.
 
-All values are frozen dataclasses: safe to share between workers, compared
-by structural equality, and never mutated after construction.  Invariants
-are enforced by the construction operations (`make_document`,
-`attach_annotations`) and by the corpus reader, not by the dataclasses
-themselves, so that the validator can still inspect deliberately broken
-values built in tests or loaded from foreign sources.
+All values are frozen dataclasses (`Token` and `Span`, the most numerous, with
+slots): picklable for worker processes, compared by structural equality, and
+never mutated after construction.  Invariants are enforced by the construction
+operations (`make_document`, `attach_annotations`) and by the corpus reader,
+not by the dataclasses themselves, so that the validator can still inspect
+deliberately broken values built in tests or loaded from foreign sources.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class InvariantViolation(ModelError):
     """Catch-all for structural violations without a dedicated error class."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Span:
     """Half-open token-index interval [start, end)."""
 
@@ -113,7 +113,7 @@ class Span:
         return self.overlaps(other) and not (self.contains(other) or other.contains(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     text: str
     pos: str

@@ -399,9 +399,9 @@ _compiled: tuple[tuple[SurfacePattern, ...], _Node] = ((), _Node(None))
 def _trie(surface_patterns: Sequence[SurfacePattern]) -> _Node:
     """The root of the inventory's trie of elements, built again only when the inventory changes."""
     global _compiled
-    surfaces, root = _compiled  # read once: another thread may replace it
-    if surfaces != tuple(surface_patterns):
-        surfaces, root = tuple(surface_patterns), _Node(None)
+    cached, root = _compiled  # read once: another thread may replace it
+    if (surfaces := tuple(surface_patterns)) != cached:
+        root = _Node(None)
         for surface in surfaces:
             node = root
             for el in (*surface.elements, None):
@@ -413,7 +413,8 @@ def _trie(surface_patterns: Sequence[SurfacePattern]) -> _Node:
                 node = node.children[el]
             node.size += 1
             node.surfaces.append(surface)
-        _compiled = (surfaces, root)
+    # an equal inventory parsed again takes over, so that next calls compare by identity
+    _compiled = (surfaces, root)
     return root
 
 

@@ -1,7 +1,7 @@
 """End-to-end pre-annotation: ingest, chunk, match, resolve, attach.
 
-Everything here is a pure function of its inputs; documents can be
-processed in parallel and the results merged in any order.
+Everything here is a pure function of its inputs, so each document can be
+pre-annotated in any worker process and the results merged in any order.
 """
 
 from __future__ import annotations

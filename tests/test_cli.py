@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
 
 import pytest
 
+from promex.cli import default_config_path, default_gazetteer_path
 from promex.corpus_io import load_corpus, save_corpus
-from promex.model import Corpus
+from promex.ingest import OrgGazetteer
+from promex.model import Corpus, Provenance, RelationMention, Span, Token
+from promex.patterns import expand, parse_config
 
 from conftest import run_cli
 
@@ -152,6 +156,75 @@ class TestPreannotate:
             f"{src / 'a.md'}: duplicate doc_id 'a'", f"{src / 'a.txt'}: duplicate doc_id 'a'",
         ]
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failing_files_leave_the_old_corpus(self, jobs, tmp_path, capsys):
+        src = tmp_path / "docs"
+        src.mkdir()
+        for name in ("a.txt", "c.txt", "e.txt"):
+            (src / name).write_text("Sensata develops sensors.")
+        (src / "b.txt").write_bytes(b"\xff\xfeAcme sells widgets.\n")
+        (src / "d.txt").write_bytes(b"Acme sells \xff gadgets.\n")
+        out_file = tmp_path / "out.corpus"
+        save_corpus(load_corpus(GOLDEN), str(out_file))
+        old = out_file.read_bytes()
+        argv = ["preannotate", "--in", str(src), "--out", str(out_file), "--jobs", jobs]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert [line.split(": ")[0] for line in err.splitlines()] == [str(src / "b.txt"), str(src / "d.txt")]
+        assert out_file.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["docs", "out.corpus"]
+
+    @pytest.mark.parametrize(
+        ("jobs", "cpus", "expected"),
+        # the examples are 7 files
+        [("64", 16, [7]), ("5", 16, [5]), ("3", 2, [2]), ("2", None, []), ("1", 8, []), ("0", 8, []),
+         ("-3", 8, [])],
+    )
+    def test_worker_count_is_capped(self, jobs, cpus, expected, tmp_path, capsys, monkeypatch):
+        import concurrent.futures
+        from concurrent.futures import Future
+
+        class RecordingPool:
+            """Runs each task at once in this process; records the workers asked for."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def submit(self, fn, *args):
+                submitted.append(args[0].stat().st_size)
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        started, submitted = [], []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        out_file = tmp_path / "out.corpus"
+        argv = ["preannotate", "--in", EXAMPLES_DIR, "--tagged", "--out", str(out_file), "--jobs", jobs]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and started == expected
+        assert submitted == sorted(submitted, reverse=True)  # largest file first
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == PINNED_OUTPUT["examples"][0]
+
+    def test_worker_state_pickles(self):
+        gazetteer = OrgGazetteer.from_file(str(default_gazetteer_path()))
+        state = (gazetteer, expand(parse_config(default_config_path().read_text(encoding="utf-8"))))
+        values = [
+            Token("BMW", "NNP", 0, 3), Span(2, 5), state,
+            RelationMention("r0", "c0", ("p0", "p1"), Span(1, 2), Provenance.PRE_ANNOTATION, "P01"),
+        ]
+        for value in values:
+            assert pickle.loads(pickle.dumps(value)) == value
+        words = ["the", "bmw", "group", "and", "apple"]
+        assert pickle.loads(pickle.dumps(gazetteer)).spans(words, 0, 5) == gazetteer.spans(words, 0, 5)
 
     def test_missing_directory_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(

@@ -8,7 +8,9 @@ indexed versions in `promex` must agree with them on random documents.
 So is the trigger-coordination parse that sorted its trigger set on every
 call and tested each conjunct position twice, and the corpus reader that
 coerced offsets with `int(...)` and type-checked the built objects in a
-second walk.
+second walk, the tokenizer step that built every chunk one character at a
+time, and the gazetteer lookup that tried every name length at every
+position.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import io
 import json
 import re
 from dataclasses import replace
+from unittest import mock
 from typing import Iterable, Iterator, Sequence
 
 from hypothesis import example, given, settings, strategies as st
@@ -46,6 +49,7 @@ from promex.model import (
     RelationMention,
     Sentence,
     Span,
+    TRADEMARK_TEXTS,
     Token,
     _check_chains,
     _check_entity,
@@ -56,7 +60,8 @@ from promex.model import (
 from promex.chunker import ChunkCandidate, chunk, separator_ends, split_coordination
 from promex.cli import default_config_path
 from promex.corpus_io import CorpusIOError, MalformedRecord, write_corpus
-from promex.ingest import document_from_tokens, tag
+from promex import ingest
+from promex.ingest import _APOSTROPHES, OrgGazetteer, document_from_tokens, tag, tokenize
 from promex.patterns import (
     MAX_CONJUNCTS,
     NESTED_PATTERN_ID,
@@ -537,6 +542,49 @@ def oracle_parse_document(record: dict, line_no: int) -> Document:
 
 
 # ---------------------------------------------------------------------------
+# The tokenizer and gazetteer steps that took every character and every width
+
+def oracle_split_core(core: str, offset: int) -> list[tuple[str, int, int]]:
+    # trademark symbols always stand alone
+    parts: list[tuple[str, int, int]] = []
+    buf_start = offset
+    buf = ""
+    for i, ch in enumerate(core):
+        if ch in TRADEMARK_TEXTS:
+            if buf:
+                parts.append((buf, buf_start, offset + i))
+                buf = ""
+            parts.append((ch, offset + i, offset + i + 1))
+            buf_start = offset + i + 1
+        else:
+            if not buf:
+                buf_start = offset + i
+            buf += ch
+    if buf:
+        parts.append((buf, buf_start, offset + len(core)))
+
+    out: list[tuple[str, int, int]] = []
+    for text, start, end in parts:
+        # possessive clitic is always its own token
+        if len(text) > 2 and text[-1] in "sS" and text[-2] in _APOSTROPHES:
+            out.append((text[:-2], start, end - 2))
+            out.append((text[-2:], end - 2, end))
+        else:
+            out.append((text, start, end))
+    return out
+
+
+def oracle_gazetteer_spans(lowered: Sequence[str], gazetteer: OrgGazetteer, s: int, e: int) -> list[Span]:
+    max_name = max((len(n) for n in gazetteer.names), default=0)
+    candidates: list[Span] = []
+    for i in range(s, e):
+        for width in range(min(max_name, e - i), 0, -1):
+            if tuple(lowered[i:i + width]) in gazetteer.names:
+                candidates.append(Span(i, i + width))
+    return candidates
+
+
+# ---------------------------------------------------------------------------
 # Random documents: a small vocabulary so that token sequences repeat
 
 VOCAB = (
@@ -994,3 +1042,32 @@ def test_reader_agrees_with_coercing_reader(record):
         assert not exactly_typed(record, RECORD_TYPES)
     if isinstance(new, MalformedRecord):
         assert new.line_no == 2
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(["Acme", "s", "S", "®", "™", "'", "’", "'s", "’s", ".", ",", "(", ")",
+                                 "\"", "!", "?", ";", ":", "-", "x", " ", "  ", "\n"]), max_size=24).map("".join))
+def test_tokenize_agrees_with_character_split(text):
+    with mock.patch.object(ingest, "_split_core", oracle_split_core):
+        expected = tokenize(text)
+    assert tokenize(text) == expected
+
+
+@st.composite
+def gazetteer_cases(draw):
+    """Names that are prefixes of a few word sequences, so that several start
+    at one token, and a text built of those sequences and single words."""
+    words = st.sampled_from(("acme", "bmw", "group"))
+    bases = draw(st.lists(st.lists(words, min_size=1, max_size=4), min_size=1, max_size=3))
+    names = [" ".join(b[:n]) for b in bases for n in draw(st.sets(st.integers(1, len(b)), min_size=1))]
+    pieces = draw(st.lists(st.one_of(st.sampled_from(bases), words.map(lambda w: [w])), max_size=6))
+    lowered = [w for piece in pieces for w in piece]
+    s = draw(st.integers(0, len(lowered)))
+    return OrgGazetteer.from_names(names), lowered, s, draw(st.integers(s, len(lowered)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gazetteer_cases())
+def test_gazetteer_spans_agree_with_every_width(case):
+    gazetteer, lowered, s, e = case
+    assert gazetteer.spans(lowered, s, e) == oracle_gazetteer_spans(lowered, gazetteer, s, e)

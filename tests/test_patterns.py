@@ -186,6 +186,15 @@ class TestExpand:
 
 
 class TestMatch:
+    def test_equal_inventory_takes_over_the_cached_trie(self):
+        from promex import patterns
+
+        root = patterns._trie(DEFAULT_SURFACES)
+        parsed_again = expand(parse_config(DEFAULT_CONFIG))
+        # not rebuilt, and later calls compare the new objects by identity
+        assert patterns._trie(parsed_again) is root
+        assert all(a is b for a, b in zip(patterns._compiled[0], parsed_again, strict=True))
+
     def test_possessive_pattern(self):
         doc = preannotate(["BMW/NNP 's/POS 1-Series/NNP Convertible/NNP is/VBZ a/DT stylish/JJ convertible/NN ./."])
         assert relation_shapes(doc) == [
