@@ -118,11 +118,9 @@ class AgreementScores:
         return "\n".join(lines)
 
 
-def _as_documents(layer: Corpus | Document | Sequence[Document]) -> list[Document]:
+def _as_documents(layer: Corpus | Sequence[Document]) -> list[Document]:
     if isinstance(layer, Corpus):
         return list(layer.documents)
-    if isinstance(layer, Document):
-        return [layer]
     return list(layer)
 
 
@@ -163,8 +161,8 @@ def _relation_key(by_id: dict[str, EntityMention], rel: RelationMention) -> tupl
 
 
 def agreement(
-    annotations_a: Corpus | Document | Sequence[Document],
-    annotations_b: Corpus | Document | Sequence[Document],
+    annotations_a: Corpus | Sequence[Document],
+    annotations_b: Corpus | Sequence[Document],
 ) -> AgreementScores:
     """Compare two annotation layers over identical token sequences."""
     docs_a = {d.doc_id: d for d in _as_documents(annotations_a)}

@@ -4,7 +4,8 @@ Base patterns are declared in a small line-oriented language (see
 `parse_config`), expanded into fully literal surface patterns, compiled
 into one trie of elements and matched against tagged sentences that
 already carry company mentions and product chunk candidates.  Matches come
-back as CompanyProvidesProduct relation mentions.
+back as spans; `pipeline.preannotate_document` turns them into product and
+CompanyProvidesProduct relation mentions.
 """
 
 from __future__ import annotations
@@ -15,19 +16,17 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .chunker import ChunkCandidate, separator_ends, span_matches_grammar
+from .chunker import separator_ends, span_matches_grammar
 from .inflect import inflections
 from .model import (
     Document,
     EntityMention,
     EntityType,
     POSSESSIVE_CLITICS,
-    Provenance,
     RelationMention,
     Sentence,
     Span,
     TRADEMARK_TEXTS,
-    mention_kind,
 )
 
 _EXACT_LITERALS = POSSESSIVE_CLITICS | TRADEMARK_TEXTS
@@ -399,7 +398,7 @@ _compiled: tuple[tuple[SurfacePattern, ...], _Node] = ((), _Node(None))
 def _trie(surface_patterns: Sequence[SurfacePattern]) -> _Node:
     """The root of the inventory's trie of elements, built again only when the inventory changes."""
     global _compiled
-    cached, root = _compiled  # read once: another thread may replace it
+    cached, root = _compiled
     if (surfaces := tuple(surface_patterns)) != cached:
         root = _Node(None)
         for surface in surfaces:
@@ -420,7 +419,7 @@ def _trie(surface_patterns: Sequence[SurfacePattern]) -> _Node:
 
 class _SentenceContext:
     def __init__(self, doc: Document, sentence: Sentence, orgs: Sequence[EntityMention],
-                 candidates: Sequence[ChunkCandidate]) -> None:
+                 candidates: Sequence[Span]) -> None:
         self.tokens = doc.tokens
         self.start, self.end = sentence.span.start, sentence.span.end
         # token texts and POS tags of this sentence only: index with `pos - self.start`
@@ -430,8 +429,8 @@ class _SentenceContext:
         # candidates never overlap, so one span covers any given position
         self.covering: dict[int, Span] = {}
         for cand in candidates:
-            for i in range(cand.span.start, cand.span.end):
-                self.covering[i] = cand.span
+            for i in range(cand.start, cand.end):
+                self.covering[i] = cand
         # first conjuncts as (conjunct, end): longest first, company ties by id
         self._org_firsts: dict[int, list[tuple[EntityMention, int]]] = {}
         for mention in sorted(orgs, key=lambda m: (-m.span.end, m.mention_id)):
@@ -560,34 +559,27 @@ class _SentenceContext:
         return found - before
 
 
-def _product_mention_for(doc: Document, span: Span) -> EntityMention:
-    return EntityMention(
-        mention_id=f"{doc.doc_id}-pre-p{span.start}-{span.end}",
-        entity_type=EntityType.PRODUCT,
-        span=span,
-        mention_kind=mention_kind(doc.tokens, span),
-        provenance=Provenance.PRE_ANNOTATION,
-    )
+# (company, product spans, trigger span, base pattern id)
+Match = tuple[EntityMention, tuple[Span, ...], Span | None, str]
 
 
 @dataclass(frozen=True)
 class SentenceMatches:
-    relations: tuple[RelationMention, ...]
-    product_mentions: tuple[EntityMention, ...]
+    relations: tuple[Match, ...]
 
 
 def match_sentence(
     doc: Document,
     sentence: Sentence,
     org_mentions: Sequence[EntityMention],
-    candidates: Sequence[ChunkCandidate],
+    candidates: Sequence[Span],
     surface_patterns: Sequence[SurfacePattern],
 ) -> SentenceMatches:
-    """Match every surface pattern against one sentence.
+    """Match every surface pattern against one sentence, returning spans.
 
-    `org_mentions` and `candidates` are taken as given: they must be the
-    company mentions and chunk candidates of this sentence, in document
-    coordinates (`preannotate_document` groups them with `by_sentence`).
+    `org_mentions` and the product chunk `candidates` are taken as given:
+    they must be this sentence's, in document coordinates
+    (`preannotate_document` groups them with `by_sentence`).
 
     Each anchor takes one walk of the inventory's trie, so a coordination
     is parsed once for all the surfaces that share the elements before it.
@@ -595,8 +587,8 @@ def match_sentence(
     option order (larger coordinations first, a trigger chain before the
     plain trigger), as a search of that surface alone would find it.
     Literals compare case-insensitively, possessive clitics and trademark
-    symbols exactly.  Matches from different patterns may overlap.  Product
-    mentions referenced by the relations are minted from their spans.
+    symbols exactly.  Matches from different patterns may overlap; they come
+    in order of anchor, surface id and company.
     """
     orgs = sorted(org_mentions, key=lambda m: m.span)
     ctx = _SentenceContext(doc, sentence, orgs, candidates)
@@ -608,7 +600,7 @@ def match_sentence(
         if isinstance(first, OrgSlot):
             anchors = [m.span.start for m in orgs]
         elif isinstance(first, ProductSlot):
-            anchors = [c.span.start for c in candidates]
+            anchors = [c.start for c in candidates]
         else:
             anchors = list(range(sentence.span.start, sentence.span.end))
         for anchor in dict.fromkeys(anchors):
@@ -621,35 +613,16 @@ def match_sentence(
     # nested company-in-candidate rule: a company mention strictly inside a
     # product candidate with no possessive token reads as a relation
     for cand in candidates:
-        if any(doc.tokens[i].pos == "POS" for i in range(cand.span.start, cand.span.end)):
+        if any(doc.tokens[i].pos == "POS" for i in range(cand.start, cand.end)):
             continue
         for org in orgs:
-            if cand.span.contains(org.span) and cand.span != org.span:
+            if cand.contains(org.span) and cand != org.span:
                 raw.append(
-                    (cand.span.start, NESTED_PATTERN_ID, 0, org, (cand.span,), None, NESTED_PATTERN_ID)
+                    (cand.start, NESTED_PATTERN_ID, 0, org, (cand,), None, NESTED_PATTERN_ID)
                 )
 
     raw.sort(key=lambda r: (r[0], r[1], r[2]))
-    relations: list[RelationMention] = []
-    mentions: dict[str, EntityMention] = {}
-    for i, (_, _, _, company, product_spans, trigger, base_id) in enumerate(raw):
-        product_ids = []
-        for span in product_spans:
-            mention = _product_mention_for(doc, span)
-            mentions[mention.mention_id] = mention
-            product_ids.append(mention.mention_id)
-        relations.append(
-            RelationMention(
-                relation_id=f"{doc.doc_id}-pre-s{sentence.index}-r{i}",
-                company=company.mention_id,
-                products=tuple(product_ids),
-                trigger=trigger,
-                provenance=Provenance.PRE_ANNOTATION,
-                pattern_id=base_id,
-            )
-        )
-    ordered = sorted(mentions.values(), key=lambda m: m.span)
-    return SentenceMatches(relations=tuple(relations), product_mentions=tuple(ordered))
+    return SentenceMatches(relations=tuple(r[3:] for r in raw))
 
 
 def fan_out_triggers(sentence_matches: Sequence[RelationMention]) -> list[RelationMention]:

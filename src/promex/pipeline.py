@@ -1,7 +1,9 @@
 """End-to-end pre-annotation: ingest, chunk, match, resolve, attach.
 
-Everything here is a pure function of its inputs, so each document can be
-pre-annotated in any worker process and the results merged in any order.
+This is where matched spans become pre-annotated product and relation
+mentions with their ids.  Everything here is a pure function of its
+inputs, so each document can be pre-annotated in any worker process and
+the results merged in any order.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ from .model import (
     Document,
     EntityMention,
     EntityType,
+    Provenance,
     RelationMention,
     Span,
     attach_annotations,
     by_sentence,
+    mention_kind,
 )
 from .patterns import SurfacePattern, match_sentence, resolve_acronyms
 
@@ -42,43 +46,41 @@ def preannotate_document(
     PreAnnotation provenance.
     """
     orgs = recognize_orgs(doc, gazetteer)
-    companies = [
-        e for e in doc.entities if e.entity_type is EntityType.COMPANY
-    ] + orgs
-
-    existing_products = {
+    # a span already annotated as a product keeps that mention's id
+    product_ids = {
         e.span: e.mention_id for e in doc.entities
         if e.entity_type is EntityType.PRODUCT
     }
-    fixed_spans = [e.span for e in doc.entities] + [m.span for m in orgs]
-
+    minted: list[EntityMention] = []
     raw: list[RelationMention] = []
-    minted: dict[str, EntityMention] = {}
-    for sentence, sentence_companies, sentence_fixed in zip(
-        doc.sentences,
-        by_sentence(doc, companies, lambda m: m.span),
-        by_sentence(doc, fixed_spans, lambda s: s),
-    ):
+    for sentence, fixed in zip(doc.sentences, by_sentence(doc, (*doc.entities, *orgs), lambda m: m.span)):
         tokens = doc.sentence_tokens(sentence)
         base = sentence.span.start
         candidates = [
-            replace(c, span=Span(c.span.start + base, c.span.end + base))
+            Span(c.span.start + base, c.span.end + base)
             for c in split_coordination(chunk(tokens), tokens)
         ]
-        found = match_sentence(doc, sentence, sentence_companies, candidates, surface_patterns)
-        mentions = {m.mention_id: m for m in found.product_mentions}
-        for rel in found.relations:
-            spans = [mentions[p].span for p in rel.products]
+        companies = [m for m in fixed if m.entity_type is EntityType.COMPANY]
+        found = match_sentence(doc, sentence, companies, candidates, surface_patterns)
+        # relation ids count every match of the sentence, dropped ones too
+        for i, (company, spans, trigger, pattern_id) in enumerate(found.relations):
             # a matched span that crosses an existing mention cannot be attached
-            if any(s.crosses(other) for s in spans for other in sentence_fixed):
+            if any(s.crosses(m.span) for s in spans for m in fixed):
                 continue
-            # a product span already annotated keeps its mention; others are minted
-            pairs = list(zip(rel.products, spans))
-            minted.update((pid, mentions[pid]) for pid, span in pairs if span not in existing_products)
-            raw.append(replace(rel, products=tuple(existing_products.get(span, pid) for pid, span in pairs)))
+            for span in spans:
+                if span not in product_ids:
+                    product_ids[span] = f"{doc.doc_id}-pre-p{span.start}-{span.end}"
+                    minted.append(EntityMention(
+                        product_ids[span], EntityType.PRODUCT, span,
+                        mention_kind(doc.tokens, span), Provenance.PRE_ANNOTATION,
+                    ))
+            raw.append(RelationMention(
+                f"{doc.doc_id}-pre-s{sentence.index}-r{i}", company.mention_id,
+                tuple(product_ids[s] for s in spans), trigger, Provenance.PRE_ANNOTATION, pattern_id,
+            ))
 
     entities = tuple(doc.entities) + tuple(orgs) + tuple(
-        sorted(minted.values(), key=lambda m: m.span)
+        sorted(minted, key=lambda m: m.span)
     )
     # re-pointing reads only entities and chains, and deduplicates the
     # whole document; the one attach below checks every invariant

@@ -57,7 +57,7 @@ from promex.model import (
     attach_annotations,
     make_document,
 )
-from promex.chunker import ChunkCandidate, chunk, separator_ends, split_coordination
+from promex.chunker import chunk, separator_ends, split_coordination
 from promex.cli import default_config_path
 from promex.corpus_io import CorpusIOError, MalformedRecord, write_corpus
 from promex import ingest
@@ -75,7 +75,6 @@ from promex.patterns import (
     Words,
     _EXACT_LITERALS,
     _SentenceContext,
-    _product_mention_for,
     expand,
     match_sentence,
     parse_config,
@@ -372,18 +371,17 @@ def oracle_match_sentence(
     doc: Document,
     sentence: Sentence,
     org_mentions: Sequence[EntityMention],
-    candidates: Sequence[ChunkCandidate],
+    candidates: Sequence[Span],
     surface_patterns: Sequence[SurfacePattern],
 ) -> SentenceMatches:
     """`match_sentence` with one backtracking search per surface and anchor.
 
-    `org_mentions` and `candidates` are taken as given: they must be the
-    company mentions and chunk candidates of this sentence, in document
-    coordinates (`preannotate_document` groups them with `by_sentence`).
+    `org_mentions` and the product chunk `candidates` are taken as given:
+    they must be this sentence's, in document coordinates
+    (`preannotate_document` groups them with `by_sentence`).
 
     One match is kept per (surface pattern, anchor position); matches from
-    different patterns may overlap.  Product mentions referenced by the
-    relations are minted deterministically from their spans.
+    different patterns may overlap.
     """
     span_lo, span_hi = sentence.span.start, sentence.span.end
     orgs = sorted(org_mentions, key=lambda m: m.span)
@@ -396,7 +394,7 @@ def oracle_match_sentence(
         if isinstance(first, OrgSlot):
             anchors = [m.span.start for m in orgs]
         elif isinstance(first, ProductSlot):
-            anchors = [c.span.start for c in candidates]
+            anchors = [c.start for c in candidates]
         else:
             anchors = list(range(span_lo, span_hi))
         for anchor in dict.fromkeys(anchors):
@@ -414,35 +412,16 @@ def oracle_match_sentence(
     # nested company-in-candidate rule: a company mention strictly inside a
     # product candidate with no possessive token reads as a relation
     for cand in candidates:
-        if any(doc.tokens[i].pos == "POS" for i in range(cand.span.start, cand.span.end)):
+        if any(doc.tokens[i].pos == "POS" for i in range(cand.start, cand.end)):
             continue
         for org in orgs:
-            if cand.span.contains(org.span) and cand.span != org.span:
+            if cand.contains(org.span) and cand != org.span:
                 raw.append(
-                    (cand.span.start, NESTED_PATTERN_ID, 0, org, (cand.span,), None, NESTED_PATTERN_ID)
+                    (cand.start, NESTED_PATTERN_ID, 0, org, (cand,), None, NESTED_PATTERN_ID)
                 )
 
     raw.sort(key=lambda r: (r[0], r[1], r[2]))
-    relations: list[RelationMention] = []
-    mentions: dict[str, EntityMention] = {}
-    for i, (_, _, _, company, product_spans, trigger, base_id) in enumerate(raw):
-        product_ids = []
-        for span in product_spans:
-            mention = _product_mention_for(doc, span)
-            mentions[mention.mention_id] = mention
-            product_ids.append(mention.mention_id)
-        relations.append(
-            RelationMention(
-                relation_id=f"{doc.doc_id}-pre-s{sentence.index}-r{i}",
-                company=company.mention_id,
-                products=tuple(product_ids),
-                trigger=trigger,
-                provenance=Provenance.PRE_ANNOTATION,
-                pattern_id=base_id,
-            )
-        )
-    ordered = sorted(mentions.values(), key=lambda m: m.span)
-    return SentenceMatches(relations=tuple(relations), product_mentions=tuple(ordered))
+    return SentenceMatches(relations=tuple(r[3:] for r in raw))
 
 
 # ---------------------------------------------------------------------------
@@ -860,7 +839,7 @@ def match_case(name: str, sentences: list[list[str]], companies: list[tuple[int,
     ]
     tokens = doc.sentence_tokens(sentence)
     candidates = [
-        replace(c, span=Span(c.span.start + base, c.span.end + base))
+        Span(c.span.start + base, c.span.end + base)
         for c in split_coordination(chunk(tokens), tokens)
     ]
     return INVENTORIES[name], (doc, sentence, orgs, candidates)

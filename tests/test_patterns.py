@@ -245,13 +245,14 @@ class TestMatch:
         doc = tagged_document("d", ["Garmin/NNP makes/VBZ devices/NNS ./."])
         from promex.ingest import recognize_orgs
 
-        orgs = recognize_orgs(doc, OrgGazetteer.from_names(["Garmin"]))
+        gazetteer = OrgGazetteer.from_names(["Garmin"])
+        orgs = recognize_orgs(doc, gazetteer)
         tokens = doc.sentence_tokens(doc.sentences[0])
-        candidates = split_coordination(chunk(tokens), tokens)
+        candidates = [c.span for c in split_coordination(chunk(tokens), tokens)]
         relations = match_sentence(doc, doc.sentences[0], orgs, candidates, DEFAULT_SURFACES).relations
-        assert len(relations) == 1
-        assert relations[0].trigger == Span(1, 2)
-        assert relations[0].provenance is Provenance.PRE_ANNOTATION
+        assert relations == ((orgs[0], (Span(2, 3),), Span(1, 2), "P03"),)
+        document = preannotate_document(doc, gazetteer, DEFAULT_SURFACES).document
+        assert [r.provenance for r in document.relations] == [Provenance.PRE_ANNOTATION]
 
     def test_product_spans_parse_as_chunks(self):
         docs = [
@@ -374,6 +375,25 @@ class TestPreannotateDocument:
             (Span(7, 9), "wireless sensors"),
             (Span(10, 12), "smart valves"),
         ]
+
+    SMART_WATCHES = ["Garmin/NNP makes/VBZ smart/JJ watches/NNS for/IN runners/NNS ./."]
+
+    def test_match_crossing_a_human_mention_is_dropped(self):
+        assert relation_shapes(preannotate(self.SMART_WATCHES)) == [
+            ("Garmin", ("smart watches",), "makes", "P03"),
+        ]
+        # "watches for runners" crosses the matched "smart watches"
+        doc = annotated_document("d", self.SMART_WATCHES, entities=[("p1", "product", "nominal", 3, 6)])
+        result = preannotate_document(doc, DEFAULT_GAZETTEER, DEFAULT_SURFACES)
+        assert result.raw_relations == () and result.document.relations == ()
+        assert [e.mention_id for e in result.document.entities] == ["p1", "d-org0"]
+
+    def test_match_on_a_human_product_points_at_it(self):
+        doc = annotated_document("d", self.SMART_WATCHES, entities=[("p1", "product", "nominal", 2, 4)])
+        result = preannotate_document(doc, DEFAULT_GAZETTEER, DEFAULT_SURFACES).document
+        assert [r.products for r in result.relations] == [("p1",)]
+        products = [e for e in result.entities if e.entity_type is EntityType.PRODUCT]
+        assert [(e.mention_id, e.provenance) for e in products] == [("p1", Provenance.HUMAN)]
 
 
 def acronym_document(attach_to="abbr"):

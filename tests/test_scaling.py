@@ -129,7 +129,7 @@ def test_company_coordination_is_parsed_once_for_all_surfaces(monkeypatch):
         EntityMention(f"c{i}", EntityType.COMPANY, Span(p, p + 1), MentionKind.NAME, Provenance.HUMAN)
         for i, p in enumerate((0, 2, 4))
     ]
-    candidates = split_coordination(chunk(doc.tokens), doc.tokens)
+    candidates = [c.span for c in split_coordination(chunk(doc.tokens), doc.tokens)]
     calls = []
     org_firsts = _SentenceContext.org_firsts
 
