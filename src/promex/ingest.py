@@ -55,6 +55,7 @@ class IllegalBioTransition(IngestError):
 _PUNCT = set(".,;:!?()\"'")
 _APOSTROPHES = {"'", "’"}
 _SENTENCE_FINAL = {".", "!", "?"}
+_CHUNK = re.compile(r"\S+")
 # a trademark symbol, which always stands alone, or a run of other characters
 _CORE_PART = re.compile("[{0}]|[^{0}]+".format("".join(sorted(TRADEMARK_TEXTS))))
 
@@ -83,8 +84,14 @@ def tokenize(text: str) -> list[tuple[str, int, int]]:
     become their own token; internal hyphens are kept.
     """
     tokens: list[tuple[str, int, int]] = []
-    for m in re.finditer(r"\S+", text):
+    for m in _CHUNK.finditer(text):
         start, end = m.start(), m.end()
+        word = m.group()
+        # most chunks are plain words, which the steps below would leave whole
+        if (word[0] not in _PUNCT and word[-1] not in _PUNCT
+                and word[-2:-1] not in _APOSTROPHES and TRADEMARK_TEXTS.isdisjoint(word)):
+            tokens.append((word, start, end))
+            continue
         # peel leading punctuation, but never the apostrophe of a bare clitic
         while start < end and text[start] in _PUNCT:
             rest = text[start:end]
@@ -283,9 +290,12 @@ def document_from_text(text: str, doc_id: str = "doc") -> Document:
     triples = tokenize(text)
     spans = split_sentences([t for t, _, _ in triples])
     tokens: list[Token] = []
+    # a document uses few distinct words: tag each (word, sentence-initial) once
+    tags: dict[tuple[str, bool], str] = {}
     for start, end in spans:
-        sentence_texts = [triples[i][0] for i in range(start, end)]
-        for (text_, cs, ce), pos in zip(triples[start:end], tag(sentence_texts)):
+        for i, (text_, cs, ce) in enumerate(triples[start:end]):
+            key = (text_, i == 0)
+            pos = tags.get(key) or tags.setdefault(key, _tag_word(*key))
             tokens.append(Token(text_, pos, cs, ce))
     return make_document(doc_id, text, tokens, spans)
 

@@ -1,9 +1,10 @@
 """End-to-end pre-annotation: ingest, chunk, match, resolve, attach.
 
 This is where matched spans become pre-annotated product and relation
-mentions with their ids.  Everything here is a pure function of its
-inputs, so each document can be pre-annotated in any worker process and
-the results merged in any order.
+mentions with their ids.  Every surface relates a company, so a sentence
+that mentions none is neither chunked nor matched.  Everything here is a
+pure function of its inputs, so each document can be pre-annotated in any
+worker process and the results merged in any order.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ def preannotate_document(
 
     Human annotations already on the document are kept; recognized company
     mentions, matched product mentions and relation mentions are added with
-    PreAnnotation provenance.
+    PreAnnotation provenance.  A sentence with no company mention, human or
+    recognized, is skipped before chunking: no match can come from it.
     """
     orgs = recognize_orgs(doc, gazetteer)
     # a span already annotated as a product keeps that mention's id
@@ -54,13 +56,15 @@ def preannotate_document(
     minted: list[EntityMention] = []
     raw: list[RelationMention] = []
     for sentence, fixed in zip(doc.sentences, by_sentence(doc, (*doc.entities, *orgs), lambda m: m.span)):
+        companies = [m for m in fixed if m.entity_type is EntityType.COMPANY]
+        if not companies:
+            continue
         tokens = doc.sentence_tokens(sentence)
         base = sentence.span.start
         candidates = [
             Span(c.span.start + base, c.span.end + base)
             for c in split_coordination(chunk(tokens), tokens)
         ]
-        companies = [m for m in fixed if m.entity_type is EntityType.COMPANY]
         found = match_sentence(doc, sentence, companies, candidates, surface_patterns)
         # relation ids count every match of the sentence, dropped ones too
         for i, (company, spans, trigger, pattern_id) in enumerate(found.relations):

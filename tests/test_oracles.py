@@ -9,8 +9,11 @@ So is the trigger-coordination parse that sorted its trigger set on every
 call and tested each conjunct position twice, and the corpus reader that
 coerced offsets with `int(...)` and type-checked the built objects in a
 second walk, the tokenizer step that built every chunk one character at a
-time, and the gazetteer lookup that tried every name length at every
-position.
+time, the tokenizer that ran its punctuation peel on every chunk, plain
+words included, and the gazetteer lookup that tried every name length at
+every position.  The raw-text tagger that tags each (word, sentence-initial)
+key once per document must agree with `tag`, which tags every token, and no
+surface pattern may match a sentence with no company mention.
 """
 
 from __future__ import annotations
@@ -61,7 +64,16 @@ from promex.chunker import chunk, separator_ends, split_coordination
 from promex.cli import default_config_path
 from promex.corpus_io import CorpusIOError, MalformedRecord, write_corpus
 from promex import ingest
-from promex.ingest import _APOSTROPHES, OrgGazetteer, document_from_tokens, tag, tokenize
+from promex.ingest import (
+    _APOSTROPHES,
+    _PUNCT,
+    OrgGazetteer,
+    _split_core,
+    document_from_text,
+    document_from_tokens,
+    tag,
+    tokenize,
+)
 from promex.patterns import (
     MAX_CONJUNCTS,
     NESTED_PATTERN_ID,
@@ -521,7 +533,8 @@ def oracle_parse_document(record: dict, line_no: int) -> Document:
 
 
 # ---------------------------------------------------------------------------
-# The tokenizer and gazetteer steps that took every character and every width
+# The tokenizer steps that took every character and peeled every chunk, and
+# the gazetteer lookup that tried every width
 
 def oracle_split_core(core: str, offset: int) -> list[tuple[str, int, int]]:
     # trademark symbols always stand alone
@@ -551,6 +564,42 @@ def oracle_split_core(core: str, offset: int) -> list[tuple[str, int, int]]:
         else:
             out.append((text, start, end))
     return out
+
+
+def oracle_tokenize(text: str) -> list[tuple[str, int, int]]:
+    """Split `text` into (token, char_start, char_end) triples.
+
+    Whitespace-delimited chunks are split further: leading/trailing
+    punctuation, the possessive clitic "'s" and trademark symbols each
+    become their own token; internal hyphens are kept.
+    """
+    tokens: list[tuple[str, int, int]] = []
+    for m in re.finditer(r"\S+", text):
+        start, end = m.start(), m.end()
+        # peel leading punctuation, but never the apostrophe of a bare clitic
+        while start < end and text[start] in _PUNCT:
+            rest = text[start:end]
+            if (
+                rest[0] in _APOSTROPHES
+                and len(rest) >= 2
+                and rest[1] in "sS"
+                and all(c in _PUNCT for c in rest[2:])
+            ):
+                break
+            tokens.append((text[start], start, start + 1))
+            start += 1
+        # collect trailing punctuation (kept in order after the core)
+        trailing: list[tuple[str, int, int]] = []
+        while end > start and text[end - 1] in _PUNCT:
+            # do not peel the apostrophe of a final possessive clitic
+            if end - start >= 2 and text[end - 1] in "sS'" and text[end - 2] in _APOSTROPHES:
+                break
+            trailing.append((text[end - 1], end - 1, end))
+            end -= 1
+        if end > start:
+            tokens.extend(_split_core(text[start:end], start))
+        tokens.extend(reversed(trailing))
+    return tokens
 
 
 def oracle_gazetteer_spans(lowered: Sequence[str], gazetteer: OrgGazetteer, s: int, e: int) -> list[Span]:
@@ -732,9 +781,12 @@ S5: <ORG> <POSS> <PRO> ®
 S6: <ORG> <TRIG:maker|maker sensors> <PRO>
 S7: <ORG> <TRIG:sells|offers> <PRO>
 """
+# a surface with no <ORG>, which the config syntax rejects but the matcher
+# must still take: it can relate no company, so it never matches
+ORGLESS = SurfacePattern("S8#000", "S8", (ProductSlot(), TriggerLiteral(("rocks",), (("rocks",),))))
 INVENTORIES = {
     "default": expand(parse_config(default_config_path().read_text(encoding="utf-8"))),
-    "small": expand(parse_config(SMALL_CONFIG)),
+    "small": [*expand(parse_config(SMALL_CONFIG)), ORGLESS],
 }
 # every literal of an inventory, and its trigger coordination sets
 LITERALS = {
@@ -1002,6 +1054,13 @@ def test_match_sentence_agrees_with_per_surface_search(case):
     assert match_sentence(*args, surfaces) == oracle_match_sentence(*args, surfaces)
 
 
+@settings(max_examples=300, deadline=None)
+@given(match_cases())
+def test_sentence_without_companies_matches_nothing(case):
+    surfaces, (doc, sentence, _, candidates) = case
+    assert match_sentence(doc, sentence, [], candidates, surfaces).relations == ()
+
+
 def written(doc: Document) -> str:
     sink = io.StringIO()
     write_corpus(Corpus("1.0", (doc,)), sink)
@@ -1030,6 +1089,35 @@ def test_tokenize_agrees_with_character_split(text):
     with mock.patch.object(ingest, "_split_core", oracle_split_core):
         expected = tokenize(text)
     assert tokenize(text) == expected
+
+
+# plain words, words that end in a clitic or a trademark symbol once joined,
+# and every mark the tokenizer peels or splits off
+TOKENIZER_PIECES = ["Acme", "sensors", "Z3", "x", "s", "S", "'s", "’s", "'S", "’", "'", "®", "™", "ⓐ",
+                    ".", ",", "(", ")", "\"", "!", "?", ";", ":", "-", " ", "  ", "\n"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(TOKENIZER_PIECES), max_size=24).map("".join))
+@example("Acme's Z3® sensors, BMW’s (new) ’ 's ™x ⓐ.")
+def test_tokenize_agrees_with_peeling_every_chunk(text):
+    assert tokenize(text) == oracle_tokenize(text)
+
+
+# the same words sentence-initial and not, capitalised, lowercase and
+# plural, numerals, lone marks and symbols, and the marks that end a sentence
+TAGGER_WORDS = ["Acme", "acme", "Sensors", "sensors", "Making", "making", "The", "the", "1500", "3.5",
+                "®", "™", "ⓐ", "-", "&", "'s", ",", ".", "!", "?"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(TAGGER_WORDS), max_size=30).map(" ".join))
+@example("Sensors ship . Acme Sensors ship .")
+def test_document_tags_agree_with_tagging_each_sentence(text):
+    doc = document_from_text(text)
+    for sentence in doc.sentences:
+        tokens = doc.sentence_tokens(sentence)
+        assert [t.pos for t in tokens] == tag([t.text for t in tokens])
 
 
 @st.composite

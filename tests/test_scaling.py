@@ -4,7 +4,8 @@ Each guard times one input and another 16 times as long.  Linear cost
 predicts a time ratio of 16 between them, quadratic cost 256; the bound of
 48 leaves room for a host whose speed swings by a factor of two between runs.
 Matching is guarded by counting work instead: a company coordination is
-parsed once per anchor, however many surfaces start with `<ORG>`.
+parsed once per anchor, however many surfaces start with `<ORG>`, and a
+sentence with no company mention is neither chunked nor matched.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ from dataclasses import replace
 
 import pytest
 
+from promex import pipeline
 from promex.chunker import chunk, split_coordination
 from promex.cli import default_config_path
 from promex.examples import golden_corpus, tagged_document
+from promex.ingest import OrgGazetteer
 from promex.model import (
     Document,
     EntityMention,
@@ -149,3 +152,24 @@ def test_company_coordination_is_parsed_once_for_all_surfaces(monkeypatch):
     # each company anchor parses the coordination from there once: 3 + 2 + 1
     # lookups, where a search per surface makes that many per <ORG> surface
     assert count(surfaces) == count(org_initial[:1]) == 6
+
+
+def test_sentences_without_companies_are_not_chunked_or_matched(monkeypatch):
+    surfaces = expand(parse_config(default_config_path().read_text(encoding="utf-8")))
+    n = 20
+    doc = tagged_document("d", ["The/DT new/JJ sensors/NNS are/VBP made/VBN by/IN hand/NN ./."] * n
+                          + ["Acme/NNP makes/VBZ sensors/NNS ./."])
+    calls = {"chunk": 0, "match_sentence": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "chunk", counted("chunk", chunk))
+    monkeypatch.setattr(pipeline, "match_sentence", counted("match_sentence", match_sentence))
+    result = pipeline.preannotate_document(doc, OrgGazetteer.from_names(["Acme"]), surfaces)
+    assert [r.pattern_id for r in result.document.relations] == ["P03"]
+    # only the last sentence names a company; the other n cannot match
+    assert calls == {"chunk": 1, "match_sentence": 1}
