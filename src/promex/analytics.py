@@ -4,7 +4,10 @@ Statistics are exact integer totals with per-document means rounded
 half-up to one decimal.  Agreement between two annotation layers of the
 same text is measured as token-level Cohen's kappa per entity type,
 exact-span mention F1 per entity type, and relation F1 over
-(company span, product span set, trigger) triples.
+(company span, product span set, trigger) triples.  Each agreement score
+comes from integer counts summed over the documents: kappa from the 2x2
+table of tokens inside a mention in either layer, F1 from the sizes of the
+two layers' mention or relation sets and of their match.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from typing import Sequence
 
-from .model import Corpus, Document, EntityMention, EntityType, RelationMention, is_word
+from .model import Corpus, Document, EntityType, RelationMention, Span, is_word
 
 
 class EmptyCorpus(ValueError):
@@ -68,13 +71,10 @@ class CorpusStats:
             relations=sum(len(d.relations) for d in corpus.documents),
         )
 
-    def total(self, key: str) -> int:
-        return int(getattr(self, key))
-
     def means(self) -> dict[str, str]:
         """Per-document means for every non-document row."""
         return {
-            key: mean_string(self.total(key), self.documents)
+            key: mean_string(getattr(self, key), self.documents)
             for key, _ in STAT_ROWS
             if key != "documents"
         }
@@ -85,12 +85,12 @@ class CorpusStats:
         lines = [f"{'':{label_width}}  {'Total':>8}  {'Mean':>8}"]
         for key, label in STAT_ROWS:
             mean = means.get(key, "-")
-            lines.append(f"{label:<{label_width}}  {self.total(key):>8}  {mean:>8}")
+            lines.append(f"{label:<{label_width}}  {getattr(self, key):>8}  {mean:>8}")
         return "\n".join(lines)
 
     def render_kv(self) -> str:
         means = self.means()
-        lines = [f"{key}_total\t{self.total(key)}" for key, _ in STAT_ROWS]
+        lines = [f"{key}_total\t{getattr(self, key)}" for key, _ in STAT_ROWS]
         lines += [f"{key}_mean\t{means[key]}" for key, _ in STAT_ROWS if key != "documents"]
         return "\n".join(lines)
 
@@ -109,28 +109,19 @@ class AgreementScores:
     relation_f1: float
 
     def render(self) -> str:
-        lines = []
-        for etype in sorted(self.token_kappa):
-            lines.append(f"token_kappa_{etype.lower()}\t{self.token_kappa[etype]:.3f}")
-        for etype in sorted(self.mention_f1):
-            lines.append(f"mention_f1_{etype.lower()}\t{self.mention_f1[etype]:.3f}")
+        lines = [f"token_kappa_{t.lower()}\t{self.token_kappa[t]:.3f}" for t in sorted(self.token_kappa)]
+        lines += [f"mention_f1_{t.lower()}\t{self.mention_f1[t]:.3f}" for t in sorted(self.mention_f1)]
         lines.append(f"relation_f1\t{self.relation_f1:.3f}")
         return "\n".join(lines)
 
 
-def _as_documents(layer: Corpus | Sequence[Document]) -> list[Document]:
-    if isinstance(layer, Corpus):
-        return list(layer.documents)
-    return list(layer)
-
-
-def _kappa(pairs: Sequence[tuple[bool, bool]]) -> float:
-    if not pairs:
+def _kappa(tokens: int, in_a: int, in_b: int, in_both: int) -> float:
+    """Cohen's kappa over `tokens` tokens: `in_a` inside a mention of layer a,
+    `in_b` inside one of layer b, `in_both` inside one of each."""
+    if not tokens:
         return 1.0
-    n = len(pairs)
-    observed = sum(1 for a, b in pairs if a == b) / n
-    pa = sum(1 for a, _ in pairs if a) / n
-    pb = sum(1 for _, b in pairs if b) / n
+    observed = (tokens - in_a - in_b + 2 * in_both) / tokens
+    pa, pb = in_a / tokens, in_b / tokens
     expected = pa * pb + (1 - pa) * (1 - pb)
     if expected >= 1.0 - 1e-12:
         # both layers single-class: perfect agreement by definition
@@ -138,26 +129,36 @@ def _kappa(pairs: Sequence[tuple[bool, bool]]) -> float:
     return (observed - expected) / (1 - expected)
 
 
-def _f1(a: set, b: set) -> float:
-    if not a and not b:
+def _f1(in_a: int, in_b: int, in_both: int) -> float:
+    """F1 of `a` against `b`, given the sizes of `a`, `b` and their match."""
+    if not in_a and not in_b:
         return 1.0
-    tp = len(a & b)
-    if tp == 0:
+    if in_both == 0:
         return 0.0
-    precision = tp / len(a)
-    recall = tp / len(b)
+    precision = in_both / in_a
+    recall = in_both / in_b
     return 2 * precision * recall / (precision + recall)
 
 
-def _relation_key(by_id: dict[str, EntityMention], rel: RelationMention) -> tuple | None:
-    company = by_id.get(rel.company)
-    products = [by_id.get(p) for p in rel.products]
-    if company is None or any(p is None for p in products):
-        return None
-    return (
-        (company.span.start, company.span.end),
-        frozenset((p.span.start, p.span.end) for p in products),  # type: ignore[union-attr]
-    )
+def _positions(spans: set[Span]) -> set[int]:
+    return {i for span in spans for i in range(span.start, span.end)}
+
+
+def _add(counts: list[int], a: set, b: set) -> None:
+    counts[0] += len(a)
+    counts[1] += len(b)
+    counts[2] += len(a & b)
+
+
+def _relations(doc: Document) -> dict[tuple, list[Span | None]]:
+    """Triggers by (company span, product span set) in document order, unknown mentions left out."""
+    span_of = {e.mention_id: e.span for e in doc.entities}
+    keyed: dict[tuple, list[Span | None]] = {}
+    for rel in doc.relations:
+        spans = [span_of.get(m) for m in (rel.company, *rel.products)]
+        if None not in spans:
+            keyed.setdefault((spans[0], frozenset(spans[1:])), []).append(rel.trigger or None)
+    return keyed
 
 
 def agreement(
@@ -165,72 +166,46 @@ def agreement(
     annotations_b: Corpus | Sequence[Document],
 ) -> AgreementScores:
     """Compare two annotation layers over identical token sequences."""
-    docs_a = {d.doc_id: d for d in _as_documents(annotations_a)}
-    docs_b = {d.doc_id: d for d in _as_documents(annotations_b)}
+    docs_a = {d.doc_id: d for d in getattr(annotations_a, "documents", annotations_a)}
+    docs_b = {d.doc_id: d for d in getattr(annotations_b, "documents", annotations_b)}
     if set(docs_a) != set(docs_b):
         raise TokenizationMismatch("the two layers cover different documents")
 
-    token_pairs: dict[str, list[tuple[bool, bool]]] = {t.value: [] for t in EntityType}
-    mentions_a: dict[str, set] = {t.value: set() for t in EntityType}
-    mentions_b: dict[str, set] = {t.value: set() for t in EntityType}
-    # (doc_id, relation key, trigger) per relation, in document order
-    rels_a: list[tuple] = []
-    rels_b: list[tuple] = []
-
+    tokens = 0
+    # [in a, in b, in both] per entity type over token positions and over
+    # mention spans, and over relations
+    covered = {t.value: [0, 0, 0] for t in EntityType}
+    mentions = {t.value: [0, 0, 0] for t in EntityType}
+    relations = [0, 0, 0]
     for doc_id in sorted(docs_a):
         a, b = docs_a[doc_id], docs_b[doc_id]
         if [t.text for t in a.tokens] != [t.text for t in b.tokens]:
             raise TokenizationMismatch(f"document {doc_id!r} is tokenized differently")
+        tokens += len(a.tokens)
         for etype in EntityType:
-            inside_a = [False] * len(a.tokens)
-            inside_b = [False] * len(b.tokens)
-            for doc, inside, mentions in ((a, inside_a, mentions_a), (b, inside_b, mentions_b)):
-                for m in doc.entities:
-                    if m.entity_type is etype:
-                        mentions[etype.value].add((doc_id, m.span.start, m.span.end))
-                        for i in range(m.span.start, m.span.end):
-                            inside[i] = True
-            token_pairs[etype.value].extend(zip(inside_a, inside_b))
-        for doc, bucket in ((a, rels_a), (b, rels_b)):
-            by_id = {e.mention_id: e for e in doc.entities}
-            for rel in doc.relations:
-                key = _relation_key(by_id, rel)
-                if key is not None:
-                    trigger = (
-                        (rel.trigger.start, rel.trigger.end) if rel.trigger else None
-                    )
-                    bucket.append((doc_id, key, trigger))
-
-    # relations match on arguments; triggers are compared only when both
-    # sides have one.  Each relation of `a` takes the first unmatched one
-    # of `b` with the same arguments, so unmatched ones are kept in order.
-    unmatched_b: dict[tuple, list[tuple | None]] = {}
-    for doc_id, key, trigger in rels_b:
-        unmatched_b.setdefault((doc_id, key), []).append(trigger)
-    tp = 0
-    for doc_id, key, trigger in rels_a:
-        candidates = unmatched_b.get((doc_id, key), [])
-        for j, trigger_b in enumerate(candidates):
-            if trigger is not None and trigger_b is not None and trigger != trigger_b:
-                continue
-            del candidates[j]
-            tp += 1
-            break
-    if not rels_a and not rels_b:
-        relation_f1 = 1.0
-    elif tp == 0:
-        relation_f1 = 0.0
-    else:
-        precision = tp / len(rels_a)
-        recall = tp / len(rels_b)
-        relation_f1 = 2 * precision * recall / (precision + recall)
+            spans_a = {m.span for m in a.entities if m.entity_type is etype}
+            spans_b = {m.span for m in b.entities if m.entity_type is etype}
+            _add(mentions[etype.value], spans_a, spans_b)
+            _add(covered[etype.value], _positions(spans_a), _positions(spans_b))
+        # relations match on arguments; triggers are compared only when both
+        # sides have one.  Each relation of `a` takes the first unmatched one
+        # of `b` with the same arguments.
+        rels_a, rels_b = _relations(a), _relations(b)
+        relations[0] += sum(map(len, rels_a.values()))
+        relations[1] += sum(map(len, rels_b.values()))
+        for key, triggers in rels_a.items():
+            unmatched = rels_b.get(key, [])
+            for trigger in triggers:
+                for j, trigger_b in enumerate(unmatched):
+                    if trigger is None or trigger_b is None or trigger == trigger_b:
+                        del unmatched[j]
+                        relations[2] += 1
+                        break
 
     return AgreementScores(
-        token_kappa={t: _kappa(pairs) for t, pairs in token_pairs.items()},
-        mention_f1={
-            t: _f1(mentions_a[t], mentions_b[t]) for t in mentions_a
-        },
-        relation_f1=relation_f1,
+        token_kappa={t: _kappa(tokens, *counts) for t, counts in covered.items()},
+        mention_f1={t: _f1(*counts) for t, counts in mentions.items()},
+        relation_f1=_f1(*relations),
     )
 
 
@@ -272,23 +247,13 @@ def pattern_yield(
     if relations is None:
         if corpus is None:
             raise ValueError("either corpus or relations must be given")
-        relations = [
-            (doc.doc_id, rel) for doc in corpus.documents for rel in doc.relations
-        ]
+        relations = [(doc.doc_id, rel) for doc in corpus.documents for rel in doc.relations]
 
-    raw_counts: dict[str, int] = {}
-    dedup_counts: dict[str, int] = {}
-    seen: set[tuple] = set()
+    raw_counts: Counter[str] = Counter()
+    first: dict[tuple, str] = {}
     for doc_id, rel in relations:
         pattern_id = rel.pattern_id or "(unpatterned)"
-        raw_counts[pattern_id] = raw_counts.get(pattern_id, 0) + 1
-        dedup_counts.setdefault(pattern_id, 0)
-        key = (doc_id, rel.key)
-        if key not in seen:
-            seen.add(key)
-            dedup_counts[pattern_id] += 1
-    rows = tuple(
-        (pattern_id, raw_counts[pattern_id], dedup_counts[pattern_id])
-        for pattern_id in sorted(raw_counts)
-    )
-    return PatternYield(rows=rows)
+        raw_counts[pattern_id] += 1
+        first.setdefault((doc_id, rel.key), pattern_id)
+    dedup_counts = Counter(first.values())
+    return PatternYield(rows=tuple((p, raw_counts[p], dedup_counts[p]) for p in sorted(raw_counts)))

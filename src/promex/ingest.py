@@ -348,7 +348,7 @@ def recognize_orgs(doc: Document, gazetteer: OrgGazetteer) -> list[EntityMention
     lowered = [t.text.lower() for t in doc.tokens]
     chosen: list[Span] = []
 
-    for sentence, entities in zip(doc.sentences, by_sentence(doc, doc.entities, lambda m: m.span)):
+    for sentence, entities in zip(doc.sentences, by_sentence(doc, doc.entities)):
         s, e = sentence.span.start, sentence.span.end
         candidates = gazetteer.spans(lowered, s, e)
         # capitalized proper-noun runs ending in a legal suffix
@@ -366,18 +366,15 @@ def recognize_orgs(doc: Document, gazetteer: OrgGazetteer) -> list[EntityMention
             else:
                 i += 1
 
-        # candidates and mentions of other sentences never overlap these
-        existing = [m.span for m in entities if m.entity_type is EntityType.COMPANY]
-        in_sentence: list[Span] = []
+        # positions held by a Company mention, existing or chosen; candidates
+        # and mentions of other sentences never overlap these
+        taken = {i for m in entities if m.entity_type is EntityType.COMPANY
+                 for i in range(m.span.start, m.span.end)}
         for span in sorted(set(candidates), key=lambda sp: (-len(sp), sp.start)):
-            if any(span.overlaps(other) for other in in_sentence):
-                continue
-            if any(span.overlaps(other) for other in existing):
-                continue
-            if any(span.crosses(m.span) for m in entities):
-                continue
-            in_sentence.append(span)
-        chosen.extend(in_sentence)
+            positions = range(span.start, span.end)
+            if taken.isdisjoint(positions) and not any(span.crosses(m.span) for m in entities):
+                taken.update(positions)
+                chosen.append(span)
 
     chosen.sort()
     return [

@@ -14,7 +14,7 @@ import bisect
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence
 
 NOUN_TAGS = frozenset({"NN", "NNS", "NNP", "NNPS"})
 PROPER_NOUN_TAGS = frozenset({"NNP", "NNPS"})
@@ -29,9 +29,6 @@ CONJUNCTIONS = frozenset({"and", "or"})
 def is_word(text: str) -> bool:
     """Whether `text` holds a letter or digit: a word to `stats`, not punctuation to the tagger."""
     return any(c.isalnum() for c in text)
-
-
-_Item = TypeVar("_Item")
 
 
 class EntityType(str, Enum):
@@ -193,19 +190,17 @@ class Document:
         return None
 
 
-def by_sentence(
-    doc: Document, items: Iterable[_Item], span_of: Callable[[_Item], Span]
-) -> list[list[_Item]]:
-    """`items` grouped by the sentence holding the start of their span, in input order.
+def by_sentence(doc: Document, mentions: Iterable[EntityMention]) -> list[list[EntityMention]]:
+    """`mentions` grouped by the sentence holding the start of their span, in input order.
 
     Mentions never cross a sentence, so a sentence's group holds everything
-    that can overlap it.  Items starting outside every sentence are dropped.
+    that can overlap it.  Mentions starting outside every sentence are dropped.
     """
-    groups: list[list[_Item]] = [[] for _ in doc.sentences]
-    for item in items:
-        i = doc.sentence_index(span_of(item).start)
+    groups: list[list[EntityMention]] = [[] for _ in doc.sentences]
+    for mention in mentions:
+        i = doc.sentence_index(mention.span.start)
         if i >= 0:
-            groups[i].append(item)
+            groups[i].append(mention)
     return groups
 
 

@@ -611,15 +611,13 @@ def match_sentence(
                            for k, company in enumerate(companies))
 
     # nested company-in-candidate rule: a company mention strictly inside a
-    # product candidate with no possessive token reads as a relation
-    for cand in candidates:
-        if any(doc.tokens[i].pos == "POS" for i in range(cand.start, cand.end)):
-            continue
-        for org in orgs:
-            if cand.contains(org.span) and cand != org.span:
-                raw.append(
-                    (cand.start, NESTED_PATTERN_ID, 0, org, (cand,), None, NESTED_PATTERN_ID)
-                )
+    # product candidate with no possessive token reads as a relation; only
+    # the candidate covering a company's first token can hold it
+    possessive = {cand for i, cand in ctx.covering.items() if doc.tokens[i].pos == "POS"}
+    for org in orgs:
+        cand = ctx.covering.get(org.span.start)
+        if cand is not None and cand not in possessive and cand.contains(org.span) and cand != org.span:
+            raw.append((cand.start, NESTED_PATTERN_ID, 0, org, (cand,), None, NESTED_PATTERN_ID))
 
     raw.sort(key=lambda r: (r[0], r[1], r[2]))
     return SentenceMatches(relations=tuple(r[3:] for r in raw))

@@ -55,7 +55,7 @@ def preannotate_document(
     }
     minted: list[EntityMention] = []
     raw: list[RelationMention] = []
-    for sentence, fixed in zip(doc.sentences, by_sentence(doc, (*doc.entities, *orgs), lambda m: m.span)):
+    for sentence, fixed in zip(doc.sentences, by_sentence(doc, (*doc.entities, *orgs))):
         companies = [m for m in fixed if m.entity_type is EntityType.COMPANY]
         if not companies:
             continue

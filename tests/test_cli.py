@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -354,7 +355,7 @@ class TestStats:
         (("sentences", 0, "end"), 9.0),
     ])
     def test_coercible_value_exits_2_naming_file_and_line(self, field, value, tmp_path, capsys):
-        lines = open(GOLDEN, encoding="utf-8").read().splitlines()
+        lines = Path(GOLDEN).read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[1])
         target = record
         for key in field[:-1]:

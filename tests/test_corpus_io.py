@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -66,7 +67,7 @@ class TestRoundTrip:
     def test_shipped_file_matches_builder(self, golden):
         sink = io.StringIO()
         write_corpus(golden, sink)
-        shipped = open("src/promex/data/golden.corpus", encoding="utf-8").read()
+        shipped = Path("src/promex/data/golden.corpus").read_text(encoding="utf-8")
         assert sink.getvalue() == shipped
 
     def test_save_and_load(self, tmp_path, golden):

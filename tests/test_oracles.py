@@ -2,7 +2,8 @@
 
 The validator rules V2, V5 and V6, the nesting check of
 `attach_annotations` and the relation matching of `agreement` used to
-compare every pair of mentions, positions or relations.  Those pairwise
+compare every pair of mentions, positions or relations, and `agreement`
+scored kappa from one (in a, in b) pair per token of the corpus.  Those pairwise
 versions are kept here, verbatim apart from their signatures, and the
 indexed versions in `promex` must agree with them on random documents.
 So is the trigger-coordination parse that sorted its trigger set on every
@@ -11,7 +12,8 @@ coerced offsets with `int(...)` and type-checked the built objects in a
 second walk, the tokenizer step that built every chunk one character at a
 time, the tokenizer that ran its punctuation peel on every chunk, plain
 words included, and the gazetteer lookup that tried every name length at
-every position.  The raw-text tagger that tags each (word, sentence-initial)
+every position, and the company recognition that tested each candidate
+against every company chosen or annotated before it.  The raw-text tagger that tags each (word, sentence-initial)
 key once per document must agree with `tag`, which tags every token, and no
 surface pattern may match a sentence with no company mention.
 """
@@ -28,14 +30,7 @@ from typing import Iterable, Iterator, Sequence
 from hypothesis import example, given, settings, strategies as st
 
 from promex import corpus_io, validator
-from promex.analytics import (
-    AgreementScores,
-    TokenizationMismatch,
-    _as_documents,
-    _f1,
-    _kappa,
-    agreement,
-)
+from promex.analytics import AgreementScores, TokenizationMismatch, agreement
 from promex.examples import golden_corpus, tagged_document
 from promex.model import (
     Corpus,
@@ -48,6 +43,7 @@ from promex.model import (
     ModelError,
     NOUN_TAGS,
     POSSESSIVE_CLITICS,
+    PROPER_NOUN_TAGS,
     Provenance,
     RelationMention,
     Sentence,
@@ -58,6 +54,7 @@ from promex.model import (
     _check_entity,
     _check_relation,
     attach_annotations,
+    by_sentence,
     make_document,
 )
 from promex.chunker import chunk, separator_ends, split_coordination
@@ -67,10 +64,13 @@ from promex import ingest
 from promex.ingest import (
     _APOSTROPHES,
     _PUNCT,
+    LEGAL_SUFFIXES,
     OrgGazetteer,
     _split_core,
     document_from_text,
     document_from_tokens,
+    read_tagged,
+    recognize_orgs,
     tag,
     tokenize,
 )
@@ -206,6 +206,37 @@ def oracle_attach(doc, entities=(), relations=(), chains=()) -> Document:
     return replace(doc, entities=ents, relations=rels, chains=chns)
 
 
+def _as_documents(layer: Corpus | Sequence[Document]) -> list[Document]:
+    if isinstance(layer, Corpus):
+        return list(layer.documents)
+    return list(layer)
+
+
+def _kappa(pairs: Sequence[tuple[bool, bool]]) -> float:
+    if not pairs:
+        return 1.0
+    n = len(pairs)
+    observed = sum(1 for a, b in pairs if a == b) / n
+    pa = sum(1 for a, _ in pairs if a) / n
+    pb = sum(1 for _, b in pairs if b) / n
+    expected = pa * pb + (1 - pa) * (1 - pb)
+    if expected >= 1.0 - 1e-12:
+        # both layers single-class: perfect agreement by definition
+        return 1.0 if observed >= 1.0 - 1e-12 else 0.0
+    return (observed - expected) / (1 - expected)
+
+
+def _f1(a: set, b: set) -> float:
+    if not a and not b:
+        return 1.0
+    tp = len(a & b)
+    if tp == 0:
+        return 0.0
+    precision = tp / len(a)
+    recall = tp / len(b)
+    return 2 * precision * recall / (precision + recall)
+
+
 def _oracle_relation_key(doc: Document, rel: RelationMention) -> tuple | None:
     by_id = {e.mention_id: e for e in doc.entities}
     company = by_id.get(rel.company)
@@ -219,7 +250,8 @@ def _oracle_relation_key(doc: Document, rel: RelationMention) -> tuple | None:
 
 
 def oracle_agreement(annotations_a, annotations_b) -> AgreementScores:
-    """`agreement` with the pairwise first-unmatched relation search."""
+    """`agreement` with per-token pair lists, corpus-wide mention sets and
+    the pairwise first-unmatched relation search."""
     docs_a = {d.doc_id: d for d in _as_documents(annotations_a)}
     docs_b = {d.doc_id: d for d in _as_documents(annotations_b)}
     if set(docs_a) != set(docs_b):
@@ -610,6 +642,54 @@ def oracle_gazetteer_spans(lowered: Sequence[str], gazetteer: OrgGazetteer, s: i
             if tuple(lowered[i:i + width]) in gazetteer.names:
                 candidates.append(Span(i, i + width))
     return candidates
+
+
+def oracle_recognize_orgs(doc: Document, gazetteer: OrgGazetteer) -> list[EntityMention]:
+    lowered = [t.text.lower() for t in doc.tokens]
+    chosen: list[Span] = []
+
+    for sentence, entities in zip(doc.sentences, by_sentence(doc, doc.entities)):
+        s, e = sentence.span.start, sentence.span.end
+        candidates = gazetteer.spans(lowered, s, e)
+        # capitalized proper-noun runs ending in a legal suffix
+        i = s
+        while i < e:
+            if doc.tokens[i].pos in PROPER_NOUN_TAGS and doc.tokens[i].text[:1].isupper():
+                j = i
+                while j < e and doc.tokens[j].pos in PROPER_NOUN_TAGS and doc.tokens[j].text[:1].isupper():
+                    j += 1
+                for k in range(j - 1, i, -1):  # run of >= 2 tokens
+                    if doc.tokens[k].text in LEGAL_SUFFIXES:
+                        candidates.append(Span(i, k + 1))
+                        break
+                i = j
+            else:
+                i += 1
+
+        # candidates and mentions of other sentences never overlap these
+        existing = [m.span for m in entities if m.entity_type is EntityType.COMPANY]
+        in_sentence: list[Span] = []
+        for span in sorted(set(candidates), key=lambda sp: (-len(sp), sp.start)):
+            if any(span.overlaps(other) for other in in_sentence):
+                continue
+            if any(span.overlaps(other) for other in existing):
+                continue
+            if any(span.crosses(m.span) for m in entities):
+                continue
+            in_sentence.append(span)
+        chosen.extend(in_sentence)
+
+    chosen.sort()
+    return [
+        EntityMention(
+            mention_id=f"{doc.doc_id}-org{i}",
+            entity_type=EntityType.COMPANY,
+            span=span,
+            mention_kind=MentionKind.NAME,
+            provenance=Provenance.PRE_ANNOTATION,
+        )
+        for i, span in enumerate(chosen)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1054,6 +1134,16 @@ def test_match_sentence_agrees_with_per_surface_search(case):
     assert match_sentence(*args, surfaces) == oracle_match_sentence(*args, surfaces)
 
 
+def test_nested_rule_skips_candidates_holding_a_possessive():
+    # chunks never hold a possessive clitic, so random cases cannot reach this
+    doc = tagged_document("d", ["Acme/NNP 's/POS Z3/NNP and/CC Acme/NNP Z4/NNP"])
+    orgs = [EntityMention(f"c{i}", EntityType.COMPANY, Span(p, p + 1), MentionKind.NAME, Provenance.HUMAN)
+            for i, p in enumerate((0, 4))]
+    args = (doc, doc.sentences[0], orgs, [Span(0, 3), Span(4, 6)], ())
+    expected = SentenceMatches(relations=((orgs[1], (Span(4, 6),), None, NESTED_PATTERN_ID),))
+    assert match_sentence(*args) == oracle_match_sentence(*args) == expected
+
+
 @settings(max_examples=300, deadline=None)
 @given(match_cases())
 def test_sentence_without_companies_matches_nothing(case):
@@ -1138,3 +1228,41 @@ def gazetteer_cases(draw):
 def test_gazetteer_spans_agree_with_every_width(case):
     gazetteer, lowered, s, e = case
     assert gazetteer.spans(lowered, s, e) == oracle_gazetteer_spans(lowered, gazetteer, s, e)
+
+
+# names that start inside or overlap one another, the words of legal-suffix
+# runs, a lowercase name word and noise
+ORG_WORDS = (("Acme", "NNP"), ("Bosch", "NNP"), ("Group", "NNP"), ("Sensor", "NNP"), ("Inc.", "NNP"),
+             ("GmbH", "NNP"), ("acme", "NN"), ("sensors", "NNS"), ("and", "CC"), ("makes", "VBZ"))
+ORG_NAMES = ("acme", "acme group", "group inc.", "acme group inc.", "bosch", "bosch sensor", "sensor gmbh",
+             "group", "sensors")
+
+
+@st.composite
+def org_cases(draw):
+    """Column text with human BIO Company and Product mentions over gazetteer
+    names and legal-suffix runs, and a gazetteer of overlapping names."""
+    sentences = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows, inside = [], None
+        for text, pos in draw(st.lists(st.sampled_from(ORG_WORDS), min_size=1, max_size=10)):
+            bio = draw(st.sampled_from(["O", "O", "O", "B-Company", "B-Product", "I"]))
+            if bio == "I":
+                bio = f"I-{inside}" if inside else "O"
+            elif bio == "B-Product" and pos not in NOUN_TAGS:
+                bio = "O"  # a product needs a noun
+            inside = bio[2:] if bio != "O" else None
+            rows.append(f"{text}\t{pos}\t{bio}")
+        sentences.append("\n".join(rows))
+    names = draw(st.lists(st.sampled_from(ORG_NAMES), max_size=5))
+    return "\n\n".join(sentences), OrgGazetteer.from_names(names)
+
+
+@settings(max_examples=300, deadline=None)
+@given(org_cases())
+@example(("Acme\tNNP\tO\nGroup\tNNP\tB-Product\nInc.\tNNP\tO\nBosch\tNNP\tB-Company",
+          OrgGazetteer.from_names(["acme group", "group inc.", "acme", "bosch"])))
+def test_recognize_orgs_agrees_with_pairwise_overlap_scans(case):
+    column_text, gazetteer = case
+    doc = read_tagged(column_text)
+    assert recognize_orgs(doc, gazetteer) == oracle_recognize_orgs(doc, gazetteer)

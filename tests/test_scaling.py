@@ -3,8 +3,10 @@
 Each guard times one input and another 16 times as long.  Linear cost
 predicts a time ratio of 16 between them, quadratic cost 256; the bound of
 48 leaves room for a host whose speed swings by a factor of two between runs.
+Company recognition is guarded the same way on one long sentence.
 Matching is guarded by counting work instead: a company coordination is
-parsed once per anchor, however many surfaces start with `<ORG>`, and a
+parsed once per anchor, however many surfaces start with `<ORG>`, the
+nested company-in-candidate rule looks up one candidate per company, and a
 sentence with no company mention is neither chunked nor matched.
 """
 
@@ -19,7 +21,7 @@ from promex import pipeline
 from promex.chunker import chunk, split_coordination
 from promex.cli import default_config_path
 from promex.examples import golden_corpus, tagged_document
-from promex.ingest import OrgGazetteer
+from promex.ingest import OrgGazetteer, document_from_text, recognize_orgs
 from promex.model import (
     Document,
     EntityMention,
@@ -125,6 +127,14 @@ def test_chunk_and_split_coordination_scale_linearly(unit):
     assert ratio < MAX_RATIO, f"{GROWTH}x longer sentence took {ratio:.0f}x as long"
 
 
+def test_recognize_orgs_scales_linearly_in_sentence_length():
+    gazetteer = OrgGazetteer.from_names(["Intel"])
+    # no sentence punctuation: each text is one sentence
+    short, long = (document_from_text(" ".join(["Intel makes sensors"] * n)) for n in (64, 64 * GROWTH))
+    ratio = growth_ratio(lambda doc: recognize_orgs(doc, gazetteer), short, long)
+    assert ratio < MAX_RATIO, f"{GROWTH}x longer sentence took {ratio:.0f}x as long"
+
+
 def test_company_coordination_is_parsed_once_for_all_surfaces(monkeypatch):
     surfaces = expand(parse_config(default_config_path().read_text(encoding="utf-8")))
     doc = tagged_document("d", ["Acme/NNP ,/, BMW/NNP and/CC Bosch/NNP make/VBP sensors/NNS ./."])
@@ -152,6 +162,26 @@ def test_company_coordination_is_parsed_once_for_all_surfaces(monkeypatch):
     # each company anchor parses the coordination from there once: 3 + 2 + 1
     # lookups, where a search per surface makes that many per <ORG> surface
     assert count(surfaces) == count(org_initial[:1]) == 6
+
+
+def test_nested_rule_looks_up_one_candidate_per_company(monkeypatch):
+    surfaces = expand(parse_config(default_config_path().read_text(encoding="utf-8")))
+    doc = document_from_text(" ".join(["Intel makes sensors"] * 30))
+    orgs = recognize_orgs(doc, OrgGazetteer.from_names(["Intel"]))
+    candidates = [c.span for c in split_coordination(chunk(doc.tokens), doc.tokens)]
+    calls = []
+    contains = Span.contains
+
+    def counted(span, other):
+        calls.append(other)
+        return contains(span, other)
+
+    monkeypatch.setattr(Span, "contains", counted)
+    match_sentence(doc, doc.sentences[0], orgs, candidates, surfaces)
+    # one run-on sentence; testing every candidate against every company
+    # makes len(orgs) * len(candidates) calls
+    assert len(doc.sentences) == 1 and len(orgs) == 30
+    assert len(calls) <= len(orgs)
 
 
 def test_sentences_without_companies_are_not_chunked_or_matched(monkeypatch):
