@@ -4,7 +4,7 @@ A candidate is a maximal token span whose tags match
 ``(VBG|NN*|JJ|CD)* (NN*)+ (NN*|JJ|CD)*`` where ``NN*`` ranges over the
 noun tags; gerunds are admitted as premodifiers only, never as heads.
 Matching is left-to-right maximal munch, so candidates never overlap.
-Both functions work in the token coordinates of the sentence they are given.
+Every function works in the token coordinates of the sentence it is given.
 """
 
 from __future__ import annotations
@@ -23,15 +23,23 @@ class ChunkCandidate:
     coordinated: bool = False
 
 
+def candidate_ends(tags: Sequence[str], start: int, stop: int) -> tuple[list[int], int]:
+    """Ascending ends of the prefixes of the chunk-tag run at `start` that parse as a
+    candidate, and the end of that run, which stops at `stop` or at a tag outside `CHUNK_TAGS`."""
+    ends: list[int] = []
+    headed = False  # a noun seen and no gerund since
+    j = start
+    while j < stop and tags[j] in CHUNK_TAGS:
+        headed = tags[j] in NOUN_TAGS or (headed and tags[j] != "VBG")
+        j += 1
+        if headed:
+            ends.append(j)
+    return ends, j
+
+
 def span_matches_grammar(tags: Sequence[str]) -> bool:
     """True when a tag sequence parses as a product candidate."""
-    if not tags or any(t not in CHUNK_TAGS for t in tags):
-        return False
-    noun_positions = [i for i, t in enumerate(tags) if t in NOUN_TAGS]
-    if not noun_positions:
-        return False
-    # a gerund after the last noun could only sit in the suffix, which bans VBG
-    return all(t != "VBG" for t in tags[noun_positions[-1] + 1:])
+    return candidate_ends(tags, 0, len(tags))[0][-1:] == [len(tags)]
 
 
 def chunk(tokens: Sequence[Token]) -> list[ChunkCandidate]:
@@ -44,22 +52,12 @@ def chunk(tokens: Sequence[Token]) -> list[ChunkCandidate]:
     out: list[ChunkCandidate] = []
     i, n = 0, len(tokens)
     while i < n:
-        j = i
-        best = -1
-        headed = False  # a noun seen and no gerund since
-        while j < n and tags[j] in CHUNK_TAGS:
-            if tags[j] in NOUN_TAGS:
-                headed = True
-            elif tags[j] == "VBG":
-                headed = False
-            j += 1
-            if headed:
-                best = j
-        if best < 0:
-            # no noun before `j`, so no start before `j` can find one either
-            i = max(i + 1, j)
+        ends, run_end = candidate_ends(tags, i, n)
+        if not ends:
+            # no noun before `run_end`, so no start before it can find one either
+            i = max(i + 1, run_end)
             continue
-        end = best
+        end = ends[-1]
         while end < n and tokens[end].text in TRADEMARK_TEXTS:
             end += 1
         out.append(ChunkCandidate(span=Span(i, end)))

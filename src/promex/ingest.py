@@ -19,6 +19,7 @@ from .model import (
     EntityMention,
     EntityType,
     MentionKind,
+    NestingIndex,
     POSSESSIVE_CLITICS,
     PROPER_NOUN_TAGS,
     Provenance,
@@ -26,7 +27,6 @@ from .model import (
     Token,
     TRADEMARK_TEXTS,
     attach_annotations,
-    by_sentence,
     is_word,
     make_document,
     mention_kind,
@@ -347,8 +347,12 @@ def recognize_orgs(doc: Document, gazetteer: OrgGazetteer) -> list[EntityMention
     """
     lowered = [t.text.lower() for t in doc.tokens]
     chosen: list[Span] = []
+    existing = NestingIndex(m.span for m in doc.entities)
+    # positions held by a Company mention, existing or chosen
+    taken = {i for m in doc.entities if m.entity_type is EntityType.COMPANY
+             for i in range(m.span.start, m.span.end)}
 
-    for sentence, entities in zip(doc.sentences, by_sentence(doc, doc.entities)):
+    for sentence in doc.sentences:
         s, e = sentence.span.start, sentence.span.end
         candidates = gazetteer.spans(lowered, s, e)
         # capitalized proper-noun runs ending in a legal suffix
@@ -366,13 +370,9 @@ def recognize_orgs(doc: Document, gazetteer: OrgGazetteer) -> list[EntityMention
             else:
                 i += 1
 
-        # positions held by a Company mention, existing or chosen; candidates
-        # and mentions of other sentences never overlap these
-        taken = {i for m in entities if m.entity_type is EntityType.COMPANY
-                 for i in range(m.span.start, m.span.end)}
         for span in sorted(set(candidates), key=lambda sp: (-len(sp), sp.start)):
             positions = range(span.start, span.end)
-            if taken.isdisjoint(positions) and not any(span.crosses(m.span) for m in entities):
+            if taken.isdisjoint(positions) and not existing.crosses(span):
                 taken.update(positions)
                 chosen.append(span)
 

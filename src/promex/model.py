@@ -340,13 +340,38 @@ def _check_chains(chains: Sequence[IdentityChain], by_id: dict[str, EntityMentio
                 )
 
 
+class NestingIndex:
+    """Kept spans, answering whether a span [s, e) would cross one of them.
+
+    A kept span crosses it when it starts strictly inside and ends after e, or
+    ends strictly inside and starts before s.  So for each position the index
+    keeps the greatest end of the spans starting there and the least start of
+    the spans ending there, and a query costs O(e - s).
+    """
+
+    def __init__(self, spans: Iterable[Span]) -> None:
+        self._end_from, self._start_to = {}, {}  # start -> greatest end, end -> least start
+        for span in spans:
+            self.add(span)
+
+    def add(self, span: Span) -> None:
+        self._end_from[span.start] = max(span.end, self._end_from.get(span.start, span.end))
+        self._start_to[span.end] = min(span.start, self._start_to.get(span.end, span.start))
+
+    def crosses(self, span: Span) -> bool:
+        inside = range(span.start + 1, span.end)
+        return (any(self._end_from.get(i, 0) > span.end for i in inside)
+                or any(self._start_to.get(i, span.start) < span.start for i in inside))
+
+
 def _check_nesting(ents: Sequence[EntityMention]) -> None:
     """Reject two mentions that overlap without one containing the other.
 
     One sweep in (start, -end) order with a stack of the spans still open:
     a span that starts inside the innermost open span but ends after it
     crosses that span.  Spans that no longer reach the sweep position are
-    popped first, so the innermost open span is always on top.
+    popped first, so the innermost open span is always on top.  This batch
+    check costs O(n log n); a `NestingIndex` would cost the spans' total length.
     """
     open_spans: list[EntityMention] = []
     for mention in sorted(ents, key=lambda e: (e.span.start, -e.span.end)):

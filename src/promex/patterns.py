@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .chunker import separator_ends, span_matches_grammar
+from .chunker import candidate_ends, separator_ends
 from .inflect import inflections
 from .model import (
     Document,
@@ -472,15 +472,12 @@ class _SentenceContext:
         """Possible first-conjunct spans at `pos`, longest first."""
         firsts = self._product_firsts.get(pos)
         if firsts is None:
-            firsts = self._product_firsts[pos] = []
-            cand = self.covering.get(pos)
-            # the candidate itself when it starts here, then its grammatical
-            # prefixes from `pos`; descending ends, so longest first
-            for q in range(cand.end, pos, -1) if cand else ():
-                if (q == cand.end and cand.start == pos) or span_matches_grammar(
-                    self.tags[pos - self.start:q - self.start]
-                ):
-                    firsts.append((Span(pos, q), q))
+            cand, start = self.covering.get(pos), self.start
+            # grammatical prefixes from `pos`, and the candidate itself when it starts here
+            ends = [start + q for q in candidate_ends(self.tags, pos - start, cand.end - start)[0]] if cand else []
+            if cand and cand.start == pos and ends[-1:] != [cand.end]:
+                ends.append(cand.end)
+            firsts = self._product_firsts[pos] = [(Span(pos, q), q) for q in reversed(ends)]
         return firsts
 
     def member_at(self, pos: int, trig: TriggerLiteral) -> tuple[tuple[str, ...], int] | None:

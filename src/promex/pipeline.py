@@ -18,6 +18,7 @@ from .model import (
     Document,
     EntityMention,
     EntityType,
+    NestingIndex,
     Provenance,
     RelationMention,
     Span,
@@ -45,7 +46,9 @@ def preannotate_document(
     Human annotations already on the document are kept; recognized company
     mentions, matched product mentions and relation mentions are added with
     PreAnnotation provenance.  A sentence with no company mention, human or
-    recognized, is skipped before chunking: no match can come from it.
+    recognized, is skipped before chunking: no match can come from it.  A
+    match is dropped when one of its products would cross a mention kept
+    before it: human, recognized, or minted from an earlier match.
     """
     orgs = recognize_orgs(doc, gazetteer)
     # a span already annotated as a product keeps that mention's id
@@ -53,6 +56,7 @@ def preannotate_document(
         e.span: e.mention_id for e in doc.entities
         if e.entity_type is EntityType.PRODUCT
     }
+    kept = NestingIndex(m.span for m in (*doc.entities, *orgs))
     minted: list[EntityMention] = []
     raw: list[RelationMention] = []
     for sentence, fixed in zip(doc.sentences, by_sentence(doc, (*doc.entities, *orgs))):
@@ -68,12 +72,13 @@ def preannotate_document(
         found = match_sentence(doc, sentence, companies, candidates, surface_patterns)
         # relation ids count every match of the sentence, dropped ones too
         for i, (company, spans, trigger, pattern_id) in enumerate(found.relations):
-            # a matched span that crosses an existing mention cannot be attached
-            if any(s.crosses(m.span) for s in spans for m in fixed):
+            # a product that would cross a kept mention cannot be attached
+            if any(kept.crosses(s) for s in spans if s not in product_ids):
                 continue
             for span in spans:
                 if span not in product_ids:
                     product_ids[span] = f"{doc.doc_id}-pre-p{span.start}-{span.end}"
+                    kept.add(span)
                     minted.append(EntityMention(
                         product_ids[span], EntityType.PRODUCT, span,
                         mention_kind(doc.tokens, span), Provenance.PRE_ANNOTATION,

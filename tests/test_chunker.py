@@ -5,7 +5,7 @@ import re
 
 from hypothesis import given, strategies as st
 
-from promex.chunker import ChunkCandidate, chunk, span_matches_grammar, split_coordination
+from promex.chunker import ChunkCandidate, candidate_ends, chunk, span_matches_grammar, split_coordination
 from promex.model import NOUN_TAGS, Span, Token
 
 from conftest import simple_tokens
@@ -18,14 +18,13 @@ _SYMBOL = {"NN": "N", "NNS": "N", "NNP": "N", "NNPS": "N", "JJ": "J", "CD": "C",
 _GRAMMAR = re.compile(r"^[GNJC]*N[NJC]*$")
 
 
+def oracle_parses(tags: list[str]) -> bool:
+    return all(t in _SYMBOL for t in tags) and bool(_GRAMMAR.match("".join(_SYMBOL[t] for t in tags)))
+
+
 def oracle_chunks(tags: list[str]) -> list[tuple[int, int]]:
     def matches(i: int, j: int) -> bool:
-        symbols = []
-        for t in tags[i:j]:
-            if t not in _SYMBOL:
-                return False
-            symbols.append(_SYMBOL[t])
-        return bool(_GRAMMAR.match("".join(symbols)))
+        return oracle_parses(tags[i:j])
 
     spans = []
     pos = 0
@@ -149,3 +148,13 @@ class TestGrammar:
     def test_rejects_foreign_tags(self):
         assert not span_matches_grammar(["NN", "DT", "NN"])
         assert not span_matches_grammar([])
+
+    @given(st.lists(st.sampled_from(TAG_POOL), max_size=12), st.data())
+    def test_candidate_ends_agree_with_oracle(self, tags, data):
+        start = data.draw(st.integers(0, len(tags)))
+        stop = data.draw(st.integers(start, len(tags)))
+        ends, run_end = candidate_ends(tags, start, stop)
+        assert start <= run_end <= stop and all(t in _SYMBOL for t in tags[start:run_end])
+        assert run_end == stop or tags[run_end] not in _SYMBOL
+        assert ends == [j for j in range(start + 1, run_end + 1) if oracle_parses(tags[start:j])]
+        assert span_matches_grammar(tags[start:stop]) == oracle_parses(tags[start:stop])

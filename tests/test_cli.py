@@ -101,6 +101,20 @@ class TestPreannotate:
         assert (code, err) == (0, "")
         assert load_corpus(str(out_file)).documents[0].tokens[2].pos == "SYM"
 
+    def test_match_crossing_a_product_minted_earlier_is_dropped(self, tmp_path, capsys):
+        src = tmp_path / "docs"
+        src.mkdir()
+        (src / "a.txt").write_text("Intel is Samsung developing chips providers .", encoding="utf-8")
+        out_file = tmp_path / "out.corpus"
+        code, out, err = run_cli(["preannotate", "--in", str(src), "--out", str(out_file)], capsys)
+        assert (code, err) == (0, "")
+        [doc] = load_corpus(str(out_file)).documents
+        # the dropped P03 match still takes the id r1
+        assert [(r.relation_id, r.pattern_id) for r in doc.relations] == [
+            ("a-pre-s0-r0", "P05"), ("a-pre-s0-r2", "nested"),
+        ]
+        assert "P03" not in out
+
     @pytest.mark.parametrize("clitic", ["'s", "’s"])
     def test_raw_text_possessive_clitic(self, clitic, tmp_path, capsys):
         src = tmp_path / "docs"

@@ -12,6 +12,7 @@ from promex.model import (
     IdentityChain,
     InvariantViolation,
     MentionKind,
+    NestingIndex,
     NonNameChainSource,
     NonPartitioningSentences,
     OffsetOutOfBounds,
@@ -200,6 +201,14 @@ class TestSpanAlgebra:
         if a.crosses(b):
             assert a.overlaps(b)
             assert not a.contains(b) and not b.contains(a)
+
+    @given(st.lists(spans, max_size=12), spans)
+    def test_nesting_index_agrees_with_pairwise_crossing(self, kept, span):
+        # the kept spans may cross each other too; each query stays exact
+        index = NestingIndex(kept[:6])
+        for other in kept[6:]:
+            index.add(other)
+        assert index.crosses(span) == any(span.crosses(other) for other in kept)
 
     def test_structural_equality(self):
         assert Span(1, 3) == Span(1, 3)

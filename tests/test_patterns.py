@@ -5,7 +5,7 @@ import pytest
 from promex.chunker import chunk, span_matches_grammar, split_coordination
 from promex.cli import default_config_path, default_gazetteer_path
 from promex.examples import annotated_document, tagged_document
-from promex.ingest import OrgGazetteer
+from promex.ingest import OrgGazetteer, document_from_text, read_tagged
 from promex.model import (
     EntityType,
     Provenance,
@@ -387,6 +387,28 @@ class TestPreannotateDocument:
         result = preannotate_document(doc, DEFAULT_GAZETTEER, DEFAULT_SURFACES)
         assert result.raw_relations == () and result.document.relations == ()
         assert [e.mention_id for e in result.document.entities] == ["p1", "d-org0"]
+
+    def test_match_crossing_a_product_minted_earlier_is_dropped(self):
+        doc = document_from_text("Intel is Samsung developing chips providers .", "a")
+        result = preannotate_document(doc, DEFAULT_GAZETTEER, DEFAULT_SURFACES)
+        # P05 mints "Samsung developing chips"; P03's "chips providers" (the
+        # match numbered r1) crosses it, and the nested rule's candidate holds it
+        assert [(r.relation_id, r.pattern_id) for r in result.raw_relations] == [
+            ("a-pre-s0-r0", "P05"), ("a-pre-s0-r2", "nested"),
+        ]
+        assert relation_shapes(result.document) == [
+            ("Intel", ("Samsung developing chips",), "providers", "P05"),
+            ("Samsung", ("Samsung developing chips providers",), None, "nested"),
+        ]
+
+    @pytest.mark.parametrize("tag,nested", [("POS", False), ("CC", True)])
+    def test_nested_rule_skips_a_merged_coordination_holding_a_possessive(self, tag, nested):
+        # the bare adjective "big" and "new Apple watches" merge over the
+        # separator "and"; a column file may tag it POS
+        doc = read_tagged(f"big\tJJ\nand\t{tag}\nnew\tJJ\nApple\tNNP\nwatches\tNNS\n.\t.")
+        result = preannotate_document(doc, OrgGazetteer.from_names(["Apple"]), DEFAULT_SURFACES).document
+        expected = [("Apple", ("big and new Apple watches",), None, "nested")] if nested else []
+        assert relation_shapes(result) == expected
 
     def test_match_on_a_human_product_points_at_it(self):
         doc = annotated_document("d", self.SMART_WATCHES, entities=[("p1", "product", "nominal", 2, 4)])

@@ -3,7 +3,8 @@
 Each guard times one input and another 16 times as long.  Linear cost
 predicts a time ratio of 16 between them, quadratic cost 256; the bound of
 48 leaves room for a host whose speed swings by a factor of two between runs.
-Company recognition is guarded the same way on one long sentence.
+Company recognition and pre-annotation are guarded the same way on one
+long sentence, as raw text with no sentence punctuation makes.
 Matching is guarded by counting work instead: a company coordination is
 parsed once per anchor, however many surfaces start with `<ORG>`, the
 nested company-in-candidate rule looks up one candidate per company, and a
@@ -132,6 +133,22 @@ def test_recognize_orgs_scales_linearly_in_sentence_length():
     # no sentence punctuation: each text is one sentence
     short, long = (document_from_text(" ".join(["Intel makes sensors"] * n)) for n in (64, 64 * GROWTH))
     ratio = growth_ratio(lambda doc: recognize_orgs(doc, gazetteer), short, long)
+    assert ratio < MAX_RATIO, f"{GROWTH}x longer sentence took {ratio:.0f}x as long"
+
+
+# one sentence each: a run-on text, possessive spam, and one candidate holding
+# every company, which the nested rule relates to each of them
+@pytest.mark.parametrize("text,n", [
+    (lambda n: " ".join(["Intel makes sensors"] * n), 256),
+    (lambda n: " ".join(["Intel 's"] * n) + " sensors .", 128),
+    (lambda n: " ".join(["sensors"] + ["Intel"] * n), 100),
+], ids=["run-on", "possessive", "nested"])
+def test_preannotate_scales_linearly_in_sentence_length(text, n):
+    surfaces = expand(parse_config(default_config_path().read_text(encoding="utf-8")))
+    gazetteer = OrgGazetteer.from_names(["Intel"])
+    short, long = document_from_text(text(n)), document_from_text(text(n * GROWTH))
+    assert len(long.sentences) == 1
+    ratio = growth_ratio(lambda doc: pipeline.preannotate_document(doc, gazetteer, surfaces), short, long)
     assert ratio < MAX_RATIO, f"{GROWTH}x longer sentence took {ratio:.0f}x as long"
 
 
