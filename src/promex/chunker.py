@@ -37,11 +37,6 @@ def candidate_ends(tags: Sequence[str], start: int, stop: int) -> tuple[list[int
     return ends, j
 
 
-def span_matches_grammar(tags: Sequence[str]) -> bool:
-    """True when a tag sequence parses as a product candidate."""
-    return candidate_ends(tags, 0, len(tags))[0][-1:] == [len(tags)]
-
-
 def chunk(tokens: Sequence[Token]) -> list[ChunkCandidate]:
     """Maximal-munch candidates for one sentence.
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from . import analytics, corpus_io, validator
-from .ingest import IngestError, OrgGazetteer, document_from_text, read_tagged
+from .ingest import IngestError, OrgGazetteer, document_from_text, export_column, read_tagged
 from .model import Corpus, ModelError, RelationMention
 from .patterns import PatternConfigError, SurfacePattern, expand, parse_config
 from .pipeline import preannotate_document
@@ -218,7 +218,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     if args.target == "column":
         corpus = _load_corpus(args.input)
         for doc in corpus.documents:
-            sys.stdout.write(corpus_io.export_column(doc))
+            sys.stdout.write(export_column(doc))
     else:
         try:
             with open(args.input, encoding="utf-8") as fh:

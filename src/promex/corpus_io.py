@@ -98,6 +98,10 @@ def _document_record(doc: Document) -> dict:
     return record
 
 
+def _header_line(schema_version: str) -> str:
+    return _dump({"schema_version": schema_version}) + "\n"
+
+
 def document_line(doc: Document) -> str:
     """The line that holds `doc` in a corpus file, with its newline."""
     return _dump(_document_record(doc)) + "\n"
@@ -106,7 +110,7 @@ def document_line(doc: Document) -> str:
 def write_corpus(corpus: Corpus, sink: IO[str]) -> None:
     """Write `corpus` to a text sink, one record per line after the header."""
     try:
-        sink.write(_dump({"schema_version": corpus.schema_version}) + "\n")
+        sink.write(_header_line(corpus.schema_version))
         sink.writelines(map(document_line, corpus.documents))
     except OSError as exc:
         raise SinkFailure(f"could not write corpus: {exc}") from exc
@@ -173,15 +177,15 @@ def _parse_document(record: dict, line_no: int) -> Document:
     doc_id = _field(record, "doc_id", str, line_no)
     text = _field(record, "text", str, line_no)
     raw_tokens = _field(record, "tokens", list, line_no)
-    # the hot path tests each token's types inline and keeps one string per tag; should
-    # one fail, the tokens are read again through `_field`, which names the bad field
+    # each token's types are tested inline, and one string is kept per tag
     tokens = [
         Token(tok_text, intern(pos), start, end) for t in raw_tokens
         if type(t) is dict and type(tok_text := t.get("text")) is str and type(pos := t.get("pos")) is str
         and type(start := t.get("start")) is int and type(end := t.get("end")) is int
     ]
     if len(tokens) < len(raw_tokens):
-        tokens = [Token(*values) for values in _objects(record, "tokens", _TOKEN, line_no)]
+        # a token was left out: reading the tokens through `_field` raises the MalformedRecord naming it
+        _objects(record, "tokens", _TOKEN, line_no)
     sentences = _objects(record, "sentences", _SPAN, line_no)
     entities = [
         EntityMention(mention_id, entity_type, Span(start, end), kind, provenance)
@@ -247,7 +251,7 @@ def save_document_lines(lines: Iterable[str], path: str, schema_version: str) ->
     try:
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(_dump({"schema_version": schema_version}) + "\n")
+                fh.write(_header_line(schema_version))
                 fh.writelines(lines)
             os.replace(tmp, path)
         except BaseException:
@@ -262,38 +266,3 @@ def load_corpus(path: str) -> Corpus:
     with open(path, encoding="utf-8") as fh:
         return read_corpus(fh)
 
-
-# ---------------------------------------------------------------------------
-# Column export
-
-def export_column(doc: Document) -> str:
-    """Render a document in the TOKEN/POS/BIO column format.
-
-    Lossy: relations and identity chains are dropped, and nested mentions
-    lose to their enclosing mention; both facts are noted in comments.
-    """
-    lines = [
-        f"# doc_id: {doc.doc_id}",
-        "# columns: TOKEN POS BIO",
-        "# note: relations and identity chains are not representable in this format",
-    ]
-    bio = ["O"] * len(doc.tokens)
-    owner: list[EntityMention | None] = [None] * len(doc.tokens)
-    for mention in sorted(doc.entities, key=lambda m: (m.span.start, -len(m.span))):
-        covered = [owner[i] is not None for i in range(mention.span.start, mention.span.end)]
-        if any(covered):
-            lines.append(
-                f"# nested-mention: {mention.mention_id} {mention.entity_type.value} "
-                f"[{mention.span.start},{mention.span.end}) suppressed"
-            )
-            continue
-        for i in range(mention.span.start, mention.span.end):
-            owner[i] = mention
-            prefix = "B" if i == mention.span.start else "I"
-            bio[i] = f"{prefix}-{mention.entity_type.value}"
-    for sentence in doc.sentences:
-        for i in range(sentence.span.start, sentence.span.end):
-            token = doc.tokens[i]
-            lines.append(f"{token.text}\t{token.pos}\t{bio[i]}")
-        lines.append("")
-    return "\n".join(lines).rstrip("\n") + "\n"

@@ -1,4 +1,4 @@
-"""Turning raw text or pre-tagged column files into Documents.
+"""Turning raw text or pre-tagged column files into Documents, and Documents back into column files.
 
 The built-in tokenizer and tagger exist so the toolkit is self-contained
 and tests are hermetic; the recommended path for serious use is pre-tagged
@@ -218,8 +218,9 @@ def tag(tokens: Sequence[str]) -> list[str]:
 # ---------------------------------------------------------------------------
 # Column format
 
-_BIO_TAGS = {"B-Company", "I-Company", "B-Product", "I-Product", "O"}
-_BIO_TYPE = {"Company": EntityType.COMPANY, "Product": EntityType.PRODUCT}
+# the BIO vocabulary of both directions: "O", or B-/I- and an entity type's value
+_BIO_TYPE = {t.value: t for t in EntityType}
+_BIO_TAGS = {"O", *(f"{prefix}-{name}" for name in _BIO_TYPE for prefix in "BI")}
 
 
 def document_from_tokens(doc_id: str, sentences: Sequence[Sequence[tuple[str, str]]]) -> Document:
@@ -283,6 +284,32 @@ def read_tagged(column_text: str, doc_id: str = "doc") -> Document:
                 )
             )
     return attach_annotations(doc, entities=entities)
+
+
+def export_column(doc: Document) -> str:
+    """Render a document in the TOKEN/POS/BIO column format that `read_tagged` reads.
+
+    Lossy: relations and identity chains are dropped, and nested mentions
+    lose to their enclosing mention; both facts are noted in comments.
+    """
+    lines = [
+        f"# doc_id: {doc.doc_id}",
+        "# columns: TOKEN POS BIO",
+        "# note: relations and identity chains are not representable in this format",
+    ]
+    bio = ["O"] * len(doc.tokens)
+    for mention in sorted(doc.entities, key=lambda m: (m.span.start, -len(m.span))):
+        span, name = mention.span, mention.entity_type.value
+        if any(bio[i] != "O" for i in range(span.start, span.end)):
+            lines.append(f"# nested-mention: {mention.mention_id} {name} [{span.start},{span.end}) suppressed")
+            continue
+        bio[span.start:span.end] = [f"B-{name}"] + [f"I-{name}"] * (len(span) - 1)
+    for sentence in doc.sentences:
+        for i in range(sentence.span.start, sentence.span.end):
+            token = doc.tokens[i]
+            lines.append(f"{token.text}\t{token.pos}\t{bio[i]}")
+        lines.append("")
+    return "\n".join(lines).rstrip("\n") + "\n"
 
 
 def document_from_text(text: str, doc_id: str = "doc") -> Document:

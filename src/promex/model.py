@@ -99,15 +99,8 @@ class Span:
     def __len__(self) -> int:
         return self.end - self.start
 
-    def overlaps(self, other: "Span") -> bool:
-        return self.start < other.end and other.start < self.end
-
     def contains(self, other: "Span") -> bool:
         return self.start <= other.start and other.end <= self.end
-
-    def crosses(self, other: "Span") -> bool:
-        """Partial overlap: the spans overlap but neither contains the other."""
-        return self.overlaps(other) and not (self.contains(other) or other.contains(self))
 
 
 @dataclass(frozen=True, slots=True)

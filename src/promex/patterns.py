@@ -172,14 +172,14 @@ _SET_LINE = re.compile(r"^set\s+(\w+)\s*=\s*(.+)$")
 _PATTERN_LINE = re.compile(r"^(\S+?):\s+(.+)$")
 # opening bracket of a slot or alternation -> its closing bracket and name
 _CLOSERS = {"<": (">", "<...> element"), "{": ("}", "{...} alternation")}
+# an element starts where a run of non-space characters does
+_RUN = re.compile(r"\S+")
 
 
 def _parse_alternation(body: str, sets: dict[str, tuple[Alt, ...]], line_no: int) -> tuple[Alt, ...]:
     alts: list[Alt] = []
     for raw in body.split("|"):
         raw = raw.strip()
-        if not raw:
-            raise PatternSyntaxError(line_no, "empty alternative in alternation")
         if raw.startswith("@"):
             name = raw[1:]
             if name not in sets:
@@ -202,69 +202,53 @@ def _parse_alternation(body: str, sets: dict[str, tuple[Alt, ...]], line_no: int
     return tuple(alts)
 
 
-def _tokenize_elements(body: str, line_no: int) -> list[str]:
-    """Split a pattern body into raw element strings, honouring brackets."""
-    out: list[str] = []
-    i, n = 0, len(body)
-    while i < n:
-        c = body[i]
-        if c.isspace():
-            i += 1
-        elif c in _CLOSERS:
-            close, name = _CLOSERS[c]
-            j = body.find(close, i)
-            if j < 0:
-                raise PatternSyntaxError(line_no, f"unterminated {name}")
-            out.append(body[i:j + 1])
-            i = j + 1
-        elif c == "[":
+def _parse_elements(body: str, sets: dict[str, tuple[Alt, ...]], line_no: int, *,
+                    in_optional: bool) -> tuple[Element, ...]:
+    """The elements of a pattern body, or of the inside of a [...] group.
+
+    Each element is classified at the character that opens it, so a line
+    with several syntax errors reports the leftmost one.
+    """
+    elements: list[Element] = []
+    pos = 0
+    while run := _RUN.search(body, pos):
+        start, opener = run.start(), run.group()[0]
+        if opener == "[":
             depth = 0
-            j = i
-            while j < n:
-                if body[j] == "[":
-                    depth += 1
-                elif body[j] == "]":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                j += 1
-            if j >= n:
+            for end in range(start, len(body)):
+                depth += (body[end] == "[") - (body[end] == "]")
+                if depth == 0:
+                    break
+            else:
                 raise PatternSyntaxError(line_no, "unterminated [...] group")
-            out.append(body[i:j + 1])
-            i = j + 1
-        elif c == "]":
+            group = _parse_elements(body[start + 1:end], sets, line_no, in_optional=True)
+            pos = end + 1
+            if not group:
+                raise PatternSyntaxError(line_no, "empty optional group")
+            elements.append(OptionalGroup(group))
+        elif opener == "]":
             raise PatternSyntaxError(line_no, "unbalanced ']'")
+        elif opener in _CLOSERS:
+            close, name = _CLOSERS[opener]
+            end = body.find(close, start)
+            if end < 0:
+                raise PatternSyntaxError(line_no, f"unterminated {name}")
+            raw, pos = body[start:end + 1], end + 1
+            if opener == "{":
+                elements.append(LiteralSlot(_parse_alternation(raw[1:-1], sets, line_no)))
+            elif raw in _SLOTS or raw.startswith("<TRIG:"):
+                if in_optional:
+                    name = raw if raw in _SLOTS else "trigger"
+                    raise PatternSyntaxError(line_no, f"{name} may not appear inside an optional group")
+                elements.append(_SLOTS[raw]() if raw in _SLOTS
+                                else TriggerSlot(_parse_alternation(raw[6:-1], sets, line_no)))
+            else:
+                raise PatternSyntaxError(line_no, f"unknown slot {raw!r}")
         else:
-            j = i
-            while j < n and not body[j].isspace():
-                j += 1
-            out.append(body[i:j])
-            i = j
-    return out
-
-
-def _parse_element(raw: str, sets: dict[str, tuple[Alt, ...]], line_no: int, *, in_optional: bool) -> Element:
-    is_trigger = raw.startswith("<TRIG:") and raw.endswith(">")
-    if in_optional and (is_trigger or raw in _SLOTS):
-        name = "trigger" if is_trigger else raw
-        raise PatternSyntaxError(line_no, f"{name} may not appear inside an optional group")
-    if raw in _SLOTS:
-        return _SLOTS[raw]()
-    if is_trigger:
-        return TriggerSlot(_parse_alternation(raw[6:-1], sets, line_no))
-    if raw.startswith("<"):
-        raise PatternSyntaxError(line_no, f"unknown slot {raw!r}")
-    if raw.startswith("[") and raw.endswith("]"):
-        inner = _tokenize_elements(raw[1:-1], line_no)
-        if not inner:
-            raise PatternSyntaxError(line_no, "empty optional group")
-        elements = tuple(
-            _parse_element(item, sets, line_no, in_optional=True) for item in inner
-        )
-        return OptionalGroup(elements)
-    # a bare word, ~verb or @set reads like a one-alternative {...}
-    body = raw[1:-1] if raw.startswith("{") and raw.endswith("}") else raw
-    return LiteralSlot(_parse_alternation(body, sets, line_no))
+            # a bare word, ~verb or @set runs to the next space and reads like a one-alternative {...}
+            elements.append(LiteralSlot(_parse_alternation(run.group(), sets, line_no)))
+            pos = run.end()
+    return tuple(elements)
 
 
 def parse_config(text: str) -> PatternConfig:
@@ -291,10 +275,7 @@ def parse_config(text: str) -> PatternConfig:
         if pattern_id in seen:
             raise DuplicatePatternId(pattern_id)
         seen.add(pattern_id)
-        elements = tuple(
-            _parse_element(item, sets, line_no, in_optional=False)
-            for item in _tokenize_elements(body, line_no)
-        )
+        elements = _parse_elements(body, sets, line_no, in_optional=False)
         triggers = sum(isinstance(e, (TriggerSlot, PossessiveTrigger)) for e in elements)
         if triggers > 1:
             raise MultipleTriggers(pattern_id)

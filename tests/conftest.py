@@ -15,6 +15,16 @@ from promex.model import (
     make_document,
 )
 
+def spans_overlap(a: Span, b: Span) -> bool:
+    return a.start < b.end and b.start < a.end
+
+
+def spans_cross(a: Span, b: Span) -> bool:
+    """Partial overlap, the spec `NestingIndex` and the nesting check are held to:
+    the spans overlap but neither contains the other."""
+    return spans_overlap(a, b) and not (a.contains(b) or b.contains(a))
+
+
 def run_cli(argv: list[str], capsys) -> tuple[int, str, str]:
     """Invoke the CLI in-process, capturing exit code and streams."""
     from promex.cli import main

@@ -5,7 +5,7 @@ import re
 
 from hypothesis import given, strategies as st
 
-from promex.chunker import ChunkCandidate, candidate_ends, chunk, span_matches_grammar, split_coordination
+from promex.chunker import ChunkCandidate, candidate_ends, chunk, split_coordination
 from promex.model import NOUN_TAGS, Span, Token
 
 from conftest import simple_tokens
@@ -137,17 +137,17 @@ class TestSplitCoordination:
 
 class TestGrammar:
     def test_requires_noun(self):
-        assert not span_matches_grammar(["JJ", "JJ"])
-        assert span_matches_grammar(["JJ", "NN"])
+        assert candidate_ends(["JJ", "JJ"], 0, 2) == ([], 2)
+        assert candidate_ends(["JJ", "NN"], 0, 2) == ([2], 2)
 
     def test_rejects_trailing_gerund(self):
-        assert not span_matches_grammar(["NN", "VBG"])
-        assert span_matches_grammar(["VBG", "NN"])
-        assert span_matches_grammar(["NN", "VBG", "NN"])
+        assert candidate_ends(["NN", "VBG"], 0, 2) == ([1], 2)
+        assert candidate_ends(["VBG", "NN"], 0, 2) == ([2], 2)
+        assert candidate_ends(["NN", "VBG", "NN"], 0, 3) == ([1, 3], 3)
 
     def test_rejects_foreign_tags(self):
-        assert not span_matches_grammar(["NN", "DT", "NN"])
-        assert not span_matches_grammar([])
+        assert candidate_ends(["NN", "DT", "NN"], 0, 3) == ([1], 1)
+        assert candidate_ends([], 0, 0) == ([], 0)
 
     @given(st.lists(st.sampled_from(TAG_POOL), max_size=12), st.data())
     def test_candidate_ends_agree_with_oracle(self, tags, data):
@@ -157,4 +157,3 @@ class TestGrammar:
         assert start <= run_end <= stop and all(t in _SYMBOL for t in tags[start:run_end])
         assert run_end == stop or tags[run_end] not in _SYMBOL
         assert ends == [j for j in range(start + 1, run_end + 1) if oracle_parses(tags[start:j])]
-        assert span_matches_grammar(tags[start:stop]) == oracle_parses(tags[start:stop])

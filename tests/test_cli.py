@@ -265,6 +265,8 @@ PINNED_OUTPUT = {
 
 
 PINNED_EXPANSION = "6c556d78e41b804d6cab1770f05762f5d02b3ad5aee786722fafc07cfac970a2"
+# sha256 of `convert --in GOLDEN --to column`
+PINNED_COLUMN = "4c13b21494ec3f9650c385923996304ae07fe75104feb684f4a11e905455e9ce"
 
 
 class TestOutputContract:
@@ -272,6 +274,11 @@ class TestOutputContract:
         code, out, _ = run_cli(["patterns", "expand"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_EXPANSION
+
+    def test_column_bytes_are_pinned(self, capsys):
+        code, out, _ = run_cli(["convert", "--in", GOLDEN, "--to", "column"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_COLUMN
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("source", sorted(PINNED_OUTPUT))
@@ -320,6 +327,18 @@ class TestValidate:
         assert code == 2
         assert "cannot read corpus" in err
 
+    def test_invariant_violation_exits_2(self, tmp_path, capsys):
+        lines = Path(GOLDEN).read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        duplicate = record["entities"][1]["id"] = record["entities"][0]["id"]
+        lines[1] = json.dumps(record)
+        bad = tmp_path / "bad.corpus"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run_cli(["validate", "--in", str(bad)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"cannot read corpus {str(bad)!r}: duplicate mention id {duplicate!r}\n"
+
     def test_stoplist_flag_extends_defaults(self, tmp_path, capsys):
         from promex.examples import annotated_document
 
@@ -351,6 +370,14 @@ class TestStats:
         code, out, _ = run_cli(["stats", "--in", GOLDEN, "--kv"], capsys)
         assert code == 0
         assert "documents_total\t19" in out
+
+    def test_header_only_corpus_exits_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.corpus"
+        save_corpus(Corpus("1.0", ()), str(empty))
+        code, out, err = run_cli(["stats", "--in", str(empty)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "corpus contains no documents" in err
 
     def test_wrongly_typed_field_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.corpus"
@@ -390,6 +417,14 @@ class TestAgreement:
         assert code == 0
         assert "token_kappa_company\t1.000" in out
         assert "relation_f1\t1.000" in out
+
+    def test_header_only_layers_agree_fully(self, tmp_path, capsys):
+        empty = tmp_path / "empty.corpus"
+        save_corpus(Corpus("1.0", ()), str(empty))
+        code, out, _ = run_cli(["agreement", "--a", str(empty), "--b", str(empty)], capsys)
+        assert code == 0
+        rows = out.splitlines()
+        assert rows and all(row.split("\t")[1] == "1.000" for row in rows)
 
     def test_mismatched_layers_exit_2(self, tmp_path, capsys):
         from promex.examples import tagged_document

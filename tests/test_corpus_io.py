@@ -12,14 +12,14 @@ from promex.corpus_io import (
     MalformedRecord,
     SCHEMA_VERSION,
     SchemaVersionMismatch,
-    export_column,
+    SinkFailure,
     load_corpus,
     read_corpus,
     save_corpus,
     write_corpus,
 )
 from promex.examples import annotated_document, apple_watch, golden_corpus, tagged_document
-from promex.ingest import read_tagged
+from promex.ingest import export_column, read_tagged
 from promex.model import Corpus, InvariantViolation, ModelError
 
 
@@ -76,14 +76,19 @@ class TestRoundTrip:
         assert load_corpus(str(path)) == golden
 
     def test_sink_failure(self, tmp_path, golden):
-        from promex.corpus_io import SinkFailure
-
         with pytest.raises(SinkFailure):
             save_corpus(golden, str(tmp_path / "missing-dir" / "out.corpus"))
 
+    def test_failing_sink_raises_sink_failure(self, golden):
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        with pytest.raises(SinkFailure):
+            write_corpus(golden, FullDisk())
+
     def test_failed_write_keeps_old_file(self, tmp_path, golden, monkeypatch):
         import promex.corpus_io
-        from promex.corpus_io import SinkFailure
 
         path = tmp_path / "out.corpus"
         save_corpus(Corpus("1.0", golden.documents[:1]), str(path))
@@ -187,6 +192,41 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
     max_leaves=4,
 )
+
+
+def chained_record() -> dict:
+    """A two-sentence document record with a relation, its trigger and a chain."""
+    doc = annotated_document(
+        "d", ["Acme/NNP sells/VBZ gadgets/NNS ./.", "Acme/NNP ships/VBZ ./."],
+        entities=[
+            ("c1", "company", "name", 0, 1),
+            ("p1", "product", "nominal", 2, 3),
+            ("c2", "company", "name", 4, 5),
+        ],
+        relations=[("r1", "c1", ("p1",), (1, 2))],
+        chains=[("ch1", "c1", ("c2",))],
+    )
+    sink = io.StringIO()
+    write_corpus(Corpus(SCHEMA_VERSION, (doc,)), sink)
+    return json.loads(sink.getvalue().splitlines()[1])
+
+
+class TestModelChecksOnRead:
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda r: replaced(r, ("entities", 2, "id"), "c1"), "duplicate mention id 'c1'"),
+        (lambda r: {**r, "relations": r["relations"] * 2}, "duplicate relation id 'r1'"),
+        (lambda r: {**r, "chains": r["chains"] * 2}, "duplicate chain id 'ch1'"),
+        (lambda r: replaced(r, ("chains", 0, "targets"), ["c2", "c1"]),
+         "document 'd': chain ch1 lists its source among its targets"),
+        (lambda r: replaced(r, ("chains", 0, "targets"), ["zz"]),
+         "chain ch1 member 'zz' is not a known mention"),
+        (lambda r: replaced(r, ("relations", 0, "trigger"), {"start": 5, "end": 6}),
+         "document 'd': relation r1 trigger lies outside the argument sentence"),
+    ])
+    def test_tampered_record_names_the_broken_invariant(self, tamper, message):
+        with pytest.raises(InvariantViolation) as exc:
+            read_records([HEADER, tamper(chained_record())])
+        assert str(exc.value) == message
 
 
 class TestFieldTypes:

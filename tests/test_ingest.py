@@ -17,7 +17,7 @@ from promex.ingest import (
 )
 from promex.model import EntityType, ModelError, Provenance, Span
 
-from conftest import simple_tokens
+from conftest import simple_tokens, spans_overlap
 from promex.model import make_document
 
 
@@ -198,7 +198,7 @@ class TestRecognizeOrgs:
         spans = [m.span for m in recognize_orgs(doc, gaz)]
         for i, a in enumerate(spans):
             for b in spans[i + 1:]:
-                assert not a.overlaps(b)
+                assert not spans_overlap(a, b)
 
 
 class TestDocumentFromText:

@@ -20,7 +20,10 @@ pipeline missed products minted earlier in the same sentence, so where it
 fails to attach them the new one must drop the later match instead.  The
 raw-text tagger that tags each (word, sentence-initial) key once per
 document must agree with `tag`, which tags every token, and no surface
-pattern may match a sentence with no company mention.
+pattern may match a sentence with no company mention.  The pattern parser
+that split a body into element strings and then classified each string
+again by its first and last characters must parse the same bodies into
+the same elements, and reject the same bodies.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from dataclasses import replace
 from unittest import mock
 from typing import Iterable, Iterator, Sequence
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from promex import corpus_io, validator
@@ -83,16 +87,27 @@ from promex.ingest import (
 from promex.patterns import (
     MAX_CONJUNCTS,
     NESTED_PATTERN_ID,
+    Alt,
+    Element,
+    LiteralSlot,
+    OptionalGroup,
     OrgSlot,
+    PatternConfigError,
+    PatternSyntaxError,
     PossessiveTrigger,
     ProductSlot,
     SentenceMatches,
     SurfaceElement,
     SurfacePattern,
     TriggerLiteral,
+    TriggerSlot,
     Words,
+    _CLOSERS,
     _EXACT_LITERALS,
+    _SLOTS,
     _SentenceContext,
+    _parse_alternation,
+    _parse_elements,
     expand,
     match_sentence,
     parse_config,
@@ -100,6 +115,8 @@ from promex.patterns import (
 )
 from promex.pipeline import PreannotateResult, preannotate_document
 from promex.validator import DEFAULT_STOPLIST, Severity, Violation, validate
+
+from conftest import spans_cross, spans_overlap
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +212,7 @@ def oracle_attach(doc, entities=(), relations=(), chains=()) -> Document:
         _check_entity(doc, e)
     for a in ents:
         for b in ents:
-            if a.mention_id < b.mention_id and a.span.crosses(b.span):
+            if a.mention_id < b.mention_id and spans_cross(a.span, b.span):
                 raise InvariantViolation(
                     f"mentions {a.mention_id!r} and {b.mention_id!r} overlap without nesting"
                 )
@@ -540,7 +557,7 @@ def oracle_preannotate_document(
         # relation ids count every match of the sentence, dropped ones too
         for i, (company, spans, trigger, pattern_id) in enumerate(found.relations):
             # a matched span that crosses an existing mention cannot be attached
-            if any(s.crosses(m.span) for s in spans for m in fixed):
+            if any(spans_cross(s, m.span) for s in spans for m in fixed):
                 continue
             for span in spans:
                 if span not in product_ids:
@@ -771,11 +788,11 @@ def oracle_recognize_orgs(doc: Document, gazetteer: OrgGazetteer) -> list[Entity
         existing = [m.span for m in entities if m.entity_type is EntityType.COMPANY]
         in_sentence: list[Span] = []
         for span in sorted(set(candidates), key=lambda sp: (-len(sp), sp.start)):
-            if any(span.overlaps(other) for other in in_sentence):
+            if any(spans_overlap(span, other) for other in in_sentence):
                 continue
-            if any(span.overlaps(other) for other in existing):
+            if any(spans_overlap(span, other) for other in existing):
                 continue
-            if any(span.crosses(m.span) for m in entities):
+            if any(spans_cross(span, m.span) for m in entities):
                 continue
             in_sentence.append(span)
         chosen.extend(in_sentence)
@@ -791,6 +808,75 @@ def oracle_recognize_orgs(doc: Document, gazetteer: OrgGazetteer) -> list[Entity
         )
         for i, span in enumerate(chosen)
     ]
+
+
+# ---------------------------------------------------------------------------
+# The pattern parser that split a body into element strings, then worked out
+# each element again from its first and last characters
+
+def oracle_tokenize_elements(body: str, line_no: int) -> list[str]:
+    """Split a pattern body into raw element strings, honouring brackets."""
+    out: list[str] = []
+    i, n = 0, len(body)
+    while i < n:
+        c = body[i]
+        if c.isspace():
+            i += 1
+        elif c in _CLOSERS:
+            close, name = _CLOSERS[c]
+            j = body.find(close, i)
+            if j < 0:
+                raise PatternSyntaxError(line_no, f"unterminated {name}")
+            out.append(body[i:j + 1])
+            i = j + 1
+        elif c == "[":
+            depth = 0
+            j = i
+            while j < n:
+                if body[j] == "[":
+                    depth += 1
+                elif body[j] == "]":
+                    depth -= 1
+                    if depth == 0:
+                        break
+                j += 1
+            if j >= n:
+                raise PatternSyntaxError(line_no, "unterminated [...] group")
+            out.append(body[i:j + 1])
+            i = j + 1
+        elif c == "]":
+            raise PatternSyntaxError(line_no, "unbalanced ']'")
+        else:
+            j = i
+            while j < n and not body[j].isspace():
+                j += 1
+            out.append(body[i:j])
+            i = j
+    return out
+
+
+def oracle_parse_element(raw: str, sets: dict[str, tuple[Alt, ...]], line_no: int, *, in_optional: bool) -> Element:
+    is_trigger = raw.startswith("<TRIG:") and raw.endswith(">")
+    if in_optional and (is_trigger or raw in _SLOTS):
+        name = "trigger" if is_trigger else raw
+        raise PatternSyntaxError(line_no, f"{name} may not appear inside an optional group")
+    if raw in _SLOTS:
+        return _SLOTS[raw]()
+    if is_trigger:
+        return TriggerSlot(_parse_alternation(raw[6:-1], sets, line_no))
+    if raw.startswith("<"):
+        raise PatternSyntaxError(line_no, f"unknown slot {raw!r}")
+    if raw.startswith("[") and raw.endswith("]"):
+        inner = oracle_tokenize_elements(raw[1:-1], line_no)
+        if not inner:
+            raise PatternSyntaxError(line_no, "empty optional group")
+        elements = tuple(
+            oracle_parse_element(item, sets, line_no, in_optional=True) for item in inner
+        )
+        return OptionalGroup(elements)
+    # a bare word, ~verb or @set reads like a one-alternative {...}
+    body = raw[1:-1] if raw.startswith("{") and raw.endswith("}") else raw
+    return LiteralSlot(_parse_alternation(body, sets, line_no))
 
 
 # ---------------------------------------------------------------------------
@@ -1079,6 +1165,32 @@ def match_case(name: str, sentences: list[list[str]], companies: list[tuple[int,
 
 
 # ---------------------------------------------------------------------------
+# Pattern bodies: every kind of element, unknown names and lone brackets
+
+PATTERN_SETS = {"maker": (Alt(("make",), inflect=True), Alt(("made", "by")))}
+SLOT_PARTS = ("<ORG>", "<PRO>", "<POSS>", "<TRIG:by>", "<TRIG:~make|vendor of>", "<TRIG:@maker>")
+WORD_PARTS = ("{a|the}", "{~make}", "{@maker|of}", "@maker", "~make", "of", "a|an", "x>", "y}")
+BROKEN_PARTS = (
+    "<FOO>", "{a||b}", "{~make up}", "@nope", "~@maker", "a]", "[", "]", "<", ">", "{", "}", "|", "~",
+)
+
+
+@st.composite
+def optional_groups(draw, depth: int = 2) -> str:
+    nested = optional_groups(depth - 1) if depth else st.nothing()
+    return "[%s]" % " ".join(draw(st.lists(st.sampled_from(WORD_PARTS) | nested, min_size=1, max_size=3)))
+
+
+@st.composite
+def pattern_bodies(draw) -> str:
+    """Well-formed elements and groups, with at most one broken part among them."""
+    parts = draw(st.lists(st.sampled_from(SLOT_PARTS + WORD_PARTS) | optional_groups(), max_size=5))
+    if draw(st.booleans()):
+        parts.insert(draw(st.integers(0, len(parts))), draw(st.sampled_from(BROKEN_PARTS)))
+    return "".join(part + draw(st.sampled_from((" ", " ", "  ", ""))) for part in parts)
+
+
+# ---------------------------------------------------------------------------
 # Mutated corpus records
 
 SPAN_TYPES = {"start": int, "end": int}
@@ -1209,7 +1321,7 @@ def pipeline_cases(draw):
     entities: list[EntityMention] = []
     for i in range(draw(st.integers(0, 4))):
         span = draw(spans_in(doc, False, [e.span for e in entities]))
-        if any(span.crosses(e.span) for e in entities):
+        if any(spans_cross(span, e.span) for e in entities):
             continue
         nouns = any(t.pos in NOUN_TAGS for t in doc.tokens[span.start:span.end])
         etype = draw(st.sampled_from(EntityType)) if nouns else EntityType.COMPANY
@@ -1238,7 +1350,7 @@ def test_attach_agrees_with_pairwise_crossing_check(args):
         by_id = {e.mention_id: e for e in args[1]}
         a, b = re.findall(r"'([^']*)'", str(new))
         assert a < b
-        assert by_id[a].span.crosses(by_id[b].span)
+        assert spans_cross(by_id[a].span, by_id[b].span)
     else:
         assert str(new) == str(old)
 
@@ -1306,6 +1418,24 @@ def test_nested_rule_skips_candidates_holding_a_possessive():
 def test_sentence_without_companies_matches_nothing(case):
     surfaces, (doc, sentence, _, candidates) = case
     assert match_sentence(doc, sentence, [], candidates, surfaces).relations == ()
+
+
+@settings(max_examples=500, deadline=None)
+@given(pattern_bodies(), st.booleans())
+@example("<ORG> [to be] [{a|the}] <TRIG:maker of|vendor of> <PRO>", False)
+@example("of [a [b]] a] [~make]", True)
+@example("<ORG> [a", False)
+def test_parse_elements_agrees_with_split_then_classify(body, in_optional):
+    try:
+        expected = tuple(
+            oracle_parse_element(raw, PATTERN_SETS, 1, in_optional=in_optional)
+            for raw in oracle_tokenize_elements(body, 1)
+        )
+    except PatternConfigError:
+        with pytest.raises(PatternConfigError):
+            _parse_elements(body, PATTERN_SETS, 1, in_optional=in_optional)
+    else:
+        assert _parse_elements(body, PATTERN_SETS, 1, in_optional=in_optional) == expected
 
 
 def written(doc: Document) -> str:
