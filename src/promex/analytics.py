@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
+from itertools import chain
 from typing import Sequence
 
 from .model import Corpus, Document, EntityType, RelationMention, Span, is_word
@@ -62,10 +63,12 @@ class CorpusStats:
         if not corpus.documents:
             raise EmptyCorpus("corpus contains no documents")
         types = Counter(e.entity_type for d in corpus.documents for e in d.entities)
+        # a corpus repeats few distinct token texts: each is tested once
+        texts = Counter(chain.from_iterable(d.texts for d in corpus.documents))
         return cls(
             documents=len(corpus.documents),
             sentences=sum(len(d.sentences) for d in corpus.documents),
-            words=sum(1 for d in corpus.documents for t in d.tokens if is_word(t.text)),
+            words=sum(count for text, count in texts.items() if is_word(text)),
             companies=types[EntityType.COMPANY],
             products=types[EntityType.PRODUCT],
             relations=sum(len(d.relations) for d in corpus.documents),
@@ -179,9 +182,9 @@ def agreement(
     relations = [0, 0, 0]
     for doc_id in sorted(docs_a):
         a, b = docs_a[doc_id], docs_b[doc_id]
-        if [t.text for t in a.tokens] != [t.text for t in b.tokens]:
+        if a.texts != b.texts:
             raise TokenizationMismatch(f"document {doc_id!r} is tokenized differently")
-        tokens += len(a.tokens)
+        tokens += len(a.texts)
         for etype in EntityType:
             spans_a = {m.span for m in a.entities if m.entity_type is etype}
             spans_b = {m.span for m in b.entities if m.entity_type is etype}

@@ -9,6 +9,7 @@ All model invariants are re-checked on read.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from sys import intern
 from typing import IO, Iterable
@@ -25,7 +26,7 @@ from .model import (
     Provenance,
     RelationMention,
     Span,
-    Token,
+    TokenColumns,
     attach_annotations,
     make_document,
 )
@@ -62,8 +63,8 @@ def _document_record(doc: Document) -> dict:
         "doc_id": doc.doc_id,
         "text": doc.text,
         "tokens": [
-            {"text": t.text, "pos": t.pos, "start": t.char_start, "end": t.char_end}
-            for t in doc.tokens
+            {"text": text, "pos": pos, "start": start, "end": end}
+            for text, pos, start, end in zip(doc.texts, doc.tags, doc.char_starts, doc.char_ends)
         ],
         "sentences": [{"start": s.span.start, "end": s.span.end} for s in doc.sentences],
         "entities": [
@@ -172,20 +173,36 @@ def _objects(record: dict, key: str, layout: tuple, line_no: int) -> list[tuple]
     return [_field(items, i, layout, line_no, path) for i in range(len(items))]
 
 
+_TOKEN_GETTERS = tuple(operator.itemgetter(name) for name, _ in _TOKEN)
+
+
+def _all_exactly(column: tuple, kind: type) -> bool:
+    """Whether every value of `column` has exactly type `kind`: a bool is not an int."""
+    return operator.countOf(map(type, column), kind) == len(column)
+
+
+def _token_columns(raw_tokens: list) -> TokenColumns | None:
+    """The columns of a record's tokens, each taken and type-checked in one pass,
+    or None if a token is not an object with each field of exactly its type."""
+    try:
+        texts, tags, starts, ends = (tuple(map(get, raw_tokens)) for get in _TOKEN_GETTERS)
+        # one string is kept per tag; `intern` takes nothing but a str
+        tags = tuple(map(intern, tags))
+    except (KeyError, TypeError):
+        return None
+    if _all_exactly(texts, str) and _all_exactly(starts, int) and _all_exactly(ends, int):
+        return TokenColumns(texts, tags, starts, ends)
+    return None
+
+
 def _parse_document(record: dict, line_no: int) -> Document:
     """Build a document from `record`, reading and type-checking each field once."""
     doc_id = _field(record, "doc_id", str, line_no)
     text = _field(record, "text", str, line_no)
-    raw_tokens = _field(record, "tokens", list, line_no)
-    # each token's types are tested inline, and one string is kept per tag
-    tokens = [
-        Token(tok_text, intern(pos), start, end) for t in raw_tokens
-        if type(t) is dict and type(tok_text := t.get("text")) is str and type(pos := t.get("pos")) is str
-        and type(start := t.get("start")) is int and type(end := t.get("end")) is int
-    ]
-    if len(tokens) < len(raw_tokens):
-        # a token was left out: reading the tokens through `_field` raises the MalformedRecord naming it
-        _objects(record, "tokens", _TOKEN, line_no)
+    tokens = _token_columns(_field(record, "tokens", list, line_no))
+    if tokens is None:
+        # reading the tokens one by one through `_field` raises the MalformedRecord naming the bad one
+        tokens = TokenColumns.from_rows(_objects(record, "tokens", _TOKEN, line_no))
     sentences = _objects(record, "sentences", _SPAN, line_no)
     entities = [
         EntityMention(mention_id, entity_type, Span(start, end), kind, provenance)

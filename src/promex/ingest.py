@@ -24,7 +24,7 @@ from .model import (
     PROPER_NOUN_TAGS,
     Provenance,
     Span,
-    Token,
+    TokenColumns,
     TRADEMARK_TEXTS,
     attach_annotations,
     is_word,
@@ -225,16 +225,17 @@ _BIO_TAGS = {"O", *(f"{prefix}-{name}" for name in _BIO_TYPE for prefix in "BI")
 
 def document_from_tokens(doc_id: str, sentences: Sequence[Sequence[tuple[str, str]]]) -> Document:
     """A Document of (text, POS) sentences whose text is the tokens joined by spaces."""
-    tokens: list[Token] = []
+    rows: list[tuple[str, str, int, int]] = []
     spans: list[tuple[int, int]] = []
     cursor = 0
     for sentence in sentences:
-        start = len(tokens)
+        start = len(rows)
         for text, pos in sentence:
-            tokens.append(Token(text, pos, cursor, cursor + len(text)))
+            rows.append((text, pos, cursor, cursor + len(text)))
             cursor += len(text) + 1
-        spans.append((start, len(tokens)))
-    return make_document(doc_id, " ".join(t.text for t in tokens), tokens, spans)
+        spans.append((start, len(rows)))
+    columns = TokenColumns.from_rows(rows)
+    return make_document(doc_id, " ".join(columns.texts), columns, spans)
 
 
 def read_tagged(column_text: str, doc_id: str = "doc") -> Document:
@@ -279,7 +280,7 @@ def read_tagged(column_text: str, doc_id: str = "doc") -> Document:
                     mention_id=f"{doc_id}-e{len(entities)}",
                     entity_type=_BIO_TYPE[bio[2:]],
                     span=span,
-                    mention_kind=mention_kind(doc.tokens, span),
+                    mention_kind=mention_kind(doc.tags, span),
                     provenance=Provenance.HUMAN,
                 )
             )
@@ -297,7 +298,7 @@ def export_column(doc: Document) -> str:
         "# columns: TOKEN POS BIO",
         "# note: relations and identity chains are not representable in this format",
     ]
-    bio = ["O"] * len(doc.tokens)
+    bio = ["O"] * len(doc.texts)
     for mention in sorted(doc.entities, key=lambda m: (m.span.start, -len(m.span))):
         span, name = mention.span, mention.entity_type.value
         if any(bio[i] != "O" for i in range(span.start, span.end)):
@@ -306,8 +307,7 @@ def export_column(doc: Document) -> str:
         bio[span.start:span.end] = [f"B-{name}"] + [f"I-{name}"] * (len(span) - 1)
     for sentence in doc.sentences:
         for i in range(sentence.span.start, sentence.span.end):
-            token = doc.tokens[i]
-            lines.append(f"{token.text}\t{token.pos}\t{bio[i]}")
+            lines.append(f"{doc.texts[i]}\t{doc.tags[i]}\t{bio[i]}")
         lines.append("")
     return "\n".join(lines).rstrip("\n") + "\n"
 
@@ -316,15 +316,15 @@ def document_from_text(text: str, doc_id: str = "doc") -> Document:
     """Tokenize, sentence-split and tag raw text into a Document."""
     triples = tokenize(text)
     spans = split_sentences([t for t, _, _ in triples])
-    tokens: list[Token] = []
+    rows: list[tuple[str, str, int, int]] = []
     # a document uses few distinct words: tag each (word, sentence-initial) once
     tags: dict[tuple[str, bool], str] = {}
     for start, end in spans:
         for i, (text_, cs, ce) in enumerate(triples[start:end]):
             key = (text_, i == 0)
             pos = tags.get(key) or tags.setdefault(key, _tag_word(*key))
-            tokens.append(Token(text_, pos, cs, ce))
-    return make_document(doc_id, text, tokens, spans)
+            rows.append((text_, pos, cs, ce))
+    return make_document(doc_id, text, TokenColumns.from_rows(rows), spans)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +372,8 @@ def recognize_orgs(doc: Document, gazetteer: OrgGazetteer) -> list[EntityMention
     Overlapping candidates are resolved longest-first, then leftmost; the
     returned spans never overlap each other or existing Company mentions.
     """
-    lowered = [t.text.lower() for t in doc.tokens]
+    texts, tags = doc.texts, doc.tags
+    lowered = list(map(str.lower, texts))
     chosen: list[Span] = []
     existing = NestingIndex(m.span for m in doc.entities)
     # positions held by a Company mention, existing or chosen
@@ -385,12 +386,12 @@ def recognize_orgs(doc: Document, gazetteer: OrgGazetteer) -> list[EntityMention
         # capitalized proper-noun runs ending in a legal suffix
         i = s
         while i < e:
-            if doc.tokens[i].pos in PROPER_NOUN_TAGS and doc.tokens[i].text[:1].isupper():
+            if tags[i] in PROPER_NOUN_TAGS and texts[i][:1].isupper():
                 j = i
-                while j < e and doc.tokens[j].pos in PROPER_NOUN_TAGS and doc.tokens[j].text[:1].isupper():
+                while j < e and tags[j] in PROPER_NOUN_TAGS and texts[j][:1].isupper():
                     j += 1
                 for k in range(j - 1, i, -1):  # run of >= 2 tokens
-                    if doc.tokens[k].text in LEGAL_SUFFIXES:
+                    if texts[k] in LEGAL_SUFFIXES:
                         candidates.append(Span(i, k + 1))
                         break
                 i = j

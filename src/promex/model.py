@@ -2,10 +2,15 @@
 
 All values are frozen dataclasses (`Token` and `Span`, the most numerous, with
 slots): picklable for worker processes, compared by structural equality, and
-never mutated after construction.  Invariants are enforced by the construction
-operations (`make_document`, `attach_annotations`) and by the corpus reader,
-not by the dataclasses themselves, so that the validator can still inspect
-deliberately broken values built in tests or loaded from foreign sources.
+never mutated after construction.  A `Document` holds its tokens as four
+parallel tuples (texts, tags, character starts and ends).  Ingest and the
+corpus reader build them, and the validator, the statistics and the agreement
+scores read them.  `Document.tokens`, one `Token` per token, is built the
+first time it is read; the chunker and the matcher read it.  Invariants are
+enforced by the construction operations (`make_document`,
+`attach_annotations`) and by the corpus reader, not by the dataclasses
+themselves, so that the validator can still inspect deliberately broken
+values built in tests or loaded from foreign sources.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import bisect
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 NOUN_TAGS = frozenset({"NN", "NNS", "NNP", "NNPS"})
 PROPER_NOUN_TAGS = frozenset({"NNP", "NNPS"})
@@ -111,6 +116,20 @@ class Token:
     char_end: int
 
 
+class TokenColumns(NamedTuple):
+    """A document's tokens as parallel tuples: token i is (texts[i], tags[i], char_starts[i], char_ends[i])."""
+
+    texts: tuple[str, ...]
+    tags: tuple[str, ...]
+    char_starts: tuple[int, ...]
+    char_ends: tuple[int, ...]
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple[str, str, int, int]]) -> "TokenColumns":
+        """The columns of (text, tag, char start, char end) rows."""
+        return cls(*zip(*rows)) if rows else cls((), (), (), ())
+
+
 @dataclass(frozen=True)
 class Sentence:
     index: int
@@ -152,11 +171,20 @@ class IdentityChain:
 class Document:
     doc_id: str
     text: str
-    tokens: tuple[Token, ...]
+    # the tokens, as the columns of `TokenColumns`
+    texts: tuple[str, ...]
+    tags: tuple[str, ...]
+    char_starts: tuple[int, ...]
+    char_ends: tuple[int, ...]
     sentences: tuple[Sentence, ...]
     entities: tuple[EntityMention, ...] = ()
     relations: tuple[RelationMention, ...] = ()
     chains: tuple[IdentityChain, ...] = ()
+
+    @cached_property
+    def tokens(self) -> tuple[Token, ...]:
+        # built on first use; not a field, so equality and `replace` ignore it
+        return tuple(map(Token, self.texts, self.tags, self.char_starts, self.char_ends))
 
     @cached_property
     def _sentence_starts(self) -> list[int]:
@@ -174,7 +202,7 @@ class Document:
         return self.tokens[sentence.span.start:sentence.span.end]
 
     def span_text(self, span: Span) -> str:
-        return " ".join(t.text for t in self.tokens[span.start:span.end])
+        return " ".join(self.texts[span.start:span.end])
 
     def entity(self, mention_id: str) -> EntityMention | None:
         for e in self.entities:
@@ -203,12 +231,12 @@ class Corpus:
     documents: tuple[Document, ...]
 
 
-def mention_kind(tokens: Sequence[Token], span: Span) -> MentionKind:
-    """Pronominal if every token is a pronoun, Name if any is a proper noun."""
-    window = tokens[span.start:span.end]
-    if window and all(t.pos in ("PRP", "PRP$") for t in window):
+def mention_kind(tags: Sequence[str], span: Span) -> MentionKind:
+    """Pronominal if every token is a pronoun, Name if any is a proper noun, by the POS `tags`."""
+    window = tags[span.start:span.end]
+    if window and all(pos in ("PRP", "PRP$") for pos in window):
         return MentionKind.PRONOMINAL
-    if any(t.pos in PROPER_NOUN_TAGS for t in window):
+    if not PROPER_NOUN_TAGS.isdisjoint(window):
         return MentionKind.NAME
     return MentionKind.NOMINAL
 
@@ -216,29 +244,31 @@ def mention_kind(tokens: Sequence[Token], span: Span) -> MentionKind:
 def make_document(
     doc_id: str,
     text: str,
-    tokens: Sequence[Token],
+    tokens: Sequence[Token] | TokenColumns,
     sentences: Sequence[tuple[int, int]],
 ) -> Document:
     """Build a Document with empty annotation lists, checking token/sentence invariants.
 
-    `sentences` is a sequence of half-open token-index intervals that must
-    partition the token sequence in order.
+    `tokens` are `Token`s or their columns.  `sentences` is a sequence of
+    half-open token-index intervals that must partition the token sequence in order.
     """
+    if not isinstance(tokens, TokenColumns):
+        tokens = TokenColumns.from_rows([(t.text, t.pos, t.char_start, t.char_end) for t in tokens])
     # a POS tag is non-empty with no lowercase letter; each distinct tag is checked once
-    bad_tags = {tag for tag in {t.pos for t in tokens} if not tag or any(c.islower() for c in tag)}
+    bad_tags = {tag for tag in set(tokens.tags) if not tag or any(c.islower() for c in tag)}
     prev_end = 0
-    for i, tok in enumerate(tokens):
-        if tok.char_start < 0 or tok.char_end > len(text) or tok.char_start >= tok.char_end:
+    for i, (tok_text, pos, start, end) in enumerate(zip(*tokens)):
+        if start < 0 or end > len(text) or start >= end:
             raise OffsetOutOfBounds(i)
-        if tok.char_start < prev_end:
+        if start < prev_end:
             raise OverlappingTokens(i)
-        if text[tok.char_start:tok.char_end] != tok.text:
+        if text[start:end] != tok_text:
             raise InvariantViolation(
-                f"token {i} text {tok.text!r} does not match the document substring"
+                f"token {i} text {tok_text!r} does not match the document substring"
             )
-        if tok.pos in bad_tags:
-            raise InvariantViolation(f"token {i} has malformed POS tag {tok.pos!r}")
-        prev_end = tok.char_end
+        if pos in bad_tags:
+            raise InvariantViolation(f"token {i} has malformed POS tag {pos!r}")
+        prev_end = end
 
     spans = [Span(*s) for s in sentences]
     expected_start = 0
@@ -246,20 +276,15 @@ def make_document(
         if span.start != expected_start or span.end <= span.start:
             raise NonPartitioningSentences(i)
         expected_start = span.end
-    if expected_start != len(tokens):
+    if expected_start != len(tokens.texts):
         raise NonPartitioningSentences(len(spans) - 1 if spans else 0)
 
-    return Document(
-        doc_id=doc_id,
-        text=text,
-        tokens=tuple(tokens),
-        sentences=tuple(Sentence(i, s) for i, s in enumerate(spans)),
-    )
+    return Document(doc_id, text, *tokens, sentences=tuple(Sentence(i, s) for i, s in enumerate(spans)))
 
 
 def _check_entity(doc: Document, mention: EntityMention) -> None:
     span = mention.span
-    if span.end <= span.start or span.start < 0 or span.end > len(doc.tokens):
+    if span.end <= span.start or span.start < 0 or span.end > len(doc.texts):
         raise InvariantViolation(f"mention {mention.mention_id} has an empty or out-of-bounds span")
     sent = doc.sentence_index(span.start)
     if sent < 0 or span.end > doc.sentences[sent].span.end:
@@ -268,7 +293,7 @@ def _check_entity(doc: Document, mention: EntityMention) -> None:
         MentionKind.NAME,
         MentionKind.NOMINAL,
     ):
-        if not any(t.pos in NOUN_TAGS for t in doc.tokens[span.start:span.end]):
+        if NOUN_TAGS.isdisjoint(doc.tags[span.start:span.end]):
             raise InvariantViolation(
                 f"product mention {mention.mention_id} contains no noun token"
             )
@@ -295,7 +320,7 @@ def _check_relation(doc: Document, rel: RelationMention, by_id: dict[str, Entity
             )
     if rel.trigger is not None:
         trig = rel.trigger
-        if trig.end <= trig.start or trig.start < 0 or trig.end > len(doc.tokens):
+        if trig.end <= trig.start or trig.start < 0 or trig.end > len(doc.texts):
             raise InvariantViolation(f"relation {rel.relation_id} trigger span is malformed")
         if doc.sentence_index(trig.start) != sent or trig.end > doc.sentences[sent].span.end:
             raise SpanCrossesSentence(

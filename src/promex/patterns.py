@@ -231,7 +231,8 @@ def _parse_elements(body: str, sets: dict[str, tuple[Alt, ...]], line_no: int, *
         elif opener in _CLOSERS:
             close, name = _CLOSERS[opener]
             end = body.find(close, start)
-            if end < 0:
+            # no closer, or another opener of the same kind before it, leaves this one open
+            if end < 0 or opener in body[start + 1:end]:
                 raise PatternSyntaxError(line_no, f"unterminated {name}")
             raw, pos = body[start:end + 1], end + 1
             if opener == "{":
@@ -404,9 +405,9 @@ class _SentenceContext:
         self.tokens = doc.tokens
         self.start, self.end = sentence.span.start, sentence.span.end
         # token texts and POS tags of this sentence only: index with `pos - self.start`
-        self.texts = [t.text for t in self.tokens[self.start:self.end]]
-        self.lower = [text.lower() for text in self.texts]
-        self.tags = [t.pos for t in self.tokens[self.start:self.end]]
+        self.texts = doc.texts[self.start:self.end]
+        self.lower = list(map(str.lower, self.texts))
+        self.tags = doc.tags[self.start:self.end]
         # candidates never overlap, so one span covers any given position
         self.covering: dict[int, Span] = {}
         for cand in candidates:
@@ -591,7 +592,7 @@ def match_sentence(
     # nested company-in-candidate rule: a company mention strictly inside a
     # product candidate with no possessive token reads as a relation; only
     # the candidate covering a company's first token can hold it
-    possessive = {cand for i, cand in ctx.covering.items() if doc.tokens[i].pos == "POS"}
+    possessive = {cand for i, cand in ctx.covering.items() if doc.tags[i] == "POS"}
     for org in orgs:
         cand = ctx.covering.get(org.span.start)
         if cand is not None and cand not in possessive and cand.contains(org.span) and cand != org.span:

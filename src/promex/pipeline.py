@@ -81,7 +81,7 @@ def preannotate_document(
                     kept.add(span)
                     minted.append(EntityMention(
                         product_ids[span], EntityType.PRODUCT, span,
-                        mention_kind(doc.tokens, span), Provenance.PRE_ANNOTATION,
+                        mention_kind(doc.tags, span), Provenance.PRE_ANNOTATION,
                     ))
             raw.append(RelationMention(
                 f"{doc.doc_id}-pre-s{sentence.index}-r{i}", company.mention_id,

@@ -69,19 +69,19 @@ class Violation:
 
 def _v1_boundaries(doc: Document, products: list[EntityMention]) -> Iterable[Violation]:
     for m in products:
-        first = doc.tokens[m.span.start]
-        if first.pos in BAD_BOUNDARY_TAGS or first.text == ",":
+        first, first_pos = doc.texts[m.span.start], doc.tags[m.span.start]
+        if first_pos in BAD_BOUNDARY_TAGS or first == ",":
             yield Violation(
                 "V1", Severity.ERROR, doc.doc_id, m.mention_id, m.span,
-                f"product extent starts with {first.text!r}/{first.pos}",
+                f"product extent starts with {first!r}/{first_pos}",
             )
-        last = doc.tokens[m.span.end - 1]
-        if last.text in TRADEMARK_TEXTS:
+        last, last_pos = doc.texts[m.span.end - 1], doc.tags[m.span.end - 1]
+        if last in TRADEMARK_TEXTS:
             continue
-        if last.pos in BAD_BOUNDARY_TAGS or last.text == ",":
+        if last_pos in BAD_BOUNDARY_TAGS or last == ",":
             yield Violation(
                 "V1", Severity.ERROR, doc.doc_id, m.mention_id, m.span,
-                f"product extent ends with {last.text!r}/{last.pos}",
+                f"product extent ends with {last!r}/{last_pos}",
             )
 
 
@@ -98,7 +98,7 @@ def _v2_possessive(
             if not product.span.contains(company.span) or product.span == company.span:
                 continue
             pos = company.span.end
-            if pos < product.span.end and doc.tokens[pos].pos == "POS":
+            if pos < product.span.end and doc.tags[pos] == "POS":
                 yield Violation(
                     "V2", Severity.ERROR, doc.doc_id, product.mention_id, product.span,
                     "company mention inside a product extent carries a possessive marker",
@@ -150,7 +150,9 @@ def _v4_chains(doc: Document, by_id: dict[str, EntityMention]) -> Iterable[Viola
 
 
 def _v5_consistency(doc: Document, products: list[EntityMention]) -> Iterable[Violation]:
-    lowered = [t.text.lower() for t in doc.tokens]
+    if not products:
+        return
+    lowered = list(map(str.lower, doc.texts))
     n = len(lowered)
     sequences = {
         tuple(lowered[m.span.start:m.span.end]): m.mention_id for m in products
@@ -163,9 +165,12 @@ def _v5_consistency(doc: Document, products: list[EntityMention]) -> Iterable[Vi
         if start <= n:
             reach[start] = max(reach[start], m.span.end)
     reach = list(itertools.accumulate(reach, max))
+    # a sequence can recur only where its first word does: index those words alone
+    firsts = {seq[0] for seq in sequences if seq}
     positions: dict[str, list[int]] = {}
     for i, word in enumerate(lowered):
-        positions.setdefault(word, []).append(i)
+        if word in firsts:
+            positions.setdefault(word, []).append(i)
     for seq, mention_id in sorted(sequences.items(), key=lambda kv: kv[1]):
         width = len(seq)
         starts = positions.get(seq[0], ()) if seq else range(n + 1)
@@ -203,7 +208,7 @@ def _v6_duplicate_linked_relations(doc: Document, by_id: dict[str, EntityMention
 
 def _v7_nouns(doc: Document, products: list[EntityMention]) -> Iterable[Violation]:
     for m in products:
-        if not any(t.pos in NOUN_TAGS for t in doc.tokens[m.span.start:m.span.end]):
+        if NOUN_TAGS.isdisjoint(doc.tags[m.span.start:m.span.end]):
             yield Violation(
                 "V7", Severity.ERROR, doc.doc_id, m.mention_id, m.span,
                 "product extent contains no noun token",
@@ -214,7 +219,7 @@ def _v8_stoplist(
     doc: Document, products: list[EntityMention], stoplist: frozenset[str]
 ) -> Iterable[Violation]:
     for m in products:
-        first = doc.tokens[m.span.start].text.lower()
+        first = doc.texts[m.span.start].lower()
         if first in stoplist:
             yield Violation(
                 "V8", Severity.WARNING, doc.doc_id, m.mention_id, m.span,

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,7 @@ from promex.corpus_io import (
 )
 from promex.examples import annotated_document, apple_watch, golden_corpus, tagged_document
 from promex.ingest import export_column, read_tagged
-from promex.model import Corpus, InvariantViolation, ModelError
+from promex.model import Corpus, InvariantViolation, ModelError, Token
 
 
 def round_trip(corpus: Corpus) -> Corpus:
@@ -273,6 +274,39 @@ class TestFieldTypes:
         sink = io.StringIO()
         write_corpus(corpus, sink)
         assert sink.getvalue() == dump_lines(mutated)
+
+
+class TestTokenColumns:
+    def test_validate_stats_and_agreement_build_no_token(self, capsys, monkeypatch):
+        """Reading a corpus and the commands that read one use the token columns alone."""
+        from conftest import run_cli
+        from promex import corpus_io
+
+        loaded: list[Corpus] = []
+
+        def load(path: str) -> Corpus:
+            loaded.append(load_corpus(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(corpus_io, "load_corpus", load)
+        monkeypatch.setattr(Token, "__init__", mock.Mock(side_effect=AssertionError("a Token was built")))
+        golden = "src/promex/data/golden.corpus"
+        for argv in (["validate", "--in", golden], ["stats", "--in", golden, "--kv"],
+                     ["agreement", "--a", golden, "--b", golden]):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 0 and err == "", argv
+        assert len(loaded) == 4
+        assert not any("tokens" in doc.__dict__ for corpus in loaded for doc in corpus.documents)
+
+    def test_tokens_are_built_from_the_columns(self, golden):
+        doc = round_trip(golden).documents[0]
+        assert "tokens" not in doc.__dict__
+        assert doc.tokens == golden.documents[0].tokens
+        assert [t.pos for t in doc.tokens] == list(doc.tags)
+
+    def test_reader_keeps_one_string_per_tag(self, golden):
+        tags = [tag for doc in round_trip(golden).documents for tag in doc.tags]
+        assert len({id(tag) for tag in tags}) == len(set(tags))
 
 
 class TestExportColumn:

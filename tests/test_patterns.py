@@ -153,6 +153,8 @@ class TestParseConfig:
         ("P1: <ORG> {~make up} <PRO> <TRIG:by>", "line 2: verb inflection applies to single words only"),
         ("P1: <PRO> <TRIG:by> <ORG", "line 2: unterminated <...> element"),
         ("P1: <ORG> <PRO> <TRIG:by> {a|b", "line 2: unterminated {...} alternation"),
+        ("P1: <ORG <PRO> <TRIG:by>", "line 2: unterminated <...> element"),
+        ("P1: <ORG> <PRO> {a {b} <TRIG:by>", "line 2: unterminated {...} alternation"),
         ("P1: <ORG> <PRO> <TRIG:by> [a", "line 2: unterminated [...] group"),
         ("P1: <ORG> <PRO> <TRIG:by> a ]", "line 2: unbalanced ']'"),
         ("P1: <ORG> <FOO> <PRO> <TRIG:by>", "line 2: unknown slot '<FOO>'"),
