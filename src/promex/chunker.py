@@ -75,17 +75,17 @@ def _adjective_runs(tokens: Sequence[Token], taken: set[int]) -> list[Span]:
     return runs
 
 
-def separator_ends(tokens: Sequence[Token], pos: int, end: int) -> list[int]:
+def separator_ends(texts: Sequence[str], pos: int, end: int) -> list[int]:
     """End positions of the coordination separators starting at `pos`, longest first.
 
-    A separator is `,`, a conjunction, or `,` followed by a conjunction; it
-    must lie before `end`.
+    `texts` are token texts.  A separator is `,`, a conjunction, or `,`
+    followed by a conjunction; it must lie before `end`.
     """
     if pos >= end:
         return []
-    text = tokens[pos].text.lower()
+    text = texts[pos].lower()
     if text == ",":
-        if pos + 1 < end and tokens[pos + 1].text.lower() in CONJUNCTIONS:
+        if pos + 1 < end and texts[pos + 1].lower() in CONJUNCTIONS:
             return [pos + 2, pos + 1]
         return [pos + 1]
     return [pos + 1] if text in CONJUNCTIONS else []
@@ -102,6 +102,7 @@ def split_coordination(
     when all non-final conjuncts are pure adjectives.  All members of a
     coordination come back with the `coordinated` flag set.
     """
+    texts = [t.text for t in tokens]
     taken = {i for c in candidates for i in range(c.span.start, c.span.end)}
     # units never share a start: adjective runs avoid candidate tokens
     units: list[tuple[Span, ChunkCandidate | None]] = [(c.span, c) for c in candidates]
@@ -116,9 +117,9 @@ def split_coordination(
         conj_last = False
         while j + 1 < len(units):
             gap_end = units[j + 1][0].start
-            if gap_end not in separator_ends(tokens, units[j][0].end, len(tokens)):
+            if gap_end not in separator_ends(texts, units[j][0].end, len(texts)):
                 break
-            conj_last = tokens[gap_end - 1].text.lower() in CONJUNCTIONS
+            conj_last = texts[gap_end - 1].lower() in CONJUNCTIONS
             j += 1
         chain = units[i:j + 1]
         final = chain[-1][1]

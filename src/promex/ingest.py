@@ -1,9 +1,9 @@
 """Turning raw text or pre-tagged column files into Documents, and Documents back into column files.
 
-The built-in tokenizer and tagger exist so the toolkit is self-contained
-and tests are hermetic; the recommended path for serious use is pre-tagged
-column input (one `TOKEN<TAB>POS[<TAB>BIO]` line per token, blank line
-between sentences, `#` comments).  Company mentions are recognised with a
+The built-in tokenizer and tagger exist so the toolkit is self-contained and
+tests are hermetic; the recommended path for serious use is pre-tagged column
+input (one `TOKEN<TAB>POS[<TAB>BIO]` line per token, blank line between
+sentences, `#` comments without a TAB).  Company mentions are recognised with a
 gazetteer plus a legal-suffix heuristic over capitalized proper-noun runs.
 """
 
@@ -242,11 +242,12 @@ def read_tagged(column_text: str, doc_id: str = "doc") -> Document:
     """Parse the TOKEN/POS/BIO column format into a Document.
 
     BIO-marked Company/Product mentions are attached with Human provenance.
+    A `#` line is a comment only when it holds no TAB, so `#AI` can be a token.
     """
     sentences: list[list[tuple[str, str]]] = [[]]
     bios: list[str] = []
     for line_no, line in enumerate(column_text.splitlines(), start=1):
-        if line.startswith("#"):
+        if line.startswith("#") and "\t" not in line:
             continue
         if not line.strip():
             if sentences[-1]:

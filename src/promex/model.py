@@ -1,16 +1,13 @@
 """Immutable document model for company/product annotation corpora.
 
-All values are frozen dataclasses (`Token` and `Span`, the most numerous, with
-slots): picklable for worker processes, compared by structural equality, and
-never mutated after construction.  A `Document` holds its tokens as four
-parallel tuples (texts, tags, character starts and ends).  Ingest and the
-corpus reader build them, and the validator, the statistics and the agreement
-scores read them.  `Document.tokens`, one `Token` per token, is built the
-first time it is read; the chunker and the matcher read it.  Invariants are
-enforced by the construction operations (`make_document`,
-`attach_annotations`) and by the corpus reader, not by the dataclasses
-themselves, so that the validator can still inspect deliberately broken
-values built in tests or loaded from foreign sources.
+All values are frozen dataclasses (`Token` and `Span` with slots): picklable
+for worker processes, compared by structural equality, and never mutated after
+construction.  A `Document` stores its tokens only as four parallel tuples
+(texts, tags, character starts and ends); `sentence_tokens` builds one
+sentence's `Token`s from them for the chunker.  Invariants are enforced by the
+construction operations (`make_document`, `attach_annotations`) and by the
+corpus reader, not by the dataclasses themselves, so that the validator can
+still inspect broken values built in tests or loaded from foreign sources.
 """
 
 from __future__ import annotations
@@ -182,11 +179,6 @@ class Document:
     chains: tuple[IdentityChain, ...] = ()
 
     @cached_property
-    def tokens(self) -> tuple[Token, ...]:
-        # built on first use; not a field, so equality and `replace` ignore it
-        return tuple(map(Token, self.texts, self.tags, self.char_starts, self.char_ends))
-
-    @cached_property
     def _sentence_starts(self) -> list[int]:
         # computed once per document; not a field, so equality ignores it
         return [s.span.start for s in self.sentences]
@@ -199,7 +191,14 @@ class Document:
         return -1
 
     def sentence_tokens(self, sentence: Sentence) -> tuple[Token, ...]:
-        return self.tokens[sentence.span.start:sentence.span.end]
+        """The sentence's tokens as `Token`s, built from the columns on each call."""
+        s = slice(sentence.span.start, sentence.span.end)
+        return tuple(map(Token, self.texts[s], self.tags[s], self.char_starts[s], self.char_ends[s]))
+
+    @property
+    def tokens(self) -> tuple[Token, ...]:
+        """Every token as a `Token`, built on each read; the package itself reads the columns."""
+        return self.sentence_tokens(Sentence(0, Span(0, len(self.texts))))
 
     def span_text(self, span: Span) -> str:
         return " ".join(self.texts[span.start:span.end])
@@ -244,16 +243,14 @@ def mention_kind(tags: Sequence[str], span: Span) -> MentionKind:
 def make_document(
     doc_id: str,
     text: str,
-    tokens: Sequence[Token] | TokenColumns,
+    tokens: TokenColumns,
     sentences: Sequence[tuple[int, int]],
 ) -> Document:
     """Build a Document with empty annotation lists, checking token/sentence invariants.
 
-    `tokens` are `Token`s or their columns.  `sentences` is a sequence of
-    half-open token-index intervals that must partition the token sequence in order.
+    `sentences` is a sequence of half-open token-index intervals that must
+    partition the token sequence in order.
     """
-    if not isinstance(tokens, TokenColumns):
-        tokens = TokenColumns.from_rows([(t.text, t.pos, t.char_start, t.char_end) for t in tokens])
     # a POS tag is non-empty with no lowercase letter; each distinct tag is checked once
     bad_tags = {tag for tag in set(tokens.tags) if not tag or any(c.islower() for c in tag)}
     prev_end = 0

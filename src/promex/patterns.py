@@ -402,10 +402,10 @@ def _trie(surface_patterns: Sequence[SurfacePattern]) -> _Node:
 class _SentenceContext:
     def __init__(self, doc: Document, sentence: Sentence, orgs: Sequence[EntityMention],
                  candidates: Sequence[Span]) -> None:
-        self.tokens = doc.tokens
         self.start, self.end = sentence.span.start, sentence.span.end
         # token texts and POS tags of this sentence only: index with `pos - self.start`
         self.texts = doc.texts[self.start:self.end]
+        self.doc_texts = doc.texts  # for `separator_ends`, which takes document positions
         self.lower = list(map(str.lower, self.texts))
         self.tags = doc.tags[self.start:self.end]
         # candidates never overlap, so one span covers any given position
@@ -442,7 +442,7 @@ class _SentenceContext:
         if depth <= 0:
             return
         for first, first_end in firsts(pos):
-            for sep_end in separator_ends(self.tokens, first_end, self.end):
+            for sep_end in separator_ends(self.doc_texts, first_end, self.end):
                 for rest, rest_end in self.coordinations(sep_end, firsts, depth - 1):
                     yield [first, *rest], rest_end
             yield [first], first_end
@@ -488,7 +488,7 @@ class _SentenceContext:
                 words, end = hit
                 conjuncts.append((words, Span(start, end)))
                 hit = None
-                for start in separator_ends(self.tokens, end, self.end):
+                for start in separator_ends(self.doc_texts, end, self.end):
                     hit = self.member_at(start, trig)
                     if hit is not None:
                         break
@@ -520,7 +520,7 @@ class _SentenceContext:
         elif isinstance(el, ProductSlot):
             options = ((e, companies, p, trigger) for p, e in self.coordinations(pos, self.product_firsts))
         elif isinstance(el, PossessiveTrigger):
-            if pos < self.end and self.tokens[pos].pos == "POS" and self.tokens[pos].text in POSSESSIVE_CLITICS:
+            if pos < self.end and self.tags[pos - self.start] == "POS" and self.texts[pos - self.start] in POSSESSIVE_CLITICS:
                 options = [(pos + 1, companies, products, Span(pos, pos + 1))]
         elif isinstance(el, TriggerLiteral):
             options = [(e, companies, products, t) for t, e in self.trigger_matches(pos, el)]

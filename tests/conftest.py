@@ -11,6 +11,7 @@ from promex.model import (
     RelationMention,
     Span,
     Token,
+    TokenColumns,
     attach_annotations,
     make_document,
 )
@@ -37,17 +38,27 @@ def run_cli(argv: list[str], capsys) -> tuple[int, str, str]:
     return code, out, err
 
 
-def simple_tokens(tagged: str) -> list[Token]:
-    """'BMW/NNP 's/POS' -> offset-consistent Token list."""
-    tokens = []
+def simple_rows(tagged: str) -> list[tuple[str, str, int, int]]:
+    """'BMW/NNP 's/POS' -> offset-consistent (text, POS, char start, char end) rows."""
+    rows = []
     cursor = 0
     for item in tagged.split():
         text, _, pos = item.rpartition("/")
-        if tokens:
+        if rows:
             cursor += 1
-        tokens.append(Token(text, pos, cursor, cursor + len(text)))
+        rows.append((text, pos, cursor, cursor + len(text)))
         cursor += len(text)
-    return tokens
+    return rows
+
+
+def simple_tokens(tagged: str) -> list[Token]:
+    """'BMW/NNP 's/POS' -> offset-consistent Token list."""
+    return [Token(*row) for row in simple_rows(tagged)]
+
+
+def simple_columns(tagged: str) -> TokenColumns:
+    """'BMW/NNP 's/POS' -> offset-consistent token columns, as `make_document` takes them."""
+    return TokenColumns.from_rows(simple_rows(tagged))
 
 
 def table3_scale_corpus() -> Corpus:
@@ -77,21 +88,21 @@ def table3_scale_corpus() -> Corpus:
         ]
         assert lengths[0] >= n_companies + n_products
 
-        tokens: list[Token] = []
+        rows: list[tuple[str, str, int, int]] = []
         spans: list[tuple[int, int]] = []
         pieces: list[str] = []
         cursor = 0
         for length in lengths:
-            start = len(tokens)
+            start = len(rows)
             for _ in range(length):
-                text = f"w{len(tokens)}"
+                text = f"w{len(rows)}"
                 if pieces:
                     cursor += 1
                 pieces.append(text)
-                tokens.append(Token(text, "NN", cursor, cursor + len(text)))
+                rows.append((text, "NN", cursor, cursor + len(text)))
                 cursor += len(text)
-            spans.append((start, len(tokens)))
-        doc = make_document(f"doc-{d:03d}", " ".join(pieces), tokens, spans)
+            spans.append((start, len(rows)))
+        doc = make_document(f"doc-{d:03d}", " ".join(pieces), TokenColumns.from_rows(rows), spans)
 
         entities = []
         for i in range(n_companies):

@@ -99,7 +99,7 @@ class TestPreannotate:
         out_file = tmp_path / "out.corpus"
         code, _, err = run_cli(["preannotate", "--in", str(src), "--out", str(out_file)], capsys)
         assert (code, err) == (0, "")
-        assert load_corpus(str(out_file)).documents[0].tokens[2].pos == "SYM"
+        assert load_corpus(str(out_file)).documents[0].tags[2] == "SYM"
 
     def test_match_crossing_a_product_minted_earlier_is_dropped(self, tmp_path, capsys):
         src = tmp_path / "docs"

@@ -20,7 +20,7 @@ from promex.corpus_io import (
     write_corpus,
 )
 from promex.examples import annotated_document, apple_watch, golden_corpus, tagged_document
-from promex.ingest import export_column, read_tagged
+from promex.ingest import document_from_text, export_column, read_tagged
 from promex.model import Corpus, InvariantViolation, ModelError, Token
 
 
@@ -299,10 +299,22 @@ class TestTokenColumns:
         assert not any("tokens" in doc.__dict__ for corpus in loaded for doc in corpus.documents)
 
     def test_tokens_are_built_from_the_columns(self, golden):
-        doc = round_trip(golden).documents[0]
-        assert "tokens" not in doc.__dict__
-        assert doc.tokens == golden.documents[0].tokens
-        assert [t.pos for t in doc.tokens] == list(doc.tags)
+        """Each sentence's `Token`s equal those the reader before token columns built."""
+        from test_oracles import make_document_of_tokens, oracle_token_parse_document
+
+        def keep(doc_id, text, tokens, sentences):
+            old_tokens.append(tokens)
+            return make_document_of_tokens(doc_id, text, tokens, sentences)
+
+        old_tokens: list[list[Token]] = []
+        sink = io.StringIO()
+        write_corpus(golden, sink)
+        records = [json.loads(line) for line in sink.getvalue().splitlines()[1:]]
+        for doc, record in zip(read_corpus(io.StringIO(sink.getvalue())).documents, records, strict=True):
+            oracle_token_parse_document(record, 2, keep)
+            for sentence in doc.sentences:
+                assert doc.sentence_tokens(sentence) == tuple(old_tokens[-1][sentence.span.start:sentence.span.end])
+        assert len(old_tokens) == len(golden.documents)
 
     def test_reader_keeps_one_string_per_tag(self, golden):
         tags = [tag for doc in round_trip(golden).documents for tag in doc.tags]
@@ -342,8 +354,16 @@ class TestExportColumn:
             ],
         )
         again = read_tagged(export_column(doc), doc_id="d")
-        assert [t.text for t in again.tokens] == [t.text for t in doc.tokens]
+        assert again.texts == doc.texts
         assert [s.span for s in again.sentences] == [s.span for s in doc.sentences]
         assert [(e.entity_type, e.span) for e in again.entities] == [
             (e.entity_type, e.span) for e in doc.entities
         ]
+
+    def test_token_starting_with_hash_round_trips(self):
+        """A token line may start with `#`: only a line with no TAB is a comment."""
+        doc = document_from_text("Intel sells #AI chips .", doc_id="d")
+        again = read_tagged(export_column(doc), doc_id="d")
+        assert again.texts == ("Intel", "sells", "#AI", "chips", ".")
+        assert (again.tags, again.char_starts, again.char_ends) == (doc.tags, doc.char_starts, doc.char_ends)
+        assert [s.span for s in again.sentences] == [s.span for s in doc.sentences]

@@ -17,7 +17,7 @@ from promex.ingest import (
 )
 from promex.model import EntityType, ModelError, Provenance, Span
 
-from conftest import simple_tokens, spans_overlap
+from conftest import simple_columns, spans_overlap
 from promex.model import make_document
 
 
@@ -100,7 +100,7 @@ class TestTag:
         # a lone mark is its own tag, but a POS tag may hold no lowercase letter
         assert tag(["sells", "ⓐ", "\u0345", "-", "thermostats"]) == ["VBZ", "SYM", "SYM", "-", "NNS"]
         doc = document_from_text("Acme sells ⓐ thermostats.")
-        assert doc.tokens[2].pos == "SYM"
+        assert doc.tags[2] == "SYM"
 
 
 class TestReadTagged:
@@ -112,7 +112,7 @@ class TestReadTagged:
             "sensors\tNNS\tO\n"
         )
         assert len(doc.sentences) == 1
-        assert len(doc.tokens) == 4
+        assert len(doc.texts) == 4
         assert len(doc.entities) == 1
         m = doc.entities[0]
         assert m.entity_type is EntityType.COMPANY
@@ -121,7 +121,7 @@ class TestReadTagged:
 
     def test_empty_input(self):
         doc = read_tagged("")
-        assert doc.tokens == ()
+        assert doc.texts == doc.tags == doc.char_starts == doc.char_ends == ()
         assert doc.sentences == ()
 
     def test_missing_tag_field(self):
@@ -153,7 +153,7 @@ class TestRecognizeOrgs:
         doc = make_document(
             "d",
             "IS International Services LLC",
-            simple_tokens("IS/NNP International/NNP Services/NNP LLC/NNP"),
+            simple_columns("IS/NNP International/NNP Services/NNP LLC/NNP"),
             [(0, 4)],
         )
         orgs = recognize_orgs(doc, OrgGazetteer.from_names([]))
@@ -164,7 +164,7 @@ class TestRecognizeOrgs:
         doc = make_document(
             "d",
             "Sensata Technologies develops sensors",
-            simple_tokens("Sensata/NNP Technologies/NNP develops/VBZ sensors/NNS"),
+            simple_columns("Sensata/NNP Technologies/NNP develops/VBZ sensors/NNS"),
             [(0, 4)],
         )
         orgs = recognize_orgs(doc, OrgGazetteer.from_names(["Sensata Technologies"]))
@@ -173,7 +173,7 @@ class TestRecognizeOrgs:
     def test_no_candidates(self):
         doc = make_document(
             "d", "plain words here",
-            simple_tokens("plain/JJ words/NNS here/RB"), [(0, 3)],
+            simple_columns("plain/JJ words/NNS here/RB"), [(0, 3)],
         )
         assert recognize_orgs(doc, OrgGazetteer.from_names([])) == []
 
@@ -181,7 +181,7 @@ class TestRecognizeOrgs:
         doc = make_document(
             "d",
             "Sensata Technologies Holding produces sensors",
-            simple_tokens("Sensata/NNP Technologies/NNP Holding/NNP produces/VBZ sensors/NNS"),
+            simple_columns("Sensata/NNP Technologies/NNP Holding/NNP produces/VBZ sensors/NNS"),
             [(0, 5)],
         )
         gaz = OrgGazetteer.from_names(["Sensata Technologies", "Sensata Technologies Holding"])
@@ -191,7 +191,7 @@ class TestRecognizeOrgs:
         doc = make_document(
             "d",
             "Acme Corp. and Acme Corp. Europe",
-            simple_tokens("Acme/NNP Corp./NNP and/CC Acme/NNP Corp./NNP Europe/NNP"),
+            simple_columns("Acme/NNP Corp./NNP and/CC Acme/NNP Corp./NNP Europe/NNP"),
             [(0, 6)],
         )
         gaz = OrgGazetteer.from_names(["Acme Corp. Europe", "Acme"])
@@ -207,12 +207,12 @@ class TestDocumentFromText:
         doc = document_from_text(text)
         assert doc.text == text
         assert len(doc.sentences) == 2
-        for tok in doc.tokens:
-            assert text[tok.char_start:tok.char_end] == tok.text
+        for tok_text, start, end in zip(doc.texts, doc.char_starts, doc.char_ends):
+            assert text[start:end] == tok_text
 
     def test_tagging_uses_sentence_position(self):
         doc = document_from_text("Communicating sensors. Acme Devices ships.")
-        tags = [t.pos for t in doc.tokens]
+        tags = doc.tags
         assert tags[0] == "VBG"          # sentence-initial gerund
         assert tags[4] == "NNP"          # capitalized, non-initial
 

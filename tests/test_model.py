@@ -22,11 +22,12 @@ from promex.model import (
     Span,
     SpanCrossesSentence,
     Token,
+    TokenColumns,
     attach_annotations,
     make_document,
 )
 
-from conftest import simple_tokens, spans_cross
+from conftest import simple_columns, spans_cross
 
 
 def mention(mid, etype, start, end, kind=MentionKind.NAME):
@@ -35,45 +36,44 @@ def mention(mid, etype, start, end, kind=MentionKind.NAME):
 
 class TestMakeDocument:
     def test_possessive_tokens(self):
-        tokens = [
-            Token("BMW", "NNP", 0, 3),
-            Token("'s", "POS", 3, 5),
-            Token("Z3", "NNP", 6, 8),
-        ]
-        doc = make_document("d1", "BMW's Z3", tokens, [(0, 3)])
-        assert len(doc.tokens) == 3
+        rows = [("BMW", "NNP", 0, 3), ("'s", "POS", 3, 5), ("Z3", "NNP", 6, 8)]
+        doc = make_document("d1", "BMW's Z3", TokenColumns.from_rows(rows), [(0, 3)])
+        assert len(doc.texts) == 3
+        assert doc.sentence_tokens(doc.sentences[0]) == doc.tokens == tuple(Token(*row) for row in rows)
+        # the columns are the only token storage: reading the Tokens caches none
+        assert "tokens" not in vars(doc)
         assert len(doc.sentences) == 1
         assert doc.entities == ()
 
     def test_empty_document(self):
-        doc = make_document("d2", "", [], [])
-        assert doc.tokens == ()
+        doc = make_document("d2", "", TokenColumns.from_rows([]), [])
+        assert doc.texts == doc.tags == doc.char_starts == doc.char_ends == ()
         assert doc.sentences == ()
 
     def test_offset_out_of_bounds(self):
         with pytest.raises(OffsetOutOfBounds) as exc:
-            make_document("d3", "ab", [Token("abc", "NN", 0, 3)], [(0, 1)])
+            make_document("d3", "ab", TokenColumns.from_rows([("abc", "NN", 0, 3)]), [(0, 1)])
         assert exc.value.index == 0
 
     def test_overlapping_tokens(self):
-        tokens = [Token("ab", "NN", 0, 2), Token("bc", "NN", 1, 3)]
+        tokens = TokenColumns.from_rows([("ab", "NN", 0, 2), ("bc", "NN", 1, 3)])
         with pytest.raises(OverlappingTokens) as exc:
             make_document("d", "abc", tokens, [(0, 2)])
         assert exc.value.index == 1
 
     def test_text_mismatch_rejected(self):
         with pytest.raises(InvariantViolation):
-            make_document("d", "xy", [Token("ab", "NN", 0, 2)], [(0, 1)])
+            make_document("d", "xy", TokenColumns.from_rows([("ab", "NN", 0, 2)]), [(0, 1)])
 
     def test_non_partitioning_sentences(self):
-        tokens = simple_tokens("a/NN b/NN c/NN")
+        tokens = simple_columns("a/NN b/NN c/NN")
         with pytest.raises(NonPartitioningSentences):
             make_document("d", "a b c", tokens, [(0, 2)])
         with pytest.raises(NonPartitioningSentences):
             make_document("d", "a b c", tokens, [(0, 2), (2, 2), (2, 3)])
 
     def test_sentence_index_lookup(self):
-        tokens = simple_tokens("a/NN ./. b/NN ./.")
+        tokens = simple_columns("a/NN ./. b/NN ./.")
         doc = make_document("d", "a . b .", tokens, [(0, 2), (2, 4)])
         assert [doc.sentence_index(i) for i in range(4)] == [0, 0, 1, 1]
         assert doc.sentence_index(99) == -1
@@ -81,7 +81,7 @@ class TestMakeDocument:
 
 class TestAttachAnnotations:
     def build(self):
-        tokens = simple_tokens("Acme/NNP makes/VBZ widgets/NNS ./. It/PRP ships/VBZ them/PRP ./.")
+        tokens = simple_columns("Acme/NNP makes/VBZ widgets/NNS ./. It/PRP ships/VBZ them/PRP ./.")
         return make_document("d", "Acme makes widgets . It ships them .", tokens, [(0, 4), (4, 8)])
 
     def test_cross_sentence_relation_rejected(self):
@@ -141,7 +141,7 @@ class TestAttachAnnotations:
             attach_annotations(doc, entities)
 
     def test_pairwise_crossing_names_a_crossing_pair(self):
-        tokens = simple_tokens("Acme/NNP makes/VBZ big/JJ red/JJ widgets/NNS ./.")
+        tokens = simple_columns("Acme/NNP makes/VBZ big/JJ red/JJ widgets/NNS ./.")
         doc = make_document("d", "Acme makes big red widgets .", tokens, [(0, 6)])
         # every two of these cross; ids run against span order
         entities = [

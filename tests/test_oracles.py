@@ -67,6 +67,7 @@ from promex.model import (
     Span,
     TRADEMARK_TEXTS,
     Token,
+    TokenColumns,
     _check_chains,
     _check_entity,
     _check_relation,
@@ -138,6 +139,17 @@ from promex.validator import DEFAULT_STOPLIST, Severity, Violation, validate
 from conftest import spans_cross, spans_overlap
 
 
+def doc_tokens(doc: Document) -> tuple[Token, ...]:
+    """One `Token` per token of `doc`, built from its columns, as the oracles read them."""
+    return tuple(map(Token, doc.texts, doc.tags, doc.char_starts, doc.char_ends))
+
+
+def make_document_of_tokens(doc_id: str, text: str, tokens: Sequence[Token], sentences) -> Document:
+    """`make_document` of the columns of `tokens`, as the oracle readers call it."""
+    columns = TokenColumns.from_rows([(t.text, t.pos, t.char_start, t.char_end) for t in tokens])
+    return make_document(doc_id, text, columns, sentences)
+
+
 # ---------------------------------------------------------------------------
 # Pairwise oracles
 
@@ -147,7 +159,7 @@ def oracle_v2(doc: Document, products, companies) -> Iterable[Violation]:
             if not product.span.contains(company.span) or product.span == company.span:
                 continue
             pos = company.span.end
-            if pos < product.span.end and doc.tokens[pos].pos == "POS":
+            if pos < product.span.end and doc.tags[pos] == "POS":
                 yield Violation(
                     "V2", Severity.ERROR, doc.doc_id, product.mention_id, product.span,
                     "company mention inside a product extent carries a possessive marker",
@@ -155,7 +167,7 @@ def oracle_v2(doc: Document, products, companies) -> Iterable[Violation]:
 
 
 def oracle_v5(doc: Document, products) -> Iterable[Violation]:
-    lowered = [t.text.lower() for t in doc.tokens]
+    lowered = [text.lower() for text in doc.texts]
     product_spans = [m.span for m in products]
     sequences = {
         tuple(lowered[m.span.start:m.span.end]): m.mention_id for m in products
@@ -309,11 +321,11 @@ def oracle_agreement(annotations_a, annotations_b) -> AgreementScores:
 
     for doc_id in sorted(docs_a):
         a, b = docs_a[doc_id], docs_b[doc_id]
-        if [t.text for t in a.tokens] != [t.text for t in b.tokens]:
+        if a.texts != b.texts:
             raise TokenizationMismatch(f"document {doc_id!r} is tokenized differently")
         for etype in EntityType:
-            inside_a = [False] * len(a.tokens)
-            inside_b = [False] * len(b.tokens)
+            inside_a = [False] * len(a.texts)
+            inside_b = [False] * len(b.texts)
             for doc, inside, mentions in ((a, inside_a, mentions_a), (b, inside_b, mentions_b)):
                 for m in doc.entities:
                     if m.entity_type is etype:
@@ -378,7 +390,7 @@ def oracle_trigger_matches(ctx: _SentenceContext, pos: int, trig: TriggerLiteral
         words, end = hit
         conjuncts.append((words, Span(p, end)))
         advanced = None
-        for sep_end in separator_ends(ctx.tokens, end, ctx.end):
+        for sep_end in separator_ends(ctx.doc_texts, end, ctx.end):
             if conjunct_at(sep_end) is not None:
                 advanced = sep_end
                 break
@@ -422,6 +434,10 @@ class OracleContext(_SentenceContext):
     """The sentence context with per-comparison lowercasing, an unshared trigger
     parse and a grammar test per prefix of a candidate."""
 
+    def __init__(self, doc: Document, *args) -> None:
+        super().__init__(doc, *args)
+        self.tokens = doc_tokens(doc)
+
     def product_firsts(self, pos: int) -> list[tuple[Span, int]]:
         """Possible first-conjunct spans at `pos`, longest first."""
         firsts = self._product_firsts.get(pos)
@@ -450,7 +466,7 @@ class OracleContext(_SentenceContext):
 
 
 def _match_elements(
-    ctx: _SentenceContext,
+    ctx: OracleContext,
     elements: tuple[SurfaceElement, ...],
     idx: int,
     pos: int,
@@ -527,7 +543,7 @@ def oracle_match_sentence(
     # nested company-in-candidate rule: a company mention strictly inside a
     # product candidate with no possessive token reads as a relation
     for cand in candidates:
-        if any(doc.tokens[i].pos == "POS" for i in range(cand.start, cand.end)):
+        if any(doc.tags[i] == "POS" for i in range(cand.start, cand.end)):
             continue
         for org in orgs:
             if cand.contains(org.span) and cand != org.span:
@@ -693,7 +709,7 @@ def oracle_parse_document(record: dict, line_no: int) -> Document:
     _check_field_types(line_no, doc_id, text, tokens, entities, relations, chains)
 
     try:
-        doc = make_document(doc_id, text, tokens, sentences)
+        doc = make_document_of_tokens(doc_id, text, tokens, sentences)
         return attach_annotations(doc, entities, relations, chains)
     except InvariantViolation:
         raise
@@ -736,8 +752,8 @@ def oracle_make_document(doc_id: str, text: str, tokens: Sequence[Token], senten
     )
 
 
-def oracle_token_parse_document(record: dict, line_no: int, build=make_document) -> Document:
-    """The reader before token columns; `build` is the `make_document` it calls with its Tokens."""
+def oracle_token_parse_document(record: dict, line_no: int, build=make_document_of_tokens) -> Document:
+    """The reader before token columns; `build` makes the document of its Tokens."""
     doc_id = _field(record, "doc_id", str, line_no)
     text = _field(record, "text", str, line_no)
     raw_tokens = _field(record, "tokens", list, line_no)
@@ -853,7 +869,8 @@ def oracle_gazetteer_spans(lowered: Sequence[str], gazetteer: OrgGazetteer, s: i
 
 
 def oracle_recognize_orgs(doc: Document, gazetteer: OrgGazetteer) -> list[EntityMention]:
-    lowered = [t.text.lower() for t in doc.tokens]
+    tokens = doc_tokens(doc)
+    lowered = [t.text.lower() for t in tokens]
     chosen: list[Span] = []
 
     for sentence, entities in zip(doc.sentences, by_sentence(doc, doc.entities)):
@@ -862,12 +879,12 @@ def oracle_recognize_orgs(doc: Document, gazetteer: OrgGazetteer) -> list[Entity
         # capitalized proper-noun runs ending in a legal suffix
         i = s
         while i < e:
-            if doc.tokens[i].pos in PROPER_NOUN_TAGS and doc.tokens[i].text[:1].isupper():
+            if tokens[i].pos in PROPER_NOUN_TAGS and tokens[i].text[:1].isupper():
                 j = i
-                while j < e and doc.tokens[j].pos in PROPER_NOUN_TAGS and doc.tokens[j].text[:1].isupper():
+                while j < e and tokens[j].pos in PROPER_NOUN_TAGS and tokens[j].text[:1].isupper():
                     j += 1
                 for k in range(j - 1, i, -1):  # run of >= 2 tokens
-                    if doc.tokens[k].text in LEGAL_SUFFIXES:
+                    if tokens[k].text in LEGAL_SUFFIXES:
                         candidates.append(Span(i, k + 1))
                         break
                 i = j
@@ -1000,7 +1017,7 @@ def spans_in(draw, doc: Document, loose: bool, near: Sequence[Span] = ()) -> Spa
         sentence = doc.sentences[doc.sentence_index(around.start)]
         lo, hi = around.start, max(around.end, sentence.span.end)
     elif loose and draw(st.booleans()):
-        lo, hi = 0, len(doc.tokens)
+        lo, hi = 0, len(doc.texts)
     else:
         sentence = draw(st.sampled_from(doc.sentences))
         lo, hi = sentence.span.start, sentence.span.end
@@ -1021,8 +1038,8 @@ def annotations(draw, doc: Document, loose: bool):
         etype = draw(st.sampled_from(EntityType))
         span = draw(spans_in(doc, loose, [e.span for e in entities]))
         kind = draw(st.sampled_from(MentionKind))
-        window = doc.tokens[span.start:span.end]
-        if not loose and etype is EntityType.PRODUCT and not any(t.pos in NOUN_TAGS for t in window):
+        window = doc.tags[span.start:span.end]
+        if not loose and etype is EntityType.PRODUCT and not any(pos in NOUN_TAGS for pos in window):
             # a product without a noun is rejected first; let later checks run
             kind = MentionKind.PRONOMINAL
         entities.append(EntityMention(f"m{i}", etype, span, kind, Provenance.HUMAN))
@@ -1432,7 +1449,7 @@ def pipeline_cases(draw):
         span = draw(spans_in(doc, False, [e.span for e in entities]))
         if any(spans_cross(span, e.span) for e in entities):
             continue
-        nouns = any(t.pos in NOUN_TAGS for t in doc.tokens[span.start:span.end])
+        nouns = any(pos in NOUN_TAGS for pos in doc.tags[span.start:span.end])
         etype = draw(st.sampled_from(EntityType)) if nouns else EntityType.COMPANY
         entities.append(EntityMention(f"h{i}", etype, span, mention_kind(doc.tags, span), Provenance.HUMAN))
     return INVENTORIES[draw(st.sampled_from(sorted(INVENTORIES)))], attach_annotations(doc, entities)
@@ -1481,7 +1498,7 @@ def test_trigger_matches_agree_with_per_call_sort(case):
     oracle = OracleContext(doc, doc.sentences[0], [], [])
     for words in members:
         trig = TriggerLiteral(words, members)
-        for pos in range(len(doc.tokens)):
+        for pos in range(len(doc.texts)):
             assert ctx.trigger_matches(pos, trig) == list(oracle_trigger_matches(oracle, pos, trig))
 
 
@@ -1578,11 +1595,12 @@ def test_reader_agrees_with_coercing_reader(record):
         assert new.line_no == 2
 
 
-@pytest.mark.parametrize("build", [make_document, oracle_make_document])
+@pytest.mark.parametrize("build", [make_document_of_tokens, oracle_make_document],
+                         ids=["make_document", "oracle_make_document"])
 @settings(max_examples=300, deadline=None)
 @given(record=mutated_records() | token_faulted_records())
 def test_column_reader_agrees_with_token_reader(build, record):
-    """`build` checks the Tokens of the old reader: in `make_document`, or in the old walk."""
+    """`build` checks the Tokens of the old reader: as columns in `make_document`, or in the old walk."""
     new = outcome(corpus_io._parse_document, (record, 2))
     old = outcome(oracle_token_parse_document, (record, 2, build))
     assert type(new) is type(old)

@@ -293,7 +293,7 @@ class TestMatch:
         for doc in docs:
             for mention in doc.entities:
                 if mention.entity_type is EntityType.PRODUCT:
-                    tags = [t.pos for t in doc.tokens[mention.span.start:mention.span.end]]
+                    tags = doc.tags[mention.span.start:mention.span.end]
                     assert len(tags) in candidate_ends(tags, 0, len(tags))[0]
 
     def test_match_order_deterministic(self):

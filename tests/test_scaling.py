@@ -8,7 +8,8 @@ long sentence, as raw text with no sentence punctuation makes.
 Matching is guarded by counting work instead: a company coordination is
 parsed once per anchor, however many surfaces start with `<ORG>`, the
 nested company-in-candidate rule looks up one candidate per company, and a
-sentence with no company mention is neither chunked nor matched.
+sentence with no company mention is neither chunked nor matched, and no
+`Token` is built for it.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from promex.model import (
     Provenance,
     Span,
     Token,
+    TokenColumns,
     attach_annotations,
     make_document,
 )
@@ -50,7 +52,7 @@ def repeated_golden(times: int) -> tuple[Document, tuple, tuple, tuple]:
     Returns the bare document and the entities, relations and chains to
     attach to it, all with ids made unique per copy.
     """
-    tokens: list[Token] = []
+    rows: list[tuple[str, str, int, int]] = []
     sentences: list[tuple[int, int]] = []
     texts: list[str] = []
     entities, relations, chains = [], [], []
@@ -58,11 +60,11 @@ def repeated_golden(times: int) -> tuple[Document, tuple, tuple, tuple]:
     golden = golden_corpus().documents
     for copy in range(times):
         for doc in golden:
-            base = len(tokens)
+            base = len(rows)
             prefix = f"{copy}-{doc.doc_id}-"
-            tokens += [
-                replace(t, char_start=t.char_start + chars, char_end=t.char_end + chars)
-                for t in doc.tokens
+            rows += [
+                (text, pos, start + chars, end + chars)
+                for text, pos, start, end in zip(doc.texts, doc.tags, doc.char_starts, doc.char_ends)
             ]
             sentences += [(s.span.start + base, s.span.end + base) for s in doc.sentences]
             entities += [
@@ -87,7 +89,7 @@ def repeated_golden(times: int) -> tuple[Document, tuple, tuple, tuple]:
             ]
             texts.append(doc.text)
             chars += len(doc.text) + 1
-    bare = make_document("long", " ".join(texts), tokens, sentences)
+    bare = make_document("long", " ".join(texts), TokenColumns.from_rows(rows), sentences)
     return bare, tuple(entities), tuple(relations), tuple(chains)
 
 
@@ -159,7 +161,8 @@ def test_company_coordination_is_parsed_once_for_all_surfaces(monkeypatch):
         EntityMention(f"c{i}", EntityType.COMPANY, Span(p, p + 1), MentionKind.NAME, Provenance.HUMAN)
         for i, p in enumerate((0, 2, 4))
     ]
-    candidates = [c.span for c in split_coordination(chunk(doc.tokens), doc.tokens)]
+    tokens = doc.sentence_tokens(doc.sentences[0])
+    candidates = [c.span for c in split_coordination(chunk(tokens), tokens)]
     calls = []
     org_firsts = _SentenceContext.org_firsts
 
@@ -185,7 +188,8 @@ def test_nested_rule_looks_up_one_candidate_per_company(monkeypatch):
     surfaces = expand(parse_config(default_config_path().read_text(encoding="utf-8")))
     doc = document_from_text(" ".join(["Intel makes sensors"] * 30))
     orgs = recognize_orgs(doc, OrgGazetteer.from_names(["Intel"]))
-    candidates = [c.span for c in split_coordination(chunk(doc.tokens), doc.tokens)]
+    tokens = doc.sentence_tokens(doc.sentences[0])
+    candidates = [c.span for c in split_coordination(chunk(tokens), tokens)]
     calls = []
     contains = Span.contains
 
@@ -220,3 +224,22 @@ def test_sentences_without_companies_are_not_chunked_or_matched(monkeypatch):
     assert [r.pattern_id for r in result.document.relations] == ["P03"]
     # only the last sentence names a company; the other n cannot match
     assert calls == {"chunk": 1, "match_sentence": 1}
+
+
+def test_tokens_are_built_only_for_sentences_that_are_chunked(monkeypatch):
+    surfaces = expand(parse_config(default_config_path().read_text(encoding="utf-8")))
+    relational = "Acme/NNP makes/VBZ sensors/NNS ./."
+    doc = tagged_document("d", ["The/DT new/JJ sensors/NNS are/VBP made/VBN by/IN hand/NN ./."] * 20
+                          + [relational])
+    built = []
+    init = Token.__init__
+
+    def counted(token, *args):
+        built.append(args[0])
+        init(token, *args)
+
+    monkeypatch.setattr(Token, "__init__", counted)
+    result = pipeline.preannotate_document(doc, OrgGazetteer.from_names(["Acme"]), surfaces)
+    assert [r.pattern_id for r in result.document.relations] == ["P03"]
+    # the tokens of the one sentence that names a company, and no others
+    assert built == [item.rpartition("/")[0] for item in relational.split()]
