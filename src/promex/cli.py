@@ -217,8 +217,11 @@ def _cmd_agreement(args: argparse.Namespace) -> int:
 def _cmd_convert(args: argparse.Namespace) -> int:
     if args.target == "column":
         corpus = _load_corpus(args.input)
-        for doc in corpus.documents:
-            sys.stdout.write(export_column(doc))
+        try:  # every document is rendered before any is written
+            columns = [export_column(doc) for doc in corpus.documents]
+        except IngestError as exc:  # UnrepresentableDocument
+            return _fail(f"cannot convert {args.input!r}: {exc}")
+        sys.stdout.write("".join(columns))
     else:
         try:
             with open(args.input, encoding="utf-8") as fh:

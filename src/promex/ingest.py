@@ -49,6 +49,11 @@ class IllegalBioTransition(IngestError):
         self.line_no = line_no
 
 
+class UnrepresentableDocument(IngestError):
+    """`export_column` cannot write a document whose id, suppressed mention ids,
+    token texts or tags hold a character of `COLUMN_BREAKS`."""
+
+
 # ---------------------------------------------------------------------------
 # Tokenization
 
@@ -221,6 +226,8 @@ def tag(tokens: Sequence[str]) -> list[str]:
 # the BIO vocabulary of both directions: "O", or B-/I- and an entity type's value
 _BIO_TYPE = {t.value: t for t in EntityType}
 _BIO_TAGS = {"O", *(f"{prefix}-{name}" for name in _BIO_TYPE for prefix in "BI")}
+# the column format's field separator and every character `str.splitlines` ends a line at
+COLUMN_BREAKS = frozenset("\t\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 def document_from_tokens(doc_id: str, sentences: Sequence[Sequence[tuple[str, str]]]) -> Document:
@@ -293,9 +300,16 @@ def export_column(doc: Document) -> str:
 
     Lossy: relations and identity chains are dropped, and nested mentions
     lose to their enclosing mention; both facts are noted in comments.
+    Raises UnrepresentableDocument rather than write what `read_tagged` would
+    read back differently.
     """
+    def field(what: str, value: str) -> str:
+        if COLUMN_BREAKS.isdisjoint(value):
+            return value
+        raise UnrepresentableDocument(f"document {doc.doc_id!r}: {what} {value!r} holds a TAB or a line break")
+
     lines = [
-        f"# doc_id: {doc.doc_id}",
+        f"# doc_id: {field('doc id', doc.doc_id)}",
         "# columns: TOKEN POS BIO",
         "# note: relations and identity chains are not representable in this format",
     ]
@@ -303,12 +317,13 @@ def export_column(doc: Document) -> str:
     for mention in sorted(doc.entities, key=lambda m: (m.span.start, -len(m.span))):
         span, name = mention.span, mention.entity_type.value
         if any(bio[i] != "O" for i in range(span.start, span.end)):
-            lines.append(f"# nested-mention: {mention.mention_id} {name} [{span.start},{span.end}) suppressed")
+            mention_id = field("mention id", mention.mention_id)
+            lines.append(f"# nested-mention: {mention_id} {name} [{span.start},{span.end}) suppressed")
             continue
         bio[span.start:span.end] = [f"B-{name}"] + [f"I-{name}"] * (len(span) - 1)
     for sentence in doc.sentences:
         for i in range(sentence.span.start, sentence.span.end):
-            lines.append(f"{doc.texts[i]}\t{doc.tags[i]}\t{bio[i]}")
+            lines.append(f"{field('token', doc.texts[i])}\t{field('tag', doc.tags[i])}\t{bio[i]}")
         lines.append("")
     return "\n".join(lines).rstrip("\n") + "\n"
 

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -449,6 +452,17 @@ class TestConvert:
         assert out == ""
         assert str(column) in err and "line 2" in err
 
+    def test_unrepresentable_document_exits_2_writing_nothing(self, tmp_path, capsys):
+        from promex.examples import tagged_document
+
+        corpus = tmp_path / "tab-id.corpus"
+        documents = (tagged_document("ok", ["a/NN"]), tagged_document("a\tb", ["b/NN"]))
+        save_corpus(Corpus("1.0", documents), str(corpus))
+        code, out, err = run_cli(["convert", "--in", str(corpus), "--to", "column"], capsys)
+        assert code == 2
+        assert out == ""
+        assert str(corpus) in err and "'a\\tb'" in err
+
     def test_column_to_corpus(self, tmp_path, capsys):
         column = tmp_path / "doc.conll"
         column.write_text("Acme\tNNP\tB-Company\nwins\tVBZ\tO\n")
@@ -482,6 +496,17 @@ class TestNonUtf8Input:
         assert code == 2
         assert str(bad) in err and "can't decode" in err
         assert not out.exists()
+
+
+def test_cli_import_does_not_read_the_golden_corpus():
+    """`promex.examples` reads the golden corpus; the CLI's startup must not load it."""
+    import promex
+
+    script = "import sys, promex.cli; print('promex.examples' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(promex.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 class TestUsage:

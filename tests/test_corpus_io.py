@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -20,8 +22,31 @@ from promex.corpus_io import (
     write_corpus,
 )
 from promex.examples import annotated_document, apple_watch, golden_corpus, tagged_document
-from promex.ingest import document_from_text, export_column, read_tagged
-from promex.model import Corpus, InvariantViolation, ModelError, Token
+from promex.ingest import (
+    COLUMN_BREAKS,
+    UnrepresentableDocument,
+    document_from_text,
+    document_from_tokens,
+    export_column,
+    read_tagged,
+)
+from promex.model import (
+    Corpus,
+    Document,
+    EntityMention,
+    EntityType,
+    InvariantViolation,
+    ModelError,
+    NestingIndex,
+    NOUN_TAGS,
+    Provenance,
+    Span,
+    Token,
+    attach_annotations,
+    mention_kind,
+)
+
+GOLDEN_FILE = Path("src/promex/data/golden.corpus")
 
 
 def round_trip(corpus: Corpus) -> Corpus:
@@ -65,11 +90,14 @@ class TestRoundTrip:
         write_corpus(read_corpus(io.StringIO(first.getvalue())), second)
         assert first.getvalue() == second.getvalue()
 
-    def test_shipped_file_matches_builder(self, golden):
+    def test_write_corpus_reproduces_shipped_file(self, golden):
         sink = io.StringIO()
         write_corpus(golden, sink)
-        shipped = Path("src/promex/data/golden.corpus").read_text(encoding="utf-8")
-        assert sink.getvalue() == shipped
+        assert sink.getvalue() == GOLDEN_FILE.read_text(encoding="utf-8")
+
+    def test_shipped_file_bytes_are_pinned(self):
+        digest = hashlib.sha256(GOLDEN_FILE.read_bytes()).hexdigest()
+        assert digest == "c82aaf6b6dfa3dffb8b6969f3521c9313807a8433e443cc9c8b5e02f14e2ed5e"
 
     def test_save_and_load(self, tmp_path, golden):
         path = tmp_path / "out.corpus"
@@ -367,3 +395,56 @@ class TestExportColumn:
         assert again.texts == ("Intel", "sells", "#AI", "chips", ".")
         assert (again.tags, again.char_starts, again.char_ends) == (doc.tags, doc.char_starts, doc.char_ends)
         assert [s.span for s in again.sentences] == [s.span for s in doc.sentences]
+
+
+# pieces of drawn ids, token texts and tags; half the documents also draw what the column format cannot hold
+_PIECES = ["a", "Z", "#", " ", "B-", "I-"]
+_BREAKS = ["\t", "\n", "\r", "\u2028", "\x85"]
+_TAGS = ["NN", "NNP", "VBZ", "#"]
+
+
+@st.composite
+def column_documents(draw) -> Document:
+    """A document whose id, tokens, tags and mention ids may hold what the column format cannot."""
+    breaks = draw(st.booleans())
+    fields = st.lists(st.sampled_from(_PIECES + _BREAKS * breaks), min_size=1, max_size=4).map("".join)
+    tags = st.sampled_from(_TAGS + ["N\tN", "NN\u2028"] * breaks)
+    sentence = st.lists(st.tuples(fields, tags), min_size=1, max_size=4)
+    doc = document_from_tokens(draw(fields), draw(st.lists(sentence, min_size=1, max_size=3)))
+    kept = NestingIndex(())
+    entities = []
+    starts_and_widths = st.lists(st.tuples(st.integers(0, len(doc.texts) - 1), st.integers(1, 3)), max_size=4)
+    for i, (start, width) in enumerate(draw(starts_and_widths)):
+        sentence = doc.sentences[doc.sentence_index(start)].span
+        span = Span(start, min(start + width, sentence.end))
+        if kept.crosses(span):
+            continue
+        kept.add(span)
+        has_noun = not NOUN_TAGS.isdisjoint(doc.tags[span.start:span.end])
+        entity_type = EntityType.PRODUCT if has_noun and draw(st.booleans()) else EntityType.COMPANY
+        entities.append(EntityMention(f"{draw(fields)}{i}", entity_type, span,
+                                      mention_kind(doc.tags, span), Provenance.HUMAN))
+    return attach_annotations(doc, entities)
+
+
+class TestColumnRoundTrip:
+    def test_breaks_are_the_reader_s_separators(self):
+        every_char = "".join(map(chr, range(sys.maxunicode + 1)))
+        line_ends = {line[-1] for line in every_char.splitlines(keepends=True)[:-1]}
+        assert COLUMN_BREAKS == line_ends | {"\t"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(column_documents())
+    def test_writes_what_it_reads_back_or_refuses(self, doc):
+        try:
+            column = export_column(doc)
+        except UnrepresentableDocument:
+            fields = [doc.doc_id, *doc.texts, *doc.tags, *(m.mention_id for m in doc.entities)]
+            assert not all(COLUMN_BREAKS.isdisjoint(f) for f in fields)
+            return
+        again = read_tagged(column, doc_id=doc.doc_id)
+        assert (again.texts, again.tags) == (doc.texts, doc.tags)
+        assert [s.span for s in again.sentences] == [s.span for s in doc.sentences]
+        outermost = {m.span for m in doc.entities
+                     if not any(o.span != m.span and o.span.contains(m.span) for o in doc.entities)}
+        assert {m.span for m in again.entities} == outermost
