@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import operator
 import os
+from json.encoder import encode_basestring  # the quoting of json.dumps(ensure_ascii=False)
 from sys import intern
 from typing import IO, Iterable
 
@@ -58,54 +59,55 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
-def _document_record(doc: Document) -> dict:
-    record: dict = {
-        "doc_id": doc.doc_id,
-        "text": doc.text,
-        "tokens": [
-            {"text": text, "pos": pos, "start": start, "end": end}
-            for text, pos, start, end in zip(doc.texts, doc.tags, doc.char_starts, doc.char_ends)
-        ],
-        "sentences": [{"start": s.span.start, "end": s.span.end} for s in doc.sentences],
-        "entities": [
-            {
-                "id": e.mention_id,
-                "type": e.entity_type.value,
-                "kind": e.mention_kind.value,
-                "start": e.span.start,
-                "end": e.span.end,
-                "provenance": e.provenance.value,
-            }
-            for e in doc.entities
-        ],
-        "relations": [],
-        "chains": [
-            {"id": c.chain_id, "source": c.source, "targets": list(c.targets)}
-            for c in doc.chains
-        ],
-    }
-    for r in doc.relations:
-        rel: dict = {
-            "id": r.relation_id,
-            "company": r.company,
-            "products": list(r.products),
+def _header_line(schema_version: str) -> str:
+    return _dump({"schema_version": schema_version}) + "\n"
+
+
+def _array(items: list[str]) -> list[str]:
+    """The pieces of a JSON array's body: `items` with a comma between each two."""
+    pieces = [","] * (2 * len(items) - 1) if items else []
+    pieces[::2] = items
+    return pieces
+
+
+def document_line(doc: Document) -> str:
+    """The line that holds `doc` in a corpus file, with its newline.
+
+    The tokens and sentences, most of the line, are formatted directly, one
+    item each; the line equals `_dump` of the record holding the same fields.
+    """
+    quote = encode_basestring
+    tokens = ['{"text":%s,"pos":%s,"start":%d,"end":%d}' % token
+              for token in zip(map(quote, doc.texts), map(quote, doc.tags), doc.char_starts, doc.char_ends)]
+    sentences = ['{"start":%d,"end":%d}' % (s.span.start, s.span.end) for s in doc.sentences]
+    entities = [
+        {
+            "id": e.mention_id,
+            "type": e.entity_type.value,
+            "kind": e.mention_kind.value,
+            "start": e.span.start,
+            "end": e.span.end,
+            "provenance": e.provenance.value,
         }
+        for e in doc.entities
+    ]
+    relations = []
+    for r in doc.relations:
+        rel: dict = {"id": r.relation_id, "company": r.company, "products": list(r.products)}
         if r.trigger is not None:
             rel["trigger"] = {"start": r.trigger.start, "end": r.trigger.end}
         rel["provenance"] = r.provenance.value
         if r.pattern_id is not None:
             rel["pattern_id"] = r.pattern_id
-        record["relations"].append(rel)
-    return record
-
-
-def _header_line(schema_version: str) -> str:
-    return _dump({"schema_version": schema_version}) + "\n"
-
-
-def document_line(doc: Document) -> str:
-    """The line that holds `doc` in a corpus file, with its newline."""
-    return _dump(_document_record(doc)) + "\n"
+        relations.append(rel)
+    chains = [{"id": c.chain_id, "source": c.source, "targets": list(c.targets)} for c in doc.chains]
+    # one join, so that the line is built without a second copy of it
+    return "".join([
+        '{"doc_id":', quote(doc.doc_id), ',"text":', quote(doc.text),
+        ',"tokens":[', *_array(tokens), '],"sentences":[', *_array(sentences),
+        '],"entities":', _dump(entities), ',"relations":', _dump(relations),
+        ',"chains":', _dump(chains), "}\n",
+    ])
 
 
 def write_corpus(corpus: Corpus, sink: IO[str]) -> None:

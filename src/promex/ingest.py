@@ -51,7 +51,8 @@ class IllegalBioTransition(IngestError):
 
 class UnrepresentableDocument(IngestError):
     """`export_column` cannot write a document whose id, suppressed mention ids,
-    token texts or tags hold a character of `COLUMN_BREAKS`."""
+    token texts or tags hold a character of `COLUMN_BREAKS`, or whose tags
+    `str.strip` would change."""
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +251,18 @@ def read_tagged(column_text: str, doc_id: str = "doc") -> Document:
 
     BIO-marked Company/Product mentions are attached with Human provenance.
     A `#` line is a comment only when it holds no TAB, so `#AI` can be a token.
+    The text holds one document: a second `# doc_id:` comment, which opens
+    another document in `export_column`'s output, raises MalformedLine.
     """
     sentences: list[list[tuple[str, str]]] = [[]]
     bios: list[str] = []
+    doc_id_seen = False
     for line_no, line in enumerate(column_text.splitlines(), start=1):
         if line.startswith("#") and "\t" not in line:
+            if line.startswith("# doc_id:"):
+                if doc_id_seen:
+                    raise MalformedLine(line_no, "a second '# doc_id:' comment; a column text holds one document")
+                doc_id_seen = True
             continue
         if not line.strip():
             if sentences[-1]:
@@ -304,9 +312,12 @@ def export_column(doc: Document) -> str:
     read back differently.
     """
     def field(what: str, value: str) -> str:
-        if COLUMN_BREAKS.isdisjoint(value):
-            return value
-        raise UnrepresentableDocument(f"document {doc.doc_id!r}: {what} {value!r} holds a TAB or a line break")
+        if not COLUMN_BREAKS.isdisjoint(value):
+            raise UnrepresentableDocument(f"document {doc.doc_id!r}: {what} {value!r} holds a TAB or a line break")
+        if what == "tag" and value != value.strip():
+            # `read_tagged` strips the POS field
+            raise UnrepresentableDocument(f"document {doc.doc_id!r}: tag {value!r} has surrounding whitespace")
+        return value
 
     lines = [
         f"# doc_id: {field('doc id', doc.doc_id)}",

@@ -370,6 +370,9 @@ class _Node:
     # lowercased words a literal or trigger element can begin with; None for wordless slots and ends
     firsts: frozenset[str] | None = None
     children: dict[SurfaceElement | None, _Node] = field(default_factory=dict)
+    # the union of the children's `firsts`, None if one of them has none: a walk
+    # goes below this node only at a word in it
+    next_firsts: frozenset[str] | None = None
     surfaces: list[SurfacePattern] = field(default_factory=list)
     size: int = 0  # surfaces ending at or below this node
 
@@ -394,6 +397,12 @@ def _trie(surface_patterns: Sequence[SurfacePattern]) -> _Node:
                 node = node.children[el]
             node.size += 1
             node.surfaces.append(surface)
+        nodes = [root]
+        while nodes:
+            node = nodes.pop()
+            starts = [child.firsts for child in node.children.values()]
+            node.next_firsts = frozenset().union(*starts) if None not in starts else None
+            nodes.extend(node.children.values())
     # an equal inventory parsed again takes over, so that next calls compare by identity
     _compiled = (surfaces, root)
     return root
@@ -562,6 +571,9 @@ def match_sentence(
 
     Each anchor takes one walk of the inventory's trie, so a coordination
     is parsed once for all the surfaces that share the elements before it.
+    A first element that is a literal or trigger is anchored only at a word
+    it can begin with, and an anchor is walked only when a later word of the
+    sentence can begin an element that follows the first one.
     One match is kept per (surface pattern, anchor position): the first in
     option order (larger coordinations first, a trigger chain before the
     plain trigger), as a search of that surface alone would find it.
@@ -581,7 +593,11 @@ def match_sentence(
         elif isinstance(first, ProductSlot):
             anchors = [c.start for c in candidates]
         else:
-            anchors = list(range(sentence.span.start, sentence.span.end))
+            anchors = [p for p, w in enumerate(ctx.lower, ctx.start) if node.firsts is None or w in node.firsts]
+        if node.next_firsts is not None:
+            # every option of `node` ends after its anchor, where a child must begin
+            last = max((p for p, w in enumerate(ctx.lower, ctx.start) if w in node.next_firsts), default=-1)
+            anchors = [a for a in anchors if a < last]
         for anchor in dict.fromkeys(anchors):
             ctx.done, ctx.hits = {}, []
             ctx.step(node, anchor, [], [], None)

@@ -463,6 +463,17 @@ class TestConvert:
         assert out == ""
         assert str(corpus) in err and "'a\\tb'" in err
 
+    def test_column_text_of_several_documents_exits_2(self, tmp_path, capsys):
+        column = tmp_path / "golden.conll"
+        code, out, _ = run_cli(["convert", "--in", GOLDEN, "--to", "column"], capsys)
+        assert code == 0
+        column.write_text(out, encoding="utf-8")
+        code, out, err = run_cli(["convert", "--in", str(column), "--to", "corpus"], capsys)
+        # not one document merged from all 19
+        assert code == 2
+        assert out == ""
+        assert str(column) in err and "doc_id" in err
+
     def test_column_to_corpus(self, tmp_path, capsys):
         column = tmp_path / "doc.conll"
         column.write_text("Acme\tNNP\tB-Company\nwins\tVBZ\tO\n")

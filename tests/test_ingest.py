@@ -142,6 +142,14 @@ class TestReadTagged:
         doc = read_tagged("# header\na\tNN\n\n\nb\tNN\n")
         assert [s.span for s in doc.sentences] == [Span(0, 1), Span(1, 2)]
 
+    def test_second_doc_id_comment_is_malformed(self):
+        # `export_column` of two documents: reading it as one would merge them
+        text = "# doc_id: a\nx\tNN\tO\n\n# doc_id: b\ny\tNN\tO\n"
+        with pytest.raises(MalformedLine) as exc:
+            read_tagged(text)
+        assert exc.value.line_no == 4
+        assert read_tagged(text.split("\n\n")[0]).texts == ("x",)
+
     def test_product_mention_kinds(self):
         doc = read_tagged("sensors\tNNS\tB-Product\nZ3\tNNP\tB-Product\n")
         kinds = [m.mention_kind.value for m in doc.entities]

@@ -27,7 +27,8 @@ the same elements, and reject the same bodies, apart from a `<` or `{`
 opened again before its closer, which it read as part of one element.
 The corpus reader that built one `Token` per token, and the walk over
 those Tokens that checked them, must read each record into an equal
-document, or reject it with the same error.
+document, or reject it with the same error.  The corpus writer that built
+one dict per token and dumped the whole record must write the same line.
 """
 
 from __future__ import annotations
@@ -789,6 +790,58 @@ def oracle_token_parse_document(record: dict, line_no: int, build=make_document_
 
 
 # ---------------------------------------------------------------------------
+# The corpus writer that built one dict per token and dumped the whole record
+
+def _dump(obj: dict) -> str:
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+
+
+def _document_record(doc: Document) -> dict:
+    record: dict = {
+        "doc_id": doc.doc_id,
+        "text": doc.text,
+        "tokens": [
+            {"text": text, "pos": pos, "start": start, "end": end}
+            for text, pos, start, end in zip(doc.texts, doc.tags, doc.char_starts, doc.char_ends)
+        ],
+        "sentences": [{"start": s.span.start, "end": s.span.end} for s in doc.sentences],
+        "entities": [
+            {
+                "id": e.mention_id,
+                "type": e.entity_type.value,
+                "kind": e.mention_kind.value,
+                "start": e.span.start,
+                "end": e.span.end,
+                "provenance": e.provenance.value,
+            }
+            for e in doc.entities
+        ],
+        "relations": [],
+        "chains": [
+            {"id": c.chain_id, "source": c.source, "targets": list(c.targets)}
+            for c in doc.chains
+        ],
+    }
+    for r in doc.relations:
+        rel: dict = {
+            "id": r.relation_id,
+            "company": r.company,
+            "products": list(r.products),
+        }
+        if r.trigger is not None:
+            rel["trigger"] = {"start": r.trigger.start, "end": r.trigger.end}
+        rel["provenance"] = r.provenance.value
+        if r.pattern_id is not None:
+            rel["pattern_id"] = r.pattern_id
+        record["relations"].append(rel)
+    return record
+
+
+def oracle_document_line(doc: Document) -> str:
+    return _dump(_document_record(doc)) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # The tokenizer steps that took every character and peeled every chunk, and
 # the gazetteer lookup that tried every width
 
@@ -1409,6 +1462,36 @@ def token_faulted_records(draw) -> dict:
     return record
 
 
+# characters JSON escapes (quote, backslash, controls) and ones it writes as
+# they are with ensure_ascii=False (DEL, NEL, U+2028, U+2029, non-BMP)
+WRITER_CHARS = ('"', "\\", "\x00", "\x08", "\n", "\x1f", "\x7f", "\x85", "\u2028", "\u2029",
+                "\U0001f600", "\U00010400", "é", "A", "a", " ", "/")
+writer_strings = st.text(st.sampled_from(WRITER_CHARS), max_size=6) | st.text(max_size=4)
+
+
+@st.composite
+def written_documents(draw) -> Document:
+    """A document whose ids, token texts and tags hold characters JSON must escape,
+    with relations drawn with and without a trigger and a pattern id.
+
+    The annotations are set as they are, unchecked: the writer reads only their fields.
+    """
+    tags = writer_strings.filter(lambda tag: tag and not any(c.islower() for c in tag))
+    token = st.tuples(writer_strings.filter(bool), tags)
+    doc = document_from_tokens(draw(writer_strings), draw(st.lists(st.lists(token, min_size=1, max_size=4),
+                                                                   max_size=3)))
+    spans = st.builds(lambda a, b: Span(min(a, b), max(a, b) + 1), st.integers(0, 9), st.integers(0, 9))
+    entities = draw(st.lists(st.builds(EntityMention, writer_strings, st.sampled_from(EntityType), spans,
+                                       st.sampled_from(MentionKind), st.sampled_from(Provenance)), max_size=3))
+    relations = draw(st.lists(st.builds(
+        RelationMention, writer_strings, writer_strings, st.lists(writer_strings, max_size=3).map(tuple),
+        st.none() | spans, st.sampled_from(Provenance), st.none() | writer_strings,
+    ), max_size=3))
+    chains = draw(st.lists(st.builds(IdentityChain, writer_strings, writer_strings,
+                                     st.lists(writer_strings, max_size=2).map(tuple)), max_size=2))
+    return replace(doc, entities=tuple(entities), relations=tuple(relations), chains=tuple(chains))
+
+
 def outcome(build, args: Sequence):
     try:
         return build(*args)
@@ -1578,6 +1661,12 @@ def written(doc: Document) -> str:
     sink = io.StringIO()
     write_corpus(Corpus("1.0", (doc,)), sink)
     return sink.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(written_documents())
+def test_document_line_agrees_with_dumping_the_record(doc):
+    assert corpus_io.document_line(doc) == oracle_document_line(doc)
 
 
 @settings(max_examples=400, deadline=None)

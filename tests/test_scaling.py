@@ -7,9 +7,10 @@ Company recognition and pre-annotation are guarded the same way on one
 long sentence, as raw text with no sentence punctuation makes.
 Matching is guarded by counting work instead: a company coordination is
 parsed once per anchor, however many surfaces start with `<ORG>`, the
-nested company-in-candidate rule looks up one candidate per company, and a
-sentence with no company mention is neither chunked nor matched, and no
-`Token` is built for it.
+nested company-in-candidate rule looks up one candidate per company, a
+candidate is walked as a `<PRO>` anchor only when a later word can follow
+a product, and a sentence with no company mention is neither chunked nor
+matched, and no `Token` is built for it.
 """
 
 from __future__ import annotations
@@ -203,6 +204,30 @@ def test_nested_rule_looks_up_one_candidate_per_company(monkeypatch):
     # makes len(orgs) * len(candidates) calls
     assert len(doc.sentences) == 1 and len(orgs) == 30
     assert len(calls) <= len(orgs)
+
+
+@pytest.mark.parametrize("tail", ["./.", "by/IN Bosch/NNP ./."], ids=["no-follower", "by"])
+def test_product_anchors_are_walked_only_before_a_follower(monkeypatch, tail):
+    surfaces = expand(parse_config(default_config_path().read_text(encoding="utf-8")))
+    n = 40
+    doc = tagged_document("d", [" ".join(["Acme/NNP likes/VBZ", *["sensors/NNS with/IN"] * (n - 1), "sensors/NNS", tail])])
+    orgs = [EntityMention("c0", EntityType.COMPANY, Span(0, 1), MentionKind.NAME, Provenance.HUMAN)]
+    tokens = doc.sentence_tokens(doc.sentences[0])
+    candidates = [c.span for c in split_coordination(chunk(tokens), tokens)]
+    calls = []
+    product_firsts = _SentenceContext.product_firsts
+
+    def counted(ctx, pos):
+        calls.append(pos)
+        return product_firsts(ctx, pos)
+
+    monkeypatch.setattr(_SentenceContext, "product_firsts", counted)
+    match_sentence(doc, doc.sentences[0], orgs, candidates, surfaces)
+    # a <PRO> walk goes on only at by, is, are, from or made; walking every
+    # candidate makes one call each, for nothing where none follows it
+    followed = [c.start for c in candidates if "by" in doc.texts[c.end:]]
+    assert len(followed) == (0 if tail == "./." else n + 1)  # Acme and the n sensors
+    assert calls == followed
 
 
 def test_sentences_without_companies_are_not_chunked_or_matched(monkeypatch):
