@@ -7,7 +7,7 @@ construction.  A `Document` stores its tokens only as four parallel tuples
 sentence's `Token`s from them for the chunker.  Invariants are enforced by the
 construction operations (`make_document`, `attach_annotations`) and by the
 corpus reader, not by the dataclasses themselves, so that the validator can
-still inspect broken values built in tests or loaded from foreign sources.
+still inspect broken values built in tests.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import bisect
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 NOUN_TAGS = frozenset({"NN", "NNS", "NNP", "NNPS"})
 PROPER_NOUN_TAGS = frozenset({"NNP", "NNPS"})
@@ -296,61 +296,68 @@ def _check_entity(doc: Document, mention: EntityMention) -> None:
             )
 
 
-def _check_relation(doc: Document, rel: RelationMention, by_id: dict[str, EntityMention]) -> None:
+def relation_faults(
+    doc: Document, rel: RelationMention, by_id: dict[str, EntityMention]
+) -> Iterator[ModelError]:
+    """Each fault of `rel` over the mentions `by_id`, in check order; `attach_annotations` raises the first."""
     if not rel.products:
-        raise EmptyProductList(f"relation {rel.relation_id} has no product arguments")
+        yield EmptyProductList(f"relation {rel.relation_id} has no product arguments")
     company = by_id.get(rel.company)
     if company is None or company.entity_type is not EntityType.COMPANY:
-        raise InvariantViolation(
+        yield InvariantViolation(
             f"relation {rel.relation_id} company argument {rel.company!r} is not a Company mention"
         )
+        return
     sent = doc.sentence_index(company.span.start)
     for pid in rel.products:
         product = by_id.get(pid)
         if product is None or product.entity_type is not EntityType.PRODUCT:
-            raise InvariantViolation(
+            yield InvariantViolation(
                 f"relation {rel.relation_id} product argument {pid!r} is not a Product mention"
             )
-        if doc.sentence_index(product.span.start) != sent:
-            raise SpanCrossesSentence(
+        elif doc.sentence_index(product.span.start) != sent:
+            yield SpanCrossesSentence(
                 f"relation {rel.relation_id} arguments lie in different sentences"
             )
     if rel.trigger is not None:
         trig = rel.trigger
         if trig.end <= trig.start or trig.start < 0 or trig.end > len(doc.texts):
-            raise InvariantViolation(f"relation {rel.relation_id} trigger span is malformed")
-        if doc.sentence_index(trig.start) != sent or trig.end > doc.sentences[sent].span.end:
-            raise SpanCrossesSentence(
+            yield InvariantViolation(f"relation {rel.relation_id} trigger span is malformed")
+        elif doc.sentence_index(trig.start) != sent or trig.end > doc.sentences[sent].span.end:
+            yield SpanCrossesSentence(
                 f"relation {rel.relation_id} trigger lies outside the argument sentence"
             )
 
 
-def _check_chains(chains: Sequence[IdentityChain], by_id: dict[str, EntityMention]) -> None:
+def chain_faults(
+    chains: Sequence[IdentityChain], by_id: dict[str, EntityMention]
+) -> Iterator[tuple[IdentityChain, ModelError]]:
+    """Each fault of `chains` with its chain, in check order; `attach_annotations` raises the first."""
     seen: dict[str, str] = {}
     for chain in chains:
         source = by_id.get(chain.source)
         if source is None:
-            raise InvariantViolation(
+            yield chain, InvariantViolation(
                 f"chain {chain.chain_id} source {chain.source!r} is not a known mention"
             )
-        if source.mention_kind is not MentionKind.NAME:
-            raise NonNameChainSource(
+        elif source.mention_kind is not MentionKind.NAME:
+            yield chain, NonNameChainSource(
                 f"chain {chain.chain_id} source {chain.source!r} is not a Name mention"
             )
         if not chain.targets:
-            raise InvariantViolation(f"chain {chain.chain_id} has no targets")
+            yield chain, InvariantViolation(f"chain {chain.chain_id} has no targets")
         if chain.source in chain.targets:
-            raise DuplicateChainMembership(
+            yield chain, DuplicateChainMembership(
                 f"chain {chain.chain_id} lists its source among its targets"
             )
         for mid in (chain.source, *chain.targets):
             if mid in seen:
-                raise DuplicateChainMembership(
+                yield chain, DuplicateChainMembership(
                     f"mention {mid!r} belongs to chains {seen[mid]!r} and {chain.chain_id!r}"
                 )
             seen[mid] = chain.chain_id
             if mid not in by_id:
-                raise InvariantViolation(
+                yield chain, InvariantViolation(
                     f"chain {chain.chain_id} member {mid!r} is not a known mention"
                 )
 
@@ -427,13 +434,15 @@ def attach_annotations(
         if r.relation_id in seen_rel:
             raise InvariantViolation(f"duplicate relation id {r.relation_id!r}")
         seen_rel.add(r.relation_id)
-        _check_relation(doc, r, by_id)
+        for fault in relation_faults(doc, r, by_id):
+            raise fault
 
     seen_chain: set[str] = set()
     for c in chns:
         if c.chain_id in seen_chain:
             raise InvariantViolation(f"duplicate chain id {c.chain_id!r}")
         seen_chain.add(c.chain_id)
-    _check_chains(chns, by_id)
+    for _, fault in chain_faults(chns, by_id):
+        raise fault
 
     return replace(doc, entities=ents, relations=rels, chains=chns)

@@ -8,13 +8,19 @@ approximated by stoplist/POS heuristics and reported as warnings only.
 Rule registry:
     V1  product extent starts/ends with a function word or comma
     V2  possessive clitic follows a company mention inside a product extent
-    V3  relation arguments lie in different sentences
-    V4  malformed identity chain
+    V3  relation argument or trigger outside the company's sentence
+    V4  malformed identity chain: unknown or non-Name source, no targets,
+        or a member that names no mention or sits in two chains
     V5  product token sequence left unannotated elsewhere in the document
     V6  identity-linked company mentions carry duplicate relations
     V7  product extent contains no noun token
     V8  product extent starts with a stoplisted adjective
-    V9  relation without products, or with an unresolvable argument
+    V9  relation without products, with an argument that is not a mention
+        of its type, or with a malformed trigger
+
+V3, V4 and V9 report the faults of `model.relation_faults` and
+`model.chain_faults`.  `attach_annotations` raises the first of them and
+every reader calls it, so a document read from a file has none.
 
 Each rule is linear in document length, apart from the size of its
 output: the rules that compare mentions or relations with each other
@@ -34,11 +40,13 @@ from .model import (
     Document,
     EntityMention,
     EntityType,
-    MentionKind,
     NOUN_TAGS,
     RelationMention,
     Span,
+    SpanCrossesSentence,
     TRADEMARK_TEXTS,
+    chain_faults,
+    relation_faults,
 )
 
 BAD_BOUNDARY_TAGS = frozenset({"DT", "IN", "WDT", "WP", "CC"})
@@ -103,50 +111,6 @@ def _v2_possessive(
                     "V2", Severity.ERROR, doc.doc_id, product.mention_id, product.span,
                     "company mention inside a product extent carries a possessive marker",
                 )
-
-
-def _v3_cross_sentence(doc: Document, by_id: dict[str, EntityMention]) -> Iterable[Violation]:
-    for rel in doc.relations:
-        mentions = [by_id.get(rel.company)] + [by_id.get(p) for p in rel.products]
-        sentence_ids = {
-            doc.sentence_index(m.span.start) for m in mentions if m is not None
-        }
-        if len(sentence_ids) > 1:
-            anchor = by_id.get(rel.company)
-            span = anchor.span if anchor else Span(0, 1)
-            yield Violation(
-                "V3", Severity.ERROR, doc.doc_id, rel.relation_id, span,
-                "relation arguments lie in different sentences",
-            )
-
-
-def _v4_chains(doc: Document, by_id: dict[str, EntityMention]) -> Iterable[Violation]:
-    membership: dict[str, str] = {}
-    for chain in doc.chains:
-        source = by_id.get(chain.source)
-        span = source.span if source else Span(0, 1)
-        if source is None:
-            yield Violation(
-                "V4", Severity.ERROR, doc.doc_id, chain.chain_id, Span(0, 1),
-                f"chain source {chain.source!r} is not a known mention",
-            )
-        elif source.mention_kind is not MentionKind.NAME:
-            yield Violation(
-                "V4", Severity.ERROR, doc.doc_id, chain.chain_id, span,
-                "chain source is not a name mention",
-            )
-        if not chain.targets:
-            yield Violation(
-                "V4", Severity.ERROR, doc.doc_id, chain.chain_id, span,
-                "chain has no targets",
-            )
-        for mid in (chain.source, *chain.targets):
-            if mid in membership:
-                yield Violation(
-                    "V4", Severity.ERROR, doc.doc_id, chain.chain_id, span,
-                    f"mention {mid!r} belongs to more than one chain",
-                )
-            membership[mid] = chain.chain_id
 
 
 def _v5_consistency(doc: Document, products: list[EntityMention]) -> Iterable[Violation]:
@@ -227,29 +191,27 @@ def _v8_stoplist(
             )
 
 
-def _v9_relations(doc: Document, by_id: dict[str, EntityMention]) -> Iterable[Violation]:
+def _model_faults(doc: Document, by_id: dict[str, EntityMention]) -> Iterable[Violation]:
+    """The relation and chain faults that `attach_annotations` raises: V3, V4 and V9."""
     for rel in doc.relations:
         anchor = by_id.get(rel.company)
         span = anchor.span if anchor else Span(0, 1)
-        if not rel.products:
-            yield Violation(
-                "V9", Severity.ERROR, doc.doc_id, rel.relation_id, span,
-                "relation has no product arguments",
-            )
-        dangling = [
-            mid for mid in (rel.company, *rel.products) if mid not in by_id
-        ]
-        if dangling:
-            yield Violation(
-                "V9", Severity.ERROR, doc.doc_id, rel.relation_id, span,
-                f"relation references unknown mentions {dangling}",
-            )
+        for fault in relation_faults(doc, rel, by_id):
+            rule = "V3" if isinstance(fault, SpanCrossesSentence) else "V9"
+            yield Violation(rule, Severity.ERROR, doc.doc_id, rel.relation_id, span, str(fault))
+    for chain, fault in chain_faults(doc.chains, by_id):
+        source = by_id.get(chain.source)
+        span = source.span if source else Span(0, 1)
+        yield Violation("V4", Severity.ERROR, doc.doc_id, chain.chain_id, span, str(fault))
 
 
 def validate(doc: Document, stoplist: Iterable[str] = DEFAULT_STOPLIST) -> list[Violation]:
     """Run every registry rule over one document.
 
     Pure and idempotent; output is sorted by (document position, rule id).
+    Precondition: every product mention's span lies within the document's
+    tokens, as `attach_annotations` ensures; V1 and V8 read the tokens at
+    its ends.
     """
     stop = frozenset(w.lower() for w in stoplist)
     by_id = {e.mention_id: e for e in doc.entities}
@@ -258,13 +220,11 @@ def validate(doc: Document, stoplist: Iterable[str] = DEFAULT_STOPLIST) -> list[
     violations: list[Violation] = []
     violations.extend(_v1_boundaries(doc, products))
     violations.extend(_v2_possessive(doc, products, companies))
-    violations.extend(_v3_cross_sentence(doc, by_id))
-    violations.extend(_v4_chains(doc, by_id))
+    violations.extend(_model_faults(doc, by_id))
     violations.extend(_v5_consistency(doc, products))
     violations.extend(_v6_duplicate_linked_relations(doc, by_id))
     violations.extend(_v7_nouns(doc, products))
     violations.extend(_v8_stoplist(doc, products, stop))
-    violations.extend(_v9_relations(doc, by_id))
     # errors sort before warnings at the same document position
     violations.sort(
         key=lambda v: (v.span.start, v.span.end, v.severity is not Severity.ERROR, v.rule_id, v.target_id)

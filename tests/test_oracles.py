@@ -29,6 +29,9 @@ The corpus reader that built one `Token` per token, and the walk over
 those Tokens that checked them, must read each record into an equal
 document, or reject it with the same error.  The corpus writer that built
 one dict per token and dumped the whole record must write the same line.
+The relation and chain checks that raised at their first fault, before
+they became the fault generators that `validate` reports from too, must
+make `attach_annotations` raise the same error.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from unittest import mock
 from typing import Iterable, Iterator, Sequence
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from promex import corpus_io, validator
 from promex.analytics import AgreementScores, TokenizationMismatch, agreement
@@ -50,12 +53,15 @@ from promex.examples import golden_corpus, tagged_document
 from promex.model import (
     Corpus,
     Document,
+    DuplicateChainMembership,
+    EmptyProductList,
     EntityMention,
     EntityType,
     IdentityChain,
     InvariantViolation,
     MentionKind,
     ModelError,
+    NonNameChainSource,
     NonPartitioningSentences,
     NOUN_TAGS,
     OffsetOutOfBounds,
@@ -66,12 +72,11 @@ from promex.model import (
     RelationMention,
     Sentence,
     Span,
+    SpanCrossesSentence,
     TRADEMARK_TEXTS,
     Token,
     TokenColumns,
-    _check_chains,
     _check_entity,
-    _check_relation,
     attach_annotations,
     by_sentence,
     make_document,
@@ -218,21 +223,78 @@ def oracle_validate(doc: Document, stoplist=DEFAULT_STOPLIST) -> list[Violation]
     violations: list[Violation] = []
     violations.extend(validator._v1_boundaries(doc, products))
     violations.extend(oracle_v2(doc, products, companies))
-    violations.extend(validator._v3_cross_sentence(doc, by_id))
-    violations.extend(validator._v4_chains(doc, by_id))
+    violations.extend(validator._model_faults(doc, by_id))
     violations.extend(oracle_v5(doc, products))
     violations.extend(oracle_v6(doc, by_id))
     violations.extend(validator._v7_nouns(doc, products))
     violations.extend(validator._v8_stoplist(doc, products, stop))
-    violations.extend(validator._v9_relations(doc, by_id))
     violations.sort(
         key=lambda v: (v.span.start, v.span.end, v.severity is not Severity.ERROR, v.rule_id, v.target_id)
     )
     return violations
 
 
+def _check_relation(doc: Document, rel: RelationMention, by_id: dict[str, EntityMention]) -> None:
+    if not rel.products:
+        raise EmptyProductList(f"relation {rel.relation_id} has no product arguments")
+    company = by_id.get(rel.company)
+    if company is None or company.entity_type is not EntityType.COMPANY:
+        raise InvariantViolation(
+            f"relation {rel.relation_id} company argument {rel.company!r} is not a Company mention"
+        )
+    sent = doc.sentence_index(company.span.start)
+    for pid in rel.products:
+        product = by_id.get(pid)
+        if product is None or product.entity_type is not EntityType.PRODUCT:
+            raise InvariantViolation(
+                f"relation {rel.relation_id} product argument {pid!r} is not a Product mention"
+            )
+        if doc.sentence_index(product.span.start) != sent:
+            raise SpanCrossesSentence(
+                f"relation {rel.relation_id} arguments lie in different sentences"
+            )
+    if rel.trigger is not None:
+        trig = rel.trigger
+        if trig.end <= trig.start or trig.start < 0 or trig.end > len(doc.texts):
+            raise InvariantViolation(f"relation {rel.relation_id} trigger span is malformed")
+        if doc.sentence_index(trig.start) != sent or trig.end > doc.sentences[sent].span.end:
+            raise SpanCrossesSentence(
+                f"relation {rel.relation_id} trigger lies outside the argument sentence"
+            )
+
+
+def _check_chains(chains: Sequence[IdentityChain], by_id: dict[str, EntityMention]) -> None:
+    seen: dict[str, str] = {}
+    for chain in chains:
+        source = by_id.get(chain.source)
+        if source is None:
+            raise InvariantViolation(
+                f"chain {chain.chain_id} source {chain.source!r} is not a known mention"
+            )
+        if source.mention_kind is not MentionKind.NAME:
+            raise NonNameChainSource(
+                f"chain {chain.chain_id} source {chain.source!r} is not a Name mention"
+            )
+        if not chain.targets:
+            raise InvariantViolation(f"chain {chain.chain_id} has no targets")
+        if chain.source in chain.targets:
+            raise DuplicateChainMembership(
+                f"chain {chain.chain_id} lists its source among its targets"
+            )
+        for mid in (chain.source, *chain.targets):
+            if mid in seen:
+                raise DuplicateChainMembership(
+                    f"mention {mid!r} belongs to chains {seen[mid]!r} and {chain.chain_id!r}"
+                )
+            seen[mid] = chain.chain_id
+            if mid not in by_id:
+                raise InvariantViolation(
+                    f"chain {chain.chain_id} member {mid!r} is not a known mention"
+                )
+
+
 def oracle_attach(doc, entities=(), relations=(), chains=()) -> Document:
-    """`attach_annotations` with the pairwise crossing loop."""
+    """`attach_annotations` with the pairwise crossing loop and the raising relation and chain checks."""
     ents = tuple(entities)
     rels = tuple(relations)
     chns = tuple(chains)
@@ -1562,6 +1624,31 @@ def test_attach_agrees_with_pairwise_crossing_check(args):
         assert spans_cross(by_id[a].span, by_id[b].span)
     else:
         assert str(new) == str(old)
+
+
+@settings(max_examples=300, deadline=None)
+@given(attach_inputs())
+@example((
+    tagged_document("d", ["Acme/NNP sells/VBZ sensors/NNS ./."]),
+    [EntityMention("m0", EntityType.PRODUCT, Span(2, 3), MentionKind.NOMINAL, Provenance.HUMAN)],
+    [RelationMention("r0", "m0", ("m0",), None, Provenance.HUMAN)],
+    [],
+))
+def test_attach_raises_exactly_what_validate_reports(args):
+    doc, entities, relations, chains = args
+    assume(isinstance(outcome(attach_annotations, (doc, entities)), Document))
+    reported = [
+        v.message
+        for v in validate(replace(
+            doc, entities=tuple(entities), relations=tuple(relations), chains=tuple(chains)
+        ))
+        if v.rule_id in ("V3", "V4", "V9")
+    ]
+    raised = outcome(attach_annotations, args)
+    if isinstance(raised, Document):
+        assert reported == []
+    else:
+        assert str(raised) in reported
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,9 +10,11 @@ from promex.model import (
     EntityType,
     IdentityChain,
     MentionKind,
+    ModelError,
     Provenance,
     RelationMention,
     Span,
+    attach_annotations,
 )
 from promex.validator import (
     DEFAULT_STOPLIST,
@@ -181,6 +183,38 @@ class TestRuleFixtures:
             relations=(RelationMention("r1", "c1", ("ghost",), None, Provenance.HUMAN),),
         )
         assert "V9" in rules(validate(bad))
+
+
+# faults that `attach_annotations` rejects and that the validator once missed
+MODEL_FAULTS = {
+    "company argument is a Product mention": (
+        "V9", [RelationMention("r1", "p1", ("p1",), None, Provenance.HUMAN)], []
+    ),
+    "product argument is a Company mention": (
+        "V9", [RelationMention("r1", "c1", ("c1",), None, Provenance.HUMAN)], []
+    ),
+    "trigger in another sentence": (
+        "V3", [RelationMention("r1", "c1", ("p1",), Span(5, 6), Provenance.HUMAN)], []
+    ),
+    "chain member names no mention": (
+        "V4", [], [IdentityChain("ch1", "c1", ("ghost",))]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_FAULTS))
+def test_reports_the_fault_attach_rejects(case):
+    rule, relations, chains = MODEL_FAULTS[case]
+    doc = tagged_document("f", ["Acme/NNP sells/VBZ sensors/NNS ./.", "It/PRP ships/VBZ ./."])
+    entities = (
+        human("c1", EntityType.COMPANY, 0, 1, MentionKind.NAME),
+        human("p1", EntityType.PRODUCT, 2, 3),
+    )
+    with pytest.raises(ModelError) as raised:
+        attach_annotations(doc, entities, relations, chains)
+    found = validate(replace(doc, entities=entities, relations=tuple(relations), chains=tuple(chains)))
+    assert rules(found) == [rule]
+    assert found[0].message == str(raised.value)
 
 
 class TestGoldenCorpus:
