@@ -1,16 +1,22 @@
-"""Product-candidate chunking over POS tag sequences.
+"""Product-candidate chunking over the text and tag columns of one sentence.
 
-A candidate is a maximal token span whose tags match
+A candidate is a token span whose tags match
 ``(VBG|NN*|JJ|CD)* (NN*)+ (NN*|JJ|CD)*`` where ``NN*`` ranges over the
 noun tags; gerunds are admitted as premodifiers only, never as heads.
-Matching is left-to-right maximal munch, so candidates never overlap.
-Every function works in the token coordinates of the sentence it is given.
+Each maximal run of these chunk tags gives at most one candidate: from the
+run's start to the end of the ``(NN*|JJ|CD)*`` tail after the run's last
+noun, plus any trademark symbols that follow.  That is left-to-right
+maximal munch, so candidates never overlap; a run whose first tokens are
+trademark symbols taken by the candidate before it starts after them.
+`chunk` and `split_coordination` read a sentence either as its `Token`s,
+giving spans from 0, or as `SentenceColumns`, tokens `start` to `stop` of
+a document's columns, giving spans in the document's token coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .model import CONJUNCTIONS, NOUN_TAGS, TRADEMARK_TEXTS, Span, Token
 
@@ -21,6 +27,22 @@ CHUNK_TAGS = NOUN_TAGS | {"JJ", "CD", "VBG"}
 class ChunkCandidate:
     span: Span
     coordinated: bool = False
+
+
+class SentenceColumns(NamedTuple):
+    """One sentence: tokens `start` to `stop` of a document's text and tag columns."""
+
+    texts: Sequence[str]
+    tags: Sequence[str]
+    start: int
+    stop: int
+
+
+def _columns(tokens: Sequence[Token] | SentenceColumns) -> SentenceColumns:
+    """The columns of a sentence; a sentence's `Token`s start at 0."""
+    if isinstance(tokens, SentenceColumns):
+        return tokens
+    return SentenceColumns([t.text for t in tokens], [t.pos for t in tokens], 0, len(tokens))
 
 
 def candidate_ends(tags: Sequence[str], start: int, stop: int) -> tuple[list[int], int]:
@@ -37,36 +59,36 @@ def candidate_ends(tags: Sequence[str], start: int, stop: int) -> tuple[list[int
     return ends, j
 
 
-def chunk(tokens: Sequence[Token]) -> list[ChunkCandidate]:
+def chunk(tokens: Sequence[Token] | SentenceColumns) -> list[ChunkCandidate]:
     """Maximal-munch candidates for one sentence.
 
     Trademark symbols immediately following a candidate are absorbed into
     its span.
     """
-    tags = [t.pos for t in tokens]
+    texts, tags, start, stop = _columns(tokens)
     out: list[ChunkCandidate] = []
-    i, n = 0, len(tokens)
-    while i < n:
-        ends, run_end = candidate_ends(tags, i, n)
+    i = start
+    while i < stop:
+        ends, run_end = candidate_ends(tags, i, stop)
         if not ends:
             # no noun before `run_end`, so no start before it can find one either
             i = max(i + 1, run_end)
             continue
         end = ends[-1]
-        while end < n and tokens[end].text in TRADEMARK_TEXTS:
+        while end < stop and texts[end] in TRADEMARK_TEXTS:
             end += 1
         out.append(ChunkCandidate(span=Span(i, end)))
         i = end
     return out
 
 
-def _adjective_runs(tokens: Sequence[Token], taken: set[int]) -> list[Span]:
+def _adjective_runs(tags: Sequence[str], start: int, stop: int, taken: set[int]) -> list[Span]:
     runs: list[Span] = []
-    i, n = 0, len(tokens)
-    while i < n:
-        if tokens[i].pos == "JJ" and i not in taken:
+    i = start
+    while i < stop:
+        if tags[i] == "JJ" and i not in taken:
             j = i
-            while j < n and tokens[j].pos == "JJ" and j not in taken:
+            while j < stop and tags[j] == "JJ" and j not in taken:
                 j += 1
             runs.append(Span(i, j))
             i = j
@@ -92,9 +114,9 @@ def separator_ends(texts: Sequence[str], pos: int, end: int) -> list[int]:
 
 
 def split_coordination(
-    candidates: Sequence[ChunkCandidate], tokens: Sequence[Token]
+    candidates: Sequence[ChunkCandidate], tokens: Sequence[Token] | SentenceColumns
 ) -> list[ChunkCandidate]:
-    """Apply the coordination rules to chunk output.
+    """Apply the coordination rules to the chunk output of one sentence.
 
     A coordination `X (, X)* (and|or) X` over candidates and bare adjective
     runs is split into one candidate per conjunct when every non-final
@@ -102,11 +124,11 @@ def split_coordination(
     when all non-final conjuncts are pure adjectives.  All members of a
     coordination come back with the `coordinated` flag set.
     """
-    texts = [t.text for t in tokens]
+    texts, tags, start, stop = _columns(tokens)
     taken = {i for c in candidates for i in range(c.span.start, c.span.end)}
     # units never share a start: adjective runs avoid candidate tokens
     units: list[tuple[Span, ChunkCandidate | None]] = [(c.span, c) for c in candidates]
-    units += [(run, None) for run in _adjective_runs(tokens, taken)]
+    units += [(run, None) for run in _adjective_runs(tags, start, stop, taken)]
     units.sort(key=lambda u: u[0].start)
 
     out: list[ChunkCandidate] = []
@@ -117,7 +139,7 @@ def split_coordination(
         conj_last = False
         while j + 1 < len(units):
             gap_end = units[j + 1][0].start
-            if gap_end not in separator_ends(texts, units[j][0].end, len(texts)):
+            if gap_end not in separator_ends(texts, units[j][0].end, stop):
                 break
             conj_last = texts[gap_end - 1].lower() in CONJUNCTIONS
             j += 1

@@ -342,16 +342,15 @@ def export_column(doc: Document) -> str:
 def document_from_text(text: str, doc_id: str = "doc") -> Document:
     """Tokenize, sentence-split and tag raw text into a Document."""
     triples = tokenize(text)
-    spans = split_sentences([t for t, _, _ in triples])
-    rows: list[tuple[str, str, int, int]] = []
-    # a document uses few distinct words: tag each (word, sentence-initial) once
-    tags: dict[tuple[str, bool], str] = {}
-    for start, end in spans:
-        for i, (text_, cs, ce) in enumerate(triples[start:end]):
-            key = (text_, i == 0)
-            pos = tags.get(key) or tags.setdefault(key, _tag_word(*key))
-            rows.append((text_, pos, cs, ce))
-    return make_document(doc_id, text, TokenColumns.from_rows(rows), spans)
+    texts, char_starts, char_ends = zip(*triples) if triples else ((), (), ())
+    spans = split_sentences(texts)
+    # a document uses few distinct words: tag each once as not sentence-initial,
+    # then tag each sentence's first token again
+    tag_of = {word: _tag_word(word, False) for word in set(texts)}
+    tags = list(map(tag_of.__getitem__, texts))
+    for start, _ in spans:
+        tags[start] = _tag_word(texts[start], True)
+    return make_document(doc_id, text, TokenColumns(texts, tuple(tags), char_starts, char_ends), spans)
 
 
 # ---------------------------------------------------------------------------

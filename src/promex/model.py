@@ -3,8 +3,9 @@
 All values are frozen dataclasses (`Token` and `Span` with slots): picklable
 for worker processes, compared by structural equality, and never mutated after
 construction.  A `Document` stores its tokens only as four parallel tuples
-(texts, tags, character starts and ends); `sentence_tokens` builds one
-sentence's `Token`s from them for the chunker.  Invariants are enforced by the
+(texts, tags, character starts and ends), and the package reads only these;
+`sentence_tokens` and `tokens` build `Token`s from them on each call, for
+callers that want one value per token.  Invariants are enforced by the
 construction operations (`make_document`, `attach_annotations`) and by the
 corpus reader, not by the dataclasses themselves, so that the validator can
 still inspect broken values built in tests.
@@ -332,8 +333,12 @@ def relation_faults(
 def chain_faults(
     chains: Sequence[IdentityChain], by_id: dict[str, EntityMention]
 ) -> Iterator[tuple[IdentityChain, ModelError]]:
-    """Each fault of `chains` with its chain, in check order; `attach_annotations` raises the first."""
+    """Each fault of `chains` with its chain, once, in check order; `attach_annotations` raises the first."""
     seen: dict[str, str] = {}
+
+    def shared(mid: str, chain: IdentityChain) -> DuplicateChainMembership:
+        return DuplicateChainMembership(f"mention {mid!r} belongs to chains {seen[mid]!r} and {chain.chain_id!r}")
+
     for chain in chains:
         source = by_id.get(chain.source)
         if source is None:
@@ -350,16 +355,21 @@ def chain_faults(
             yield chain, DuplicateChainMembership(
                 f"chain {chain.chain_id} lists its source among its targets"
             )
-        for mid in (chain.source, *chain.targets):
+        if chain.source in seen:
+            yield chain, shared(chain.source, chain)
+        seen[chain.source] = chain.chain_id
+        # the source, also where it is among the targets, is checked above;
+        # a member seen before was checked where it was first listed
+        for mid in chain.targets:
+            if mid == chain.source:
+                continue
             if mid in seen:
-                yield chain, DuplicateChainMembership(
-                    f"mention {mid!r} belongs to chains {seen[mid]!r} and {chain.chain_id!r}"
-                )
-            seen[mid] = chain.chain_id
-            if mid not in by_id:
+                yield chain, shared(mid, chain)
+            elif mid not in by_id:
                 yield chain, InvariantViolation(
                     f"chain {chain.chain_id} member {mid!r} is not a known mention"
                 )
+            seen[mid] = chain.chain_id
 
 
 class NestingIndex:

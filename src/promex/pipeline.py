@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .chunker import chunk, split_coordination
+from .chunker import SentenceColumns, chunk, split_coordination
 from .ingest import OrgGazetteer, recognize_orgs
 from .model import (
     Document,
@@ -21,7 +21,6 @@ from .model import (
     NestingIndex,
     Provenance,
     RelationMention,
-    Span,
     attach_annotations,
     by_sentence,
     mention_kind,
@@ -63,12 +62,8 @@ def preannotate_document(
         companies = [m for m in fixed if m.entity_type is EntityType.COMPANY]
         if not companies:
             continue
-        tokens = doc.sentence_tokens(sentence)
-        base = sentence.span.start
-        candidates = [
-            Span(c.span.start + base, c.span.end + base)
-            for c in split_coordination(chunk(tokens), tokens)
-        ]
+        columns = SentenceColumns(doc.texts, doc.tags, sentence.span.start, sentence.span.end)
+        candidates = [c.span for c in split_coordination(chunk(columns), columns)]
         found = match_sentence(doc, sentence, companies, candidates, surface_patterns)
         # relation ids count every match of the sentence, dropped ones too
         for i, (company, spans, trigger, pattern_id) in enumerate(found.relations):

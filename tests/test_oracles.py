@@ -31,7 +31,9 @@ document, or reject it with the same error.  The corpus writer that built
 one dict per token and dumped the whole record must write the same line.
 The relation and chain checks that raised at their first fault, before
 they became the fault generators that `validate` reports from too, must
-make `attach_annotations` raise the same error.
+make `attach_annotations` raise the same error.  The raw-text tagger that
+built one row per token must build the same document as tagging each
+distinct word once.
 """
 
 from __future__ import annotations
@@ -82,7 +84,14 @@ from promex.model import (
     make_document,
     mention_kind,
 )
-from promex.chunker import CHUNK_TAGS, chunk, separator_ends, split_coordination
+from promex.chunker import (
+    CHUNK_TAGS,
+    ChunkCandidate,
+    SentenceColumns,
+    chunk,
+    separator_ends,
+    split_coordination,
+)
 from promex.cli import default_config_path, default_gazetteer_path
 from promex.corpus_io import (
     _CHAIN,
@@ -103,10 +112,12 @@ from promex.ingest import (
     LEGAL_SUFFIXES,
     OrgGazetteer,
     _split_core,
+    _tag_word,
     document_from_text,
     document_from_tokens,
     read_tagged,
     recognize_orgs,
+    split_sentences,
     tag,
     tokenize,
 )
@@ -143,6 +154,7 @@ from promex.pipeline import PreannotateResult, preannotate_document
 from promex.validator import DEFAULT_STOPLIST, Severity, Violation, validate
 
 from conftest import spans_cross, spans_overlap
+from test_chunker import TAG_POOL
 
 
 def doc_tokens(doc: Document) -> tuple[Token, ...]:
@@ -1033,6 +1045,23 @@ def oracle_recognize_orgs(doc: Document, gazetteer: OrgGazetteer) -> list[Entity
 
 
 # ---------------------------------------------------------------------------
+# The raw-text tagger that built one row per token
+
+def oracle_document_from_text(text: str, doc_id: str = "doc") -> Document:
+    triples = tokenize(text)
+    spans = split_sentences([t for t, _, _ in triples])
+    rows: list[tuple[str, str, int, int]] = []
+    # a document uses few distinct words: tag each (word, sentence-initial) once
+    tags: dict[tuple[str, bool], str] = {}
+    for start, end in spans:
+        for i, (text_, cs, ce) in enumerate(triples[start:end]):
+            key = (text_, i == 0)
+            pos = tags.get(key) or tags.setdefault(key, _tag_word(*key))
+            rows.append((text_, pos, cs, ce))
+    return make_document(doc_id, text, TokenColumns.from_rows(rows), spans)
+
+
+# ---------------------------------------------------------------------------
 # The pattern parser that split a body into element strings, then worked out
 # each element again from its first and last characters
 
@@ -1825,6 +1854,15 @@ def test_document_tags_agree_with_tagging_each_sentence(text):
         assert [t.pos for t in tokens] == tag([t.text for t in tokens])
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(TAGGER_WORDS), max_size=30).map(" ".join))
+@example("")
+@example(" ")
+@example("Sensors ship . Acme Sensors ship . ® ™")
+def test_document_from_text_agrees_with_tagging_each_row(text):
+    assert document_from_text(text, "d") == oracle_document_from_text(text, "d")
+
+
 @st.composite
 def gazetteer_cases(draw):
     """Names that are prefixes of a few word sequences, so that several start
@@ -1881,3 +1919,45 @@ def test_recognize_orgs_agrees_with_pairwise_overlap_scans(case):
     column_text, gazetteer = case
     doc = read_tagged(column_text)
     assert recognize_orgs(doc, gazetteer) == oracle_recognize_orgs(doc, gazetteer)
+
+
+# trademark symbols and separators, most often with a tag of their own
+CHUNK_TEXTS = ("w", "w", "w", "®", "™", ",", "and", "Or")
+
+
+@st.composite
+def chunk_tokens(draw, max_size: int) -> list[tuple[str, str]]:
+    texts = st.sampled_from(CHUNK_TEXTS)
+    tags = st.sampled_from(TAG_POOL + ["SYM"])
+    return draw(st.lists(st.tuples(texts, tags), max_size=max_size))
+
+
+@settings(max_examples=500, deadline=None)
+@given(chunk_tokens(3), chunk_tokens(16), chunk_tokens(3))
+# an empty sentence, and noun-less JJ, CD and VBG runs, one after a noun
+@example([], [], [])
+@example([("w", "NN")], [("w", "JJ"), ("w", "CD"), ("w", "VBG"), ("w", "JJ"), ("w", "DT"), ("w", "VBG")], [("w", "NN")])
+@example([], [("w", "NN"), ("w", "VBG"), ("w", "JJ"), ("and", "CC"), ("w", "JJ"), ("w", "NNS"), ("w", "VBG")], [])
+# a candidate that ends in an adjective, before a coordination
+@example([], [("w", "NN"), ("w", "JJ"), ("and", "CC"), ("w", "JJ"), ("w", "NN")], [])
+# trademark symbols tagged SYM and NN: absorbed, reaching into the next run
+# and taking its only noun, or standing past the sentence's end
+@example([], [("w", "NNP"), ("®", "SYM"), ("™", "JJ"), ("w", "NN"), ("w", "NNP"), ("™", "NN")], [("®", "SYM")])
+@example([("®", "NN")], [("w", "NN"), ("®", "SYM"), ("™", "NN"), ("w", "JJ"), ("w", "VBG"), ("®", "NN")], [])
+@example([], [("w", "NN"), ("™", "VBG"), ("w", "JJ"), (",", ","), ("w", "JJ"), ("or", "CC"), ("w", "NN")], [])
+def test_chunker_reads_tokens_and_columns_alike(before, sentence, after):
+    tokens = [Token(text, pos, 0, 1) for text, pos in sentence]
+    chunks = chunk(tokens)
+    split = split_coordination(chunks, tokens)
+
+    # the same sentence inside a document, in the document's coordinates
+    rows = before + sentence + after
+    texts, tags = [text for text, _ in rows], [pos for _, pos in rows]
+    start, stop = len(before), len(before) + len(sentence)
+
+    def shifted(candidates: list[ChunkCandidate]) -> list[ChunkCandidate]:
+        return [replace(c, span=Span(c.span.start + start, c.span.end + start)) for c in candidates]
+
+    columns = SentenceColumns(texts, tags, start, stop)
+    assert chunk(columns) == shifted(chunks)
+    assert split_coordination(shifted(chunks), columns) == shifted(split)

@@ -9,8 +9,9 @@ Matching is guarded by counting work instead: a company coordination is
 parsed once per anchor, however many surfaces start with `<ORG>`, the
 nested company-in-candidate rule looks up one candidate per company, a
 candidate is walked as a `<PRO>` anchor only when a later word can follow
-a product, and a sentence with no company mention is neither chunked nor
-matched, and no `Token` is built for it.
+a product, a sentence with no company mention is neither chunked nor
+matched, and pre-annotation builds no `Token` at all: it chunks the
+columns.
 """
 
 from __future__ import annotations
@@ -251,7 +252,7 @@ def test_sentences_without_companies_are_not_chunked_or_matched(monkeypatch):
     assert calls == {"chunk": 1, "match_sentence": 1}
 
 
-def test_tokens_are_built_only_for_sentences_that_are_chunked(monkeypatch):
+def test_preannotate_builds_no_tokens(monkeypatch):
     surfaces = expand(parse_config(default_config_path().read_text(encoding="utf-8")))
     relational = "Acme/NNP makes/VBZ sensors/NNS ./."
     doc = tagged_document("d", ["The/DT new/JJ sensors/NNS are/VBP made/VBN by/IN hand/NN ./."] * 20
@@ -266,5 +267,5 @@ def test_tokens_are_built_only_for_sentences_that_are_chunked(monkeypatch):
     monkeypatch.setattr(Token, "__init__", counted)
     result = pipeline.preannotate_document(doc, OrgGazetteer.from_names(["Acme"]), surfaces)
     assert [r.pattern_id for r in result.document.relations] == ["P03"]
-    # the tokens of the one sentence that names a company, and no others
-    assert built == [item.rpartition("/")[0] for item in relational.split()]
+    # the one sentence that names a company is chunked from the columns
+    assert built == []

@@ -217,6 +217,35 @@ def test_reports_the_fault_attach_rejects(case):
     assert found[0].message == str(raised.value)
 
 
+# one chain fault each, which the member walk once reported a second time
+CHAIN_FAULTS = {
+    "unknown source": (
+        IdentityChain("ch1", "ghost", ("c1",)), "chain ch1 source 'ghost' is not a known mention",
+    ),
+    "source among its targets": (
+        IdentityChain("ch1", "c1", ("c1",)), "chain ch1 lists its source among its targets",
+    ),
+    "target listed twice": (
+        IdentityChain("ch1", "c1", ("c2", "c2")), "mention 'c2' belongs to chains 'ch1' and 'ch1'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_FAULTS))
+def test_chain_fault_is_reported_once(case):
+    chain, message = CHAIN_FAULTS[case]
+    doc = tagged_document("f", ["Acme/NNP and/CC it/PRP ship/VBP ./."])
+    entities = (
+        human("c1", EntityType.COMPANY, 0, 1, MentionKind.NAME),
+        human("c2", EntityType.COMPANY, 2, 3, MentionKind.PRONOMINAL),
+    )
+    with pytest.raises(ModelError) as raised:
+        attach_annotations(doc, entities, chains=[chain])
+    found = validate(replace(doc, entities=entities, chains=(chain,)))
+    assert [(v.rule_id, v.message) for v in found] == [("V4", message)]
+    assert str(raised.value) == message
+
+
 class TestGoldenCorpus:
     def test_zero_violations(self, golden):
         assert validate_corpus(golden.documents) == []
