@@ -377,12 +377,12 @@ class _Node:
     size: int = 0  # surfaces ending at or below this node
 
 
-_compiled: tuple[tuple[SurfacePattern, ...], _Node] = ((), _Node(None))
+# [inventory, trie root] of the last `_trie` call, updated in place so the module keeps one binding
+_compiled: list = [(), _Node(None)]
 
 
 def _trie(surface_patterns: Sequence[SurfacePattern]) -> _Node:
     """The root of the inventory's trie of elements, built again only when the inventory changes."""
-    global _compiled
     cached, root = _compiled
     if (surfaces := tuple(surface_patterns)) != cached:
         root = _Node(None)
@@ -404,7 +404,7 @@ def _trie(surface_patterns: Sequence[SurfacePattern]) -> _Node:
             node.next_firsts = frozenset().union(*starts) if None not in starts else None
             nodes.extend(node.children.values())
     # an equal inventory parsed again takes over, so that next calls compare by identity
-    _compiled = (surfaces, root)
+    _compiled[:] = surfaces, root
     return root
 
 

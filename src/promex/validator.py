@@ -18,7 +18,9 @@ Rule registry:
     V9  relation without products, with an argument that is not a mention
         of its type, or with a malformed trigger
 
-V3, V4 and V9 report the faults of `model.relation_faults` and
+V1, V2, V7 and V8 share one walk of the product extents; V3, V9 and V6
+share one walk of the relations, after which V4 reads the chains.  V3,
+V4 and V9 report the faults of `model.relation_faults` and
 `model.chain_faults`.  `attach_annotations` raises the first of them and
 every reader calls it, so a document read from a file has none.
 
@@ -75,42 +77,74 @@ class Violation:
     message: str
 
 
-def _v1_boundaries(doc: Document, products: list[EntityMention]) -> Iterable[Violation]:
-    for m in products:
-        first, first_pos = doc.texts[m.span.start], doc.tags[m.span.start]
-        if first_pos in BAD_BOUNDARY_TAGS or first == ",":
-            yield Violation(
-                "V1", Severity.ERROR, doc.doc_id, m.mention_id, m.span,
-                f"product extent starts with {first!r}/{first_pos}",
-            )
-        last, last_pos = doc.texts[m.span.end - 1], doc.tags[m.span.end - 1]
-        if last in TRADEMARK_TEXTS:
-            continue
-        if last_pos in BAD_BOUNDARY_TAGS or last == ",":
-            yield Violation(
-                "V1", Severity.ERROR, doc.doc_id, m.mention_id, m.span,
-                f"product extent ends with {last!r}/{last_pos}",
-            )
-
-
-def _v2_possessive(
-    doc: Document, products: list[EntityMention], companies: list[EntityMention]
+def _extent_rules(
+    doc: Document, products: list[EntityMention], companies: list[EntityMention], stoplist: frozenset[str]
 ) -> Iterable[Violation]:
+    """V1, V2, V7 and V8 of each product extent."""
     # a company inside a product starts inside it: look only at those
     by_start = sorted(companies, key=lambda c: c.span.start)
     starts = [c.span.start for c in by_start]
-    for product in products:
-        lo = bisect.bisect_left(starts, product.span.start)
-        hi = bisect.bisect_left(starts, product.span.end)
+    for m in products:
+        span = m.span
+        first, first_pos = doc.texts[span.start], doc.tags[span.start]
+        if first_pos in BAD_BOUNDARY_TAGS or first == ",":
+            yield Violation(
+                "V1", Severity.ERROR, doc.doc_id, m.mention_id, span,
+                f"product extent starts with {first!r}/{first_pos}",
+            )
+        last, last_pos = doc.texts[span.end - 1], doc.tags[span.end - 1]
+        if last not in TRADEMARK_TEXTS and (last_pos in BAD_BOUNDARY_TAGS or last == ","):
+            yield Violation(
+                "V1", Severity.ERROR, doc.doc_id, m.mention_id, span,
+                f"product extent ends with {last!r}/{last_pos}",
+            )
+        # a company starting inside the extent and ending before its last token lies within it
+        lo, hi = bisect.bisect_left(starts, span.start), bisect.bisect_left(starts, span.end)
         for company in by_start[lo:hi]:
-            if not product.span.contains(company.span) or product.span == company.span:
-                continue
-            pos = company.span.end
-            if pos < product.span.end and doc.tags[pos] == "POS":
+            if company.span.end < span.end and doc.tags[company.span.end] == "POS":
                 yield Violation(
-                    "V2", Severity.ERROR, doc.doc_id, product.mention_id, product.span,
+                    "V2", Severity.ERROR, doc.doc_id, m.mention_id, span,
                     "company mention inside a product extent carries a possessive marker",
                 )
+        if NOUN_TAGS.isdisjoint(doc.tags[span.start:span.end]):
+            yield Violation(
+                "V7", Severity.ERROR, doc.doc_id, m.mention_id, span,
+                "product extent contains no noun token",
+            )
+        if (word := first.lower()) in stoplist:
+            yield Violation(
+                "V8", Severity.WARNING, doc.doc_id, m.mention_id, span,
+                f"product extent starts with non-distinctive adjective {word!r}",
+            )
+
+
+def _relation_rules(doc: Document, by_id: dict[str, EntityMention]) -> Iterable[Violation]:
+    """V3, V9 and V6 of each relation, then V4 of each chain."""
+    linked: dict[str, set[str]] = {}
+    for chain in doc.chains:
+        members = {chain.source, *chain.targets}
+        for mid in members:
+            linked.setdefault(mid, set()).update(members - {mid})
+    # only relations with the same products and trigger can duplicate each other
+    earlier: dict[tuple, list[RelationMention]] = {}
+    for rel in doc.relations:
+        anchor = by_id.get(rel.company)
+        span = anchor.span if anchor else Span(0, 1)
+        for fault in relation_faults(doc, rel, by_id):
+            rule = "V3" if isinstance(fault, SpanCrossesSentence) else "V9"
+            yield Violation(rule, Severity.ERROR, doc.doc_id, rel.relation_id, span, str(fault))
+        group = earlier.setdefault((rel.products, rel.trigger), [])
+        for other in group:
+            if rel.company != other.company and other.company in linked.get(rel.company, ()):
+                yield Violation(
+                    "V6", Severity.ERROR, doc.doc_id, rel.relation_id, span,
+                    f"identity-linked company mentions both carry this relation (see {other.relation_id})",
+                )
+        group.append(rel)
+    for chain, fault in chain_faults(doc.chains, by_id):
+        source = by_id.get(chain.source)
+        span = source.span if source else Span(0, 1)
+        yield Violation("V4", Severity.ERROR, doc.doc_id, chain.chain_id, span, str(fault))
 
 
 def _v5_consistency(doc: Document, products: list[EntityMention]) -> Iterable[Violation]:
@@ -149,62 +183,6 @@ def _v5_consistency(doc: Document, products: list[EntityMention]) -> Iterable[Vi
             )
 
 
-def _v6_duplicate_linked_relations(doc: Document, by_id: dict[str, EntityMention]) -> Iterable[Violation]:
-    linked: dict[str, set[str]] = {}
-    for chain in doc.chains:
-        members = {chain.source, *chain.targets}
-        for mid in members:
-            linked.setdefault(mid, set()).update(members - {mid})
-    # only relations with the same products and trigger can duplicate each other
-    earlier: dict[tuple, list[RelationMention]] = {}
-    for rel in doc.relations:
-        group = earlier.setdefault((rel.products, rel.trigger), [])
-        for other in group:
-            if rel.company != other.company and other.company in linked.get(rel.company, ()):
-                anchor = by_id.get(rel.company)
-                span = anchor.span if anchor else Span(0, 1)
-                yield Violation(
-                    "V6", Severity.ERROR, doc.doc_id, rel.relation_id, span,
-                    f"identity-linked company mentions both carry this relation (see {other.relation_id})",
-                )
-        group.append(rel)
-
-
-def _v7_nouns(doc: Document, products: list[EntityMention]) -> Iterable[Violation]:
-    for m in products:
-        if NOUN_TAGS.isdisjoint(doc.tags[m.span.start:m.span.end]):
-            yield Violation(
-                "V7", Severity.ERROR, doc.doc_id, m.mention_id, m.span,
-                "product extent contains no noun token",
-            )
-
-
-def _v8_stoplist(
-    doc: Document, products: list[EntityMention], stoplist: frozenset[str]
-) -> Iterable[Violation]:
-    for m in products:
-        first = doc.texts[m.span.start].lower()
-        if first in stoplist:
-            yield Violation(
-                "V8", Severity.WARNING, doc.doc_id, m.mention_id, m.span,
-                f"product extent starts with non-distinctive adjective {first!r}",
-            )
-
-
-def _model_faults(doc: Document, by_id: dict[str, EntityMention]) -> Iterable[Violation]:
-    """The relation and chain faults that `attach_annotations` raises: V3, V4 and V9."""
-    for rel in doc.relations:
-        anchor = by_id.get(rel.company)
-        span = anchor.span if anchor else Span(0, 1)
-        for fault in relation_faults(doc, rel, by_id):
-            rule = "V3" if isinstance(fault, SpanCrossesSentence) else "V9"
-            yield Violation(rule, Severity.ERROR, doc.doc_id, rel.relation_id, span, str(fault))
-    for chain, fault in chain_faults(doc.chains, by_id):
-        source = by_id.get(chain.source)
-        span = source.span if source else Span(0, 1)
-        yield Violation("V4", Severity.ERROR, doc.doc_id, chain.chain_id, span, str(fault))
-
-
 def validate(doc: Document, stoplist: Iterable[str] = DEFAULT_STOPLIST) -> list[Violation]:
     """Run every registry rule over one document.
 
@@ -217,14 +195,11 @@ def validate(doc: Document, stoplist: Iterable[str] = DEFAULT_STOPLIST) -> list[
     by_id = {e.mention_id: e for e in doc.entities}
     products = [e for e in doc.entities if e.entity_type is EntityType.PRODUCT]
     companies = [e for e in doc.entities if e.entity_type is EntityType.COMPANY]
-    violations: list[Violation] = []
-    violations.extend(_v1_boundaries(doc, products))
-    violations.extend(_v2_possessive(doc, products, companies))
-    violations.extend(_model_faults(doc, by_id))
-    violations.extend(_v5_consistency(doc, products))
-    violations.extend(_v6_duplicate_linked_relations(doc, by_id))
-    violations.extend(_v7_nouns(doc, products))
-    violations.extend(_v8_stoplist(doc, products, stop))
+    violations = [
+        *_extent_rules(doc, products, companies, stop),
+        *_relation_rules(doc, by_id),
+        *_v5_consistency(doc, products),
+    ]
     # errors sort before warnings at the same document position
     violations.sort(
         key=lambda v: (v.span.start, v.span.end, v.severity is not Severity.ERROR, v.rule_id, v.target_id)

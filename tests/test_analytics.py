@@ -178,6 +178,10 @@ class TestPatternYield:
         assert result.rows == ()
         assert result.total_raw == 0 and result.total_dedup == 0
 
+    def test_neither_corpus_nor_relations_rejected(self):
+        with pytest.raises(ValueError):
+            pattern_yield()
+
     def test_cross_pattern_duplicate_dedups(self):
         duplicated = [
             ("d", rel("r1", "Pa", trigger=Span(1, 2))),

@@ -161,6 +161,17 @@ class TestReadErrors:
         with pytest.raises(MalformedRecord):
             read_corpus(io.StringIO(""))
 
+    def test_blank_lines_are_skipped_and_counted(self):
+        sink = io.StringIO()
+        write_corpus(golden_corpus(), sink)
+        lines = sink.getvalue().splitlines(keepends=True)
+        spaced = "".join(line + ("\n" if i % 2 else " \t\n") for i, line in enumerate(lines))
+        assert read_corpus(io.StringIO(spaced)) == read_corpus(io.StringIO(sink.getvalue()))
+        with pytest.raises(MalformedRecord) as exc:
+            read_corpus(io.StringIO(spaced + "\n  \nnot json\n"))
+        # each record is followed by one blank line, then two more and the bad record
+        assert exc.value.line_no == 2 * len(lines) + 3
+
     def test_minor_version_accepted(self):
         corpus = read_corpus(io.StringIO('{"schema_version":"1.7"}\n'))
         assert corpus.schema_version == "1.7"

@@ -15,7 +15,7 @@ from promex.ingest import (
     tag,
     tokenize,
 )
-from promex.model import EntityType, ModelError, Provenance, Span
+from promex.model import EntityType, MentionKind, ModelError, Provenance, Span
 
 from conftest import simple_columns, spans_overlap
 from promex.model import make_document
@@ -118,6 +118,12 @@ class TestReadTagged:
         assert m.entity_type is EntityType.COMPANY
         assert m.span == Span(0, 2)
         assert m.provenance is Provenance.HUMAN
+
+    def test_pronoun_company_is_pronominal(self):
+        doc = read_tagged("it\tPRP\tB-Company\nships\tVBZ\tO\n")
+        assert [(m.entity_type, m.mention_kind) for m in doc.entities] == [
+            (EntityType.COMPANY, MentionKind.PRONOMINAL)
+        ]
 
     def test_empty_input(self):
         doc = read_tagged("")

@@ -25,6 +25,7 @@ from promex.model import (
     TokenColumns,
     attach_annotations,
     make_document,
+    mention_kind,
 )
 
 from conftest import simple_columns, spans_cross
@@ -184,6 +185,25 @@ spans = st.builds(
     st.integers(0, 30),
     st.integers(0, 30),
 )
+
+
+class TestMentionKind:
+    def test_only_pronouns_is_pronominal(self):
+        assert mention_kind(["VBZ", "PRP", "PRP$", "NN"], Span(1, 3)) is MentionKind.PRONOMINAL
+
+    def test_pronoun_and_common_noun_is_nominal(self):
+        assert mention_kind(["PRP", "NN"], Span(0, 2)) is MentionKind.NOMINAL
+
+    def test_empty_window_is_nominal(self):
+        assert mention_kind(["PRP", "NNP"], Span(1, 1)) is MentionKind.NOMINAL
+
+
+class TestDocumentLookup:
+    def test_unknown_mention_id_is_none(self):
+        doc = make_document("d", "Acme", simple_columns("Acme/NNP"), [(0, 1)])
+        doc = attach_annotations(doc, [mention("c1", EntityType.COMPANY, 0, 1)])
+        assert doc.entity("c1") is doc.entities[0]
+        assert doc.entity("c2") is None
 
 
 class TestSpanAlgebra:

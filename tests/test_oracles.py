@@ -49,7 +49,7 @@ from typing import Iterable, Iterator, Sequence
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from promex import corpus_io, validator
+from promex import corpus_io
 from promex.analytics import AgreementScores, TokenizationMismatch, agreement
 from promex.examples import golden_corpus, tagged_document
 from promex.model import (
@@ -228,18 +228,13 @@ def oracle_v6(doc: Document, by_id) -> Iterable[Violation]:
 
 def oracle_validate(doc: Document, stoplist=DEFAULT_STOPLIST) -> list[Violation]:
     """`validate` with V2, V5 and V6 replaced by their pairwise oracles."""
-    stop = frozenset(w.lower() for w in stoplist)
     by_id = {e.mention_id: e for e in doc.entities}
     products = [e for e in doc.entities if e.entity_type is EntityType.PRODUCT]
     companies = [e for e in doc.entities if e.entity_type is EntityType.COMPANY]
-    violations: list[Violation] = []
-    violations.extend(validator._v1_boundaries(doc, products))
+    violations = [v for v in validate(doc, stoplist) if v.rule_id not in ("V2", "V5", "V6")]
     violations.extend(oracle_v2(doc, products, companies))
-    violations.extend(validator._model_faults(doc, by_id))
     violations.extend(oracle_v5(doc, products))
     violations.extend(oracle_v6(doc, by_id))
-    violations.extend(validator._v7_nouns(doc, products))
-    violations.extend(validator._v8_stoplist(doc, products, stop))
     violations.sort(
         key=lambda v: (v.span.start, v.span.end, v.severity is not Severity.ERROR, v.rule_id, v.target_id)
     )

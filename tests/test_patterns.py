@@ -6,7 +6,7 @@ from promex.chunker import candidate_ends, chunk, split_coordination
 from promex.cli import default_config_path, default_gazetteer_path
 from promex.examples import annotated_document, tagged_document
 from promex.inflect import inflections
-from promex.ingest import OrgGazetteer, document_from_text, read_tagged
+from promex.ingest import OrgGazetteer, document_from_text, read_tagged, recognize_orgs
 from promex.model import (
     EntityType,
     Provenance,
@@ -225,6 +225,19 @@ class TestMatch:
         # not rebuilt, and later calls compare the new objects by identity
         assert patterns._trie(parsed_again) is root
         assert all(a is b for a, b in zip(patterns._compiled[0], parsed_again, strict=True))
+
+    def test_a_new_inventory_rebinds_no_module_name(self):
+        # a caller that saved the module's bindings, as a tracer restoring its wrappers does, finds them unchanged
+        from promex import patterns
+
+        doc = tagged_document("d", ["Garmin/NNP makes/VBZ devices/NNS ./."])
+        orgs = recognize_orgs(doc, OrgGazetteer.from_names(["Garmin"]))
+        before = dict(vars(patterns))
+        for surfaces in (DEFAULT_SURFACES, DEFAULT_SURFACES[:1]):
+            match_sentence(doc, doc.sentences[0], orgs, [Span(2, 3)], surfaces)
+        after = vars(patterns)
+        assert after.keys() == before.keys()
+        assert [name for name, value in before.items() if after[name] is not value] == []
 
     def test_possessive_pattern(self):
         doc = preannotate(["BMW/NNP 's/POS 1-Series/NNP Convertible/NNP is/VBZ a/DT stylish/JJ convertible/NN ./."])
