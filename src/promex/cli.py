@@ -2,8 +2,11 @@
 
 Subcommands: `patterns expand`, `preannotate`, `validate`, `stats`,
 `agreement`, `convert`.  Human-readable output goes to stdout,
-diagnostics to stderr; exit code 2 signals usage or input problems,
-including unreadable, non-UTF-8 or malformed input files.
+diagnostics to stderr; exit code 2 signals usage or input problems.
+`_load` reads every file or directory a subcommand names and exits 2 with
+`cannot read <what> '<path>': <error>` on any of `_INPUT_ERRORS`, which
+`preannotate` applies to each of its input files too; `main` exits 2 with
+the message of a failure that already says what failed.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ import zlib
 from collections import Counter
 from importlib import resources
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from . import analytics, corpus_io, validator
-from .ingest import IngestError, OrgGazetteer, document_from_text, export_column, read_tagged
+from .ingest import IngestError, OrgGazetteer, document_from_text, export_column, read_list, read_tagged, read_text
 from .model import Corpus, ModelError, RelationMention
 from .patterns import PatternConfigError, SurfacePattern, expand, parse_config
 from .pipeline import preannotate_document
@@ -73,24 +76,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_corpus(path: str) -> Corpus:
-    try:
-        return corpus_io.load_corpus(path)
-    except (corpus_io.CorpusIOError, corpus_io.InvariantViolation, UnicodeDecodeError, OSError) as exc:
-        raise SystemExit(_fail(f"cannot read corpus {path!r}: {exc}"))
-
-
-def _load_surfaces(config: str | None) -> list[SurfacePattern]:
-    path = Path(config) if config else default_config_path()
-    try:
-        return expand(parse_config(path.read_text(encoding="utf-8")))
-    except (PatternConfigError, UnicodeDecodeError, OSError) as exc:
-        raise SystemExit(_fail(f"cannot expand {path}: {exc}"))
+# what reading an unreadable, undecodable or malformed input raises
+_INPUT_ERRORS = (IngestError, ModelError, corpus_io.CorpusIOError, PatternConfigError, UnicodeDecodeError, OSError)
+# failures whose message already says what failed
+_STATED_FAILURES = (analytics.EmptyCorpus, analytics.TokenizationMismatch, IngestError, corpus_io.SinkFailure)
+_T = TypeVar("_T")
 
 
 def _fail(message: str) -> int:
     print(message, file=sys.stderr)
     return 2
+
+
+def _load(what: str, path: str | Path, read: Callable[[str | Path], _T]) -> _T:
+    """`read(path)`, or exit 2 naming `what` and `path` if the input cannot be read."""
+    try:
+        return read(path)
+    except _INPUT_ERRORS as exc:
+        raise SystemExit(_fail(f"cannot read {what} {str(path)!r}: {exc}"))
+
+
+def _load_surfaces(config: str | None) -> list[SurfacePattern]:
+    return _load("pattern config", config or default_config_path(), lambda p: expand(parse_config(read_text(p))))
 
 
 def _cmd_patterns_expand(args: argparse.Namespace) -> int:
@@ -116,10 +123,10 @@ def _process(path: Path, compress: bool = False) -> tuple[str | bytes, tuple[Rel
     Workers compress the line: a fifth of the bytes to send and to hold until its turn to be written."""
     gazetteer, surfaces, tagged = _job
     try:
-        text = path.read_text(encoding="utf-8")
+        text = read_text(path)
         doc = read_tagged(text, doc_id=path.stem) if tagged else document_from_text(text, doc_id=path.stem)
         result = preannotate_document(doc, gazetteer, surfaces)
-    except (IngestError, ModelError, UnicodeDecodeError, OSError) as exc:
+    except _INPUT_ERRORS as exc:
         return f"{path}: {exc}"
     line = corpus_io.document_line(result.document)
     return (zlib.compress(line.encode(), 1) if compress else line), result.raw_relations
@@ -140,16 +147,9 @@ def _results(paths: list[Path], workers: int, job: tuple) -> Iterator:
 
 def _cmd_preannotate(args: argparse.Namespace) -> int:
     surfaces = _load_surfaces(args.config)
-    gazetteer_path = Path(args.gazetteer) if args.gazetteer else default_gazetteer_path()
-    try:
-        gazetteer = OrgGazetteer.from_file(str(gazetteer_path))
-    except (UnicodeDecodeError, OSError) as exc:
-        return _fail(f"cannot read gazetteer {gazetteer_path}: {exc}")
-
-    input_dir = Path(args.input_dir)
-    if not input_dir.is_dir():
-        return _fail(f"not a directory: {input_dir}")
-    paths = sorted(p for p in input_dir.iterdir() if p.is_file() and not p.name.startswith("."))
+    gazetteer = _load("gazetteer", args.gazetteer or default_gazetteer_path(), OrgGazetteer.from_file)
+    paths = _load("input directory", args.input_dir,
+                  lambda d: sorted(p for p in Path(d).iterdir() if p.is_file() and not p.name.startswith(".")))
     # a file's stem is its document's doc_id, which a corpus holds only once
     stems = Counter(p.stem for p in paths)
     failures = [f"{p}: duplicate doc_id {p.stem!r}" for p in paths if stems[p.stem] > 1]
@@ -166,26 +166,16 @@ def _cmd_preannotate(args: argparse.Namespace) -> int:
         if failures:  # raised while the corpus is still a temporary file, which is then removed
             raise IngestError("\n".join(failures))
 
-    try:
-        corpus_io.save_document_lines(lines(), args.output, corpus_io.SCHEMA_VERSION)
-    except (IngestError, corpus_io.SinkFailure) as exc:
-        return _fail(str(exc))
+    corpus_io.save_document_lines(lines(), args.output, corpus_io.SCHEMA_VERSION)
     print(analytics.pattern_yield(relations=raw).render())
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args.input)
+    corpus = _load("corpus", args.input, corpus_io.load_corpus)
     stoplist = set(validator.DEFAULT_STOPLIST)
     if args.stoplist:
-        try:
-            with open(args.stoplist, encoding="utf-8") as fh:
-                stoplist.update(
-                    line.strip().lower() for line in fh
-                    if line.strip() and not line.startswith("#")
-                )
-        except (UnicodeDecodeError, OSError) as exc:
-            return _fail(f"cannot read stoplist {args.stoplist!r}: {exc}")
+        stoplist.update(map(str.lower, _load("stoplist", args.stoplist, read_list)))
     violations = validator.validate_corpus(corpus.documents, stoplist)
     rendered = validator.report(violations, args.fmt)
     if rendered:
@@ -194,40 +184,28 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args.input)
-    try:
-        result = analytics.stats(corpus)
-    except analytics.EmptyCorpus as exc:
-        return _fail(str(exc))
+    result = analytics.stats(_load("corpus", args.input, corpus_io.load_corpus))
     print(result.render_kv() if args.kv else result.render_table())
     return 0
 
 
 def _cmd_agreement(args: argparse.Namespace) -> int:
-    corpus_a = _load_corpus(args.layer_a)
-    corpus_b = _load_corpus(args.layer_b)
-    try:
-        scores = analytics.agreement(corpus_a, corpus_b)
-    except analytics.TokenizationMismatch as exc:
-        return _fail(str(exc))
-    print(scores.render())
+    corpus_a = _load("corpus", args.layer_a, corpus_io.load_corpus)
+    corpus_b = _load("corpus", args.layer_b, corpus_io.load_corpus)
+    print(analytics.agreement(corpus_a, corpus_b).render())
     return 0
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     if args.target == "column":
-        corpus = _load_corpus(args.input)
+        corpus = _load("corpus", args.input, corpus_io.load_corpus)
         try:  # every document is rendered before any is written
             columns = [export_column(doc) for doc in corpus.documents]
-        except IngestError as exc:  # UnrepresentableDocument
+        except IngestError as exc:  # UnrepresentableDocument, whose message names no file
             return _fail(f"cannot convert {args.input!r}: {exc}")
         sys.stdout.write("".join(columns))
     else:
-        try:
-            with open(args.input, encoding="utf-8") as fh:
-                doc = read_tagged(fh.read(), doc_id=Path(args.input).stem)
-        except (OSError, ValueError) as exc:
-            return _fail(f"cannot read column file {args.input!r}: {exc}")
+        doc = _load("column file", args.input, lambda p: read_tagged(read_text(p), doc_id=Path(p).stem))
         corpus = Corpus(schema_version=corpus_io.SCHEMA_VERSION, documents=(doc,))
         corpus_io.write_corpus(corpus, sys.stdout)
     return 0
@@ -241,7 +219,10 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _STATED_FAILURES as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

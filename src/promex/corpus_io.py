@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import operator
 import os
+import re
 from json.encoder import encode_basestring  # the quoting of json.dumps(ensure_ascii=False)
 from sys import intern
 from typing import IO, Iterable
@@ -227,8 +228,35 @@ def _parse_document(record: dict, line_no: int) -> Document:
         raise InvariantViolation(f"document {doc_id!r}: {exc}") from exc
 
 
+# a JSON escape of a UTF-16 surrogate: a line decoded from UTF-8 without one holds no surrogate
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _holds_surrogate(record: dict) -> bool:
+    """Whether a key or a string value of `record`, at any depth, holds a lone surrogate,
+    which UTF-8 cannot encode (RFC 8259, section 8.2); `json.loads` joins each escaped pair.
+    The walk keeps its own stack, as a record may nest deeper than Python recurses."""
+    stack: list = [record]
+    while stack:
+        value = stack.pop()
+        if type(value) is dict:
+            stack += value
+            stack += value.values()
+        elif type(value) is list:
+            stack += value
+        elif type(value) is str and _SURROGATE.search(value):
+            return True
+    return False
+
+
 def read_corpus(source: IO[str] | Iterable[str]) -> Corpus:
-    """Read a corpus stream, re-validating every model invariant."""
+    """Read a corpus stream, re-validating every model invariant.
+
+    A line that `json.loads` cannot read, including one nested too deeply or
+    holding an integer of more digits than `int` converts, raises MalformedRecord,
+    and so does one holding a lone surrogate, which could not be written back.
+    """
     documents: list[Document] = []
     version: str | None = None
     seen_ids: set[str] = set()
@@ -238,10 +266,12 @@ def read_corpus(source: IO[str] | Iterable[str]) -> Corpus:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
             raise MalformedRecord(line_no, f"invalid JSON: {exc}") from exc
         if not isinstance(record, dict):
             raise MalformedRecord(line_no, "record is not an object")
+        if _SURROGATE_ESCAPE.search(line) and _holds_surrogate(record):
+            raise MalformedRecord(line_no, "a string holds a lone surrogate, which UTF-8 cannot encode")
         if version is None:
             version = _field(record, "schema_version", str, line_no)
             major = version.split(".", 1)[0]

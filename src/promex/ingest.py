@@ -339,6 +339,21 @@ def export_column(doc: Document) -> str:
     return "\n".join(lines).rstrip("\n") + "\n"
 
 
+def read_text(path: str) -> str:
+    """The text of a raw-text, column, list or pattern file: UTF-8, newlines read as
+    `open` reads them, and one leading byte-order mark dropped, which is an
+    encoding signature and not the first character of the text."""
+    with open(path, encoding="utf-8-sig") as fh:
+        return fh.read()
+
+
+def read_list(path: str) -> list[str]:
+    """The entries of a list file such as a gazetteer or a stoplist: one per line,
+    stripped, with blank lines and lines that start with `#` skipped."""
+    lines = read_text(path).split("\n")
+    return [entry for line in lines if (entry := line.strip()) and not line.startswith("#")]
+
+
 def document_from_text(text: str, doc_id: str = "doc") -> Document:
     """Tokenize, sentence-split and tag raw text into a Document."""
     triples = tokenize(text)
@@ -388,8 +403,7 @@ class OrgGazetteer:
 
     @classmethod
     def from_file(cls, path: str) -> "OrgGazetteer":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_names(line for line in fh if not line.startswith("#"))
+        return cls.from_names(read_list(path))
 
 
 def recognize_orgs(doc: Document, gazetteer: OrgGazetteer) -> list[EntityMention]:

@@ -37,6 +37,11 @@ NESTED_PATTERN_ID = "nested"
 # while staying far above any legitimate product enumeration.
 MAX_CONJUNCTS = 25
 
+# Deepest nesting of [...] groups a pattern may have.  Parsing and expansion
+# recurse once per level; the bound keeps that far below Python's recursion
+# limit, and far above the one level the shipped patterns use.
+MAX_GROUP_DEPTH = 32
+
 _Conjunct = TypeVar("_Conjunct")
 
 
@@ -214,13 +219,16 @@ def _parse_elements(body: str, sets: dict[str, tuple[Alt, ...]], line_no: int, *
     while run := _RUN.search(body, pos):
         start, opener = run.start(), run.group()[0]
         if opener == "[":
-            depth = 0
+            depth = deepest = 0
             for end in range(start, len(body)):
                 depth += (body[end] == "[") - (body[end] == "]")
+                deepest = max(deepest, depth)
                 if depth == 0:
                     break
             else:
                 raise PatternSyntaxError(line_no, "unterminated [...] group")
+            if deepest > MAX_GROUP_DEPTH:
+                raise PatternSyntaxError(line_no, f"[...] groups nested deeper than {MAX_GROUP_DEPTH} levels")
             group = _parse_elements(body[start + 1:end], sets, line_no, in_optional=True)
             pos = end + 1
             if not group:

@@ -1,22 +1,28 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pickle
 import subprocess
 import sys
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from promex.cli import default_config_path, default_gazetteer_path
-from promex.corpus_io import load_corpus, save_corpus
+from promex.corpus_io import document_line, load_corpus, save_corpus
 from promex.ingest import OrgGazetteer
 from promex.model import Corpus, Provenance, RelationMention, Span, Token
 from promex.patterns import expand, parse_config
 
 from conftest import run_cli
+from test_oracles import attach_inputs
 
 EXAMPLES_DIR = "src/promex/data/examples"
 GOLDEN = "src/promex/data/golden.corpus"
@@ -483,30 +489,171 @@ class TestConvert:
         assert '"doc_id":"doc"' in out
 
 
+# deeper than json.loads or a recursive parser gets on Python 3.10-3.14: 3.12
+# and later count C recursion apart from Python's, and 3.14 checks the C stack
+DEEP = 100_000
+
+
+def golden_line_with(edit) -> str:
+    """The golden corpus header and its first record, changed by `edit`."""
+    header, record = Path(GOLDEN).read_text(encoding="utf-8").splitlines()[:2]
+    return f"{header}\n{edit(record)}\n"
+
+
+def extra_field(value: str):
+    """An edit that adds a field the reader ignores, holding the JSON text `value`."""
+    return lambda record: record[:-1] + ',"extra":' + value + "}"
+
+
+def bad_input(kind: str) -> tuple[bytes, str]:
+    """A file that no subcommand can read, and what the message about it says."""
+    if kind == "non-utf8":
+        return '{"schema_version":"1.0"}\n# caf\u00e9\n'.encode("latin-1"), "can't decode"
+    if kind == "deep-groups":
+        return f"P1: <ORG> <TRIG:by> {'[a ' * DEEP}{']' * DEEP} <PRO>\n".encode(), "line 1: [...] groups nested"
+    if kind == "bom":
+        content = b"\xef\xbb\xbf" + golden_line_with(lambda record: record).encode()
+        return content, "line 1: invalid JSON: Unexpected UTF-8 BOM"
+    edit, message = {
+        "deep-json": (extra_field("[" * DEEP + "]" * DEEP), "line 2: invalid JSON"),
+        "long-int": (extra_field("9" * 5_000), "line 2: invalid JSON"),  # over 4,300 digits
+        "surrogate": (lambda r: r.replace('"doc_id":"', '"doc_id":"a\\ud800', 1), "line 2: a string holds a lone"),
+    }[kind]
+    return golden_line_with(edit).encode(), message
+
+
+CORPUS_READERS = {
+    "validate": ["validate", "--in", "{bad}"],
+    "stats": ["stats", "--in", "{bad}"],
+    "agreement": ["agreement", "--a", GOLDEN, "--b", "{bad}"],
+    "convert": ["convert", "--in", "{bad}", "--to", "column"],
+}
+CONFIG_READERS = {
+    "patterns": ["patterns", "expand", "--config", "{bad}"],
+    "config": ["preannotate", "--in", EXAMPLES_DIR, "--out", "{out}", "--config", "{bad}"],
+}
+BAD_INPUT_ROWS = [
+    # rows named by their reader alone hold a file that is not UTF-8
+    *(pytest.param("non-utf8", argv, id=name) for name, argv in {
+        **CORPUS_READERS,
+        "stoplist": ["validate", "--in", GOLDEN, "--stoplist", "{bad}"],
+        **CONFIG_READERS,
+        "gazetteer": ["preannotate", "--in", EXAMPLES_DIR, "--out", "{out}", "--gazetteer", "{bad}"],
+        "column": ["convert", "--in", "{bad}", "--to", "corpus"],
+    }.items()),
+    *(pytest.param(kind, argv, id=f"{kind}-{name}")
+      for kind in ("deep-json", "long-int", "surrogate", "bom") for name, argv in CORPUS_READERS.items()),
+    *(pytest.param("deep-groups", argv, id=f"deep-groups-{name}") for name, argv in CONFIG_READERS.items()),
+]
+
+
 class TestNonUtf8Input:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["validate", "--in", "{bad}"],
-            ["validate", "--in", GOLDEN, "--stoplist", "{bad}"],
-            ["stats", "--in", "{bad}"],
-            ["agreement", "--a", GOLDEN, "--b", "{bad}"],
-            ["convert", "--in", "{bad}", "--to", "column"],
-            ["patterns", "expand", "--config", "{bad}"],
-            ["preannotate", "--in", EXAMPLES_DIR, "--out", "{out}", "--config", "{bad}"],
-            ["preannotate", "--in", EXAMPLES_DIR, "--out", "{out}", "--gazetteer", "{bad}"],
-        ],
-        ids=["validate", "stoplist", "stats", "agreement", "convert", "patterns", "config",
-             "gazetteer"],
-    )
-    def test_exits_2_naming_the_file(self, argv, tmp_path, capsys):
-        bad = tmp_path / "latin1.corpus"
-        bad.write_bytes('{"schema_version":"1.0"}\n# caf\u00e9\n'.encode("latin-1"))
+    """Each input file that no reader can take exits 2 naming the file, and the
+    line where it is known, with nothing on stdout and no `--out` file."""
+
+    @pytest.mark.parametrize(("kind", "argv"), BAD_INPUT_ROWS)
+    def test_exits_2_naming_the_file(self, kind, argv, tmp_path, capsys):
+        content, message = bad_input(kind)
+        bad = tmp_path / f"{kind}.input"
+        bad.write_bytes(content)
         out = tmp_path / "out.corpus"
-        code, _, err = run_cli([a.format(bad=bad, out=out) for a in argv], capsys)
+        code, stdout, err = run_cli([a.format(bad=bad, out=out) for a in argv], capsys)
         assert code == 2
-        assert str(bad) in err and "can't decode" in err
+        assert str(bad) in err and message in err
+        assert stdout == ""
         assert not out.exists()
+
+    def test_lone_surrogate_exits_2_on_a_utf8_stdout(self, tmp_path):
+        """Run as a user would: a UTF-8 stdout cannot take a lone surrogate."""
+        import promex
+
+        bad = tmp_path / "surrogate.corpus"
+        bad.write_bytes(bad_input("surrogate")[0])
+        env = dict(os.environ, PYTHONIOENCODING="utf-8",
+                   PYTHONPATH=str(Path(promex.__file__).resolve().parents[1]))
+        result = subprocess.run([sys.executable, "-m", "promex.cli", "convert", "--in", str(bad), "--to", "column"],
+                                env=env, capture_output=True, text=True)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith(f"cannot read corpus {str(bad)!r}: line 2: a string holds a lone surrogate")
+
+
+class TestByteOrderMark:
+    """One leading U+FEFF of a raw-text, column, gazetteer or stoplist file is
+    dropped: the output equals that of the same file without it."""
+
+    @staticmethod
+    def run(role: str, bom: bytes, work: Path, capsys) -> tuple[int, str, bytes]:
+        work.mkdir()
+        docs, out = work / "docs", work / "out.corpus"
+        docs.mkdir()
+        (docs / "a.txt").write_bytes(bom * (role == "raw-text") + b"Intel makes sensors.")
+        argv = {
+            "raw-text": ["preannotate", "--in", str(docs), "--out", str(out)],
+            "column": ["convert", "--in", str(work / "a.conll"), "--to", "corpus"],
+            "gazetteer": ["preannotate", "--in", str(docs), "--out", str(out), "--gazetteer", str(work / "g.txt")],
+            "stoplist": ["validate", "--in", str(out), "--stoplist", str(work / "s.txt"), "--format", "tsv"],
+        }[role]
+        (work / "a.conll").write_bytes(bom + b"Intel\tNNP\tB-Company\nmakes\tVBZ\tO\n")
+        (work / "g.txt").write_bytes(bom + b"Intel\n")
+        (work / "s.txt").write_bytes(bom + b"quick\n")
+        if role == "stoplist":
+            from promex.examples import annotated_document
+
+            doc = annotated_document("a", ["quick/JJ sensors/NNS"], entities=[("p1", "product", "nominal", 0, 2)])
+            save_corpus(Corpus("1.0", (doc,)), str(out))
+        code, stdout, _ = run_cli(argv, capsys)
+        return code, stdout, out.read_bytes() if out.exists() else b""
+
+    @pytest.mark.parametrize("role", ["raw-text", "column", "gazetteer", "stoplist"])
+    def test_leading_bom_is_dropped(self, role, tmp_path, capsys):
+        plain = self.run(role, b"", tmp_path / "plain", capsys)
+        with_bom = self.run(role, b"\xef\xbb\xbf", tmp_path / "bom", capsys)
+        assert with_bom == plain
+        # the file's first entry was read: Intel as a company, or `quick` as a stoplisted adjective
+        used = {"column": '"text":"Intel"', "stoplist": "V8\tWarning"}.get(role, '"relations":[{')
+        assert plain[0] == 0 and used in plain[1] + plain[2].decode()
+
+
+# what each edit does to a corpus file's record line; "bom" prefixes the file
+RECORD_EDITS = {
+    "deep-json": extra_field("[" * DEEP + "]" * DEEP),
+    "long-int": extra_field("9" * 5_000),
+    "surrogate": lambda line: line.replace('"doc_id":"', '"doc_id":"\\udc00', 1),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(inputs=attach_inputs(), edits=st.sets(st.sampled_from([*RECORD_EDITS, "bom"])))
+def test_no_input_file_escapes_the_exit_codes(inputs, edits):
+    """Any file, in each role a subcommand reads it in, exits 0, 1 or 2 and raises
+    nothing but SystemExit, with stdout as strict as a real UTF-8 one."""
+    from promex.cli import main
+
+    doc, entities, relations, chains = inputs
+    line = document_line(replace(doc, entities=tuple(entities), relations=tuple(relations), chains=tuple(chains)))
+    for edit in sorted(edits - {"bom"}):
+        line = RECORD_EDITS[edit](line.rstrip("\n")) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "docs").mkdir()
+        for path in (work / "f.corpus", work / "docs" / "f.txt"):
+            path.write_bytes(b"\xef\xbb\xbf" * ("bom" in edits) + f'{{"schema_version":"1.0"}}\n{line}'.encode())
+        f, docs, out = str(work / "f.corpus"), str(work / "docs"), str(work / "out.corpus")
+        for argv in (
+            ["validate", "--in", f], ["validate", "--in", GOLDEN, "--stoplist", f], ["stats", "--in", f],
+            ["agreement", "--a", f, "--b", f], ["convert", "--in", f, "--to", "column"],
+            ["convert", "--in", f, "--to", "corpus"], ["patterns", "expand", "--config", f, "--count-only"],
+            ["preannotate", "--in", docs, "--out", out], ["preannotate", "--in", docs, "--out", out, "--tagged"],
+            ["preannotate", "--in", docs, "--out", out, "--gazetteer", f],
+        ):
+            stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                stdout.flush()
+            assert code in (0, 1, 2), argv
 
 
 def test_cli_import_does_not_read_the_golden_corpus():

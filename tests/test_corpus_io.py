@@ -16,6 +16,7 @@ from promex.corpus_io import (
     SCHEMA_VERSION,
     SchemaVersionMismatch,
     SinkFailure,
+    document_line,
     load_corpus,
     read_corpus,
     save_corpus,
@@ -171,6 +172,29 @@ class TestReadErrors:
             read_corpus(io.StringIO(spaced + "\n  \nnot json\n"))
         # each record is followed by one blank line, then two more and the bad record
         assert exc.value.line_no == 2 * len(lines) + 3
+
+    @pytest.mark.parametrize("value", [
+        "[" * 100_000 + "]" * 100_000,  # deeper than json.loads recurses on Python 3.10-3.14
+        "9" * 5_000,  # more digits than sys.int_info.default_max_str_digits
+        '"a\\ud800"', '"\\udfff b"', '"\\uDC00\\ud800"', '{"\\ud9ff": 1}', '[["\\ud83d"]]',
+    ], ids=["deep", "long-int", "high", "low", "swapped-pair", "in-key", "nested"])
+    def test_unreadable_value_in_an_ignored_field_is_a_malformed_record(self, value):
+        line = document_line(tagged_document("a", ["a/NN"]))[:-2] + ',"extra":%s}' % value
+        with pytest.raises(MalformedRecord) as exc:
+            read_corpus(io.StringIO(f'{{"schema_version":"1.0"}}\n\n{line}\n'))
+        assert exc.value.line_no == 3
+
+    def test_lone_surrogate_in_a_field_is_a_malformed_record(self):
+        line = document_line(tagged_document("a", ["a/NN"])).replace('"doc_id":"a"', '"doc_id":"a\\ud800"')
+        with pytest.raises(MalformedRecord, match="^line 2: a string holds a lone surrogate"):
+            read_corpus(io.StringIO('{"schema_version":"1.0"}\n' + line))
+
+    def test_surrogate_pairs_and_escaped_backslashes_read(self):
+        # a pair is one character; "\\ud800" is a backslash and five letters
+        line = document_line(tagged_document("a", ["a/NN"]))
+        line = line.replace('"doc_id":"a"', '"doc_id":"a\\ud83d\\ude00\\\\ud800","x":"\\uD83D\\uDE00"')
+        [doc] = read_corpus(io.StringIO('{"schema_version":"1.0"}\n' + line)).documents
+        assert doc.doc_id == "a\U0001f600\\ud800"
 
     def test_minor_version_accepted(self):
         corpus = read_corpus(io.StringIO('{"schema_version":"1.7"}\n'))

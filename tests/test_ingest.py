@@ -9,7 +9,9 @@ from promex.ingest import (
     MalformedLine,
     OrgGazetteer,
     document_from_text,
+    read_list,
     read_tagged,
+    read_text,
     recognize_orgs,
     split_sentences,
     tag,
@@ -160,6 +162,32 @@ class TestReadTagged:
         doc = read_tagged("sensors\tNNS\tB-Product\nZ3\tNNP\tB-Product\n")
         kinds = [m.mention_kind.value for m in doc.entities]
         assert kinds == ["Nominal", "Name"]
+
+
+class TestReadFiles:
+    def test_read_text_drops_one_leading_byte_order_mark(self, tmp_path):
+        path = tmp_path / "a.txt"
+        for raw, text in [
+            (b"Intel makes sensors.", "Intel makes sensors."),
+            (b"\xef\xbb\xbfIntel makes sensors.", "Intel makes sensors."),
+            (b"\xef\xbb\xbf\xef\xbb\xbfIntel", "\ufeffIntel"),
+            (b"Intel\xef\xbb\xbf\r\nchips", "Intel\ufeff\nchips"),
+        ]:
+            path.write_bytes(raw)
+            assert read_text(str(path)) == text
+
+    def test_read_text_refuses_what_is_not_utf8(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_bytes(b"caf\xe9")
+        with pytest.raises(UnicodeDecodeError):
+            read_text(str(path))
+
+    def test_read_list_skips_blank_and_comment_lines(self, tmp_path):
+        path = tmp_path / "list.txt"
+        path.write_bytes(b"\xef\xbb\xbf# heading\n  Intel Corp \n\n \t\n#AMD\n  #kept\r\nBMW")
+        assert read_list(str(path)) == ["Intel Corp", "#kept", "BMW"]
+        gazetteer = OrgGazetteer.from_file(str(path))
+        assert gazetteer.names == {("intel", "corp"), ("#kept",), ("bmw",)}
 
 
 class TestRecognizeOrgs:

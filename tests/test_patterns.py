@@ -14,6 +14,7 @@ from promex.model import (
     Span,
 )
 from promex.patterns import (
+    MAX_GROUP_DEPTH,
     Alt,
     BasePattern,
     DuplicatePatternId,
@@ -168,6 +169,18 @@ class TestParseConfig:
         with pytest.raises(PatternSyntaxError) as exc:
             parse_config("# a comment line first\n" + text)
         assert str(exc.value) == message
+
+    def test_group_nesting_is_capped(self):
+        def nested(depth: int) -> str:
+            return "P1: <ORG> <TRIG:by> " + "[a " * depth + "]" * depth + " <PRO>"
+
+        # each level adds one variant: the groups left out from that level inwards
+        assert len(expand(parse_config(nested(MAX_GROUP_DEPTH)))) == MAX_GROUP_DEPTH + 1
+        message = f"line 2: [...] groups nested deeper than {MAX_GROUP_DEPTH} levels"
+        for depth in (MAX_GROUP_DEPTH + 1, 100_000):  # far past Python's recursion limit
+            with pytest.raises(PatternSyntaxError) as exc:
+                parse_config("# a comment line first\n" + nested(depth))
+            assert str(exc.value) == message
 
     def test_leftmost_of_two_errors_is_reported(self):
         with pytest.raises(PatternSyntaxError) as exc:
