@@ -6,12 +6,14 @@ diagnostics to stderr; exit code 2 signals usage or input problems.
 `_load` reads every file or directory a subcommand names and exits 2 with
 `cannot read <what> '<path>': <error>` on any of `_INPUT_ERRORS`, which
 `preannotate` applies to each of its input files too; `main` exits 2 with
-the message of a failure that already says what failed.
+the message of a failure that already says what failed, or naming the
+encoding of a stdout that cannot encode the output.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 import zlib
@@ -104,9 +106,8 @@ def _cmd_patterns_expand(args: argparse.Namespace) -> int:
     surfaces = _load_surfaces(args.config)
     if args.count_only:
         print(len(surfaces))
-    else:
-        for surface in surfaces:
-            print(f"{surface.surface_id}\t{surface.render()}")
+    else:  # in one write, so that a stdout that cannot encode it gets none of it
+        sys.stdout.write("".join(f"{surface.surface_id}\t{surface.render()}\n" for surface in surfaces))
     return 0
 
 
@@ -207,7 +208,9 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     else:
         doc = _load("column file", args.input, lambda p: read_tagged(read_text(p), doc_id=Path(p).stem))
         corpus = Corpus(schema_version=corpus_io.SCHEMA_VERSION, documents=(doc,))
-        corpus_io.write_corpus(corpus, sys.stdout)
+        text = io.StringIO()
+        corpus_io.write_corpus(corpus, text)
+        sys.stdout.write(text.getvalue())
     return 0
 
 
@@ -223,6 +226,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except _STATED_FAILURES as exc:
         return _fail(str(exc))
+    except UnicodeEncodeError as exc:  # each command writes its stdout in one write, so none of it got out
+        return _fail(f"cannot write output in stdout's encoding {sys.stdout.encoding!r}: {exc}")
 
 
 if __name__ == "__main__":

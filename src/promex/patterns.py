@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -41,6 +42,11 @@ MAX_CONJUNCTS = 25
 # recurse once per level; the bound keeps that far below Python's recursion
 # limit, and far above the one level the shipped patterns use.
 MAX_GROUP_DEPTH = 32
+
+# Most surfaces one pattern may expand to.  Each sibling [...] group doubles
+# the count, so a line with some thirty of them would fill memory; the
+# shipped patterns expand to at most 48 (P04).
+MAX_SURFACES = 4096
 
 _Conjunct = TypeVar("_Conjunct")
 
@@ -293,6 +299,8 @@ def parse_config(text: str) -> PatternConfig:
         for name in ("<ORG>", "<PRO>"):
             if sum(isinstance(e, _SLOTS[name]) for e in elements) != 1:
                 raise PatternSyntaxError(line_no, f"pattern {pattern_id!r} must declare exactly one {name}")
+        if _variant_count(elements) > MAX_SURFACES:
+            raise PatternSyntaxError(line_no, f"pattern {pattern_id!r} expands to more than {MAX_SURFACES} surfaces")
         patterns.append(BasePattern(pattern_id, elements))
 
     return PatternConfig(patterns=tuple(patterns))
@@ -330,6 +338,14 @@ def _element_variants(el: Element) -> list[tuple[SurfaceElement, ...]]:
         ]
         return [()] + present
     raise TypeError(el)
+
+
+def _variant_count(elements: Sequence[Element]) -> int:
+    """How many element sequences `expand` combines from `elements`, counted without building them."""
+    return math.prod(
+        1 + _variant_count(el.elements) if isinstance(el, OptionalGroup) else len(_element_variants(el))
+        for el in elements
+    )
 
 
 _SORT_RANK = {OrgSlot: 0, ProductSlot: 1, PossessiveTrigger: 2, TriggerLiteral: 3, Words: 4}

@@ -25,18 +25,16 @@ V4 and V9 report the faults of `model.relation_faults` and
 every reader calls it, so a document read from a file has none.
 
 Costs.  V1-V4 and V7-V9 read each mention, relation or chain once, V2
-through a bisect index of the companies and V7 token by token across
-the extent; so they grow with the total width of the product extents,
-which is quadratic in document length when nested products grow with
-the sentence.  Two rules compare more than that:
-    V5  for each distinct product token sequence, visits every position
-        of its first word and slices a window as wide as the sequence:
-        up to sequences x positions x width.  Pre-annotating `Intel
-        developing` x k `chips .` gives nested products on which it is
-        cubic: 0.13, 1.11 and 9.41 s at 502, 1,002 and 2,002 tokens.
-    V6  compares pairwise the relations that share products and trigger,
-        and links each member of an identity chain with every other:
-        quadratic in the size of such a group and of a chain.
+through a bisect index of the companies.  V7, like `model._check_entity`,
+reads each product extent token by token, so `validate` grows with the
+total width of the extents: quadratic in document length when nested
+products grow with the sentence.  Pre-annotating `Intel developing` x k
+`chips .` gives such products: on a shared 2-vCPU host, 0.005, 0.014 and
+0.086 s at 502, 1,002 and 2,002 tokens.  V5 costs the products' total
+width, for their token tuples, and at each position whose word begins a
+product sequence, the widths of those sequences that no product covers
+there.  V6 compares pairwise the chained relations that share products
+and a trigger.
 """
 
 from __future__ import annotations
@@ -129,12 +127,12 @@ def _extent_rules(
 
 def _relation_rules(doc: Document, by_id: dict[str, EntityMention]) -> Iterable[Violation]:
     """V3, V9 and V6 of each relation, then V4 of each chain."""
-    linked: dict[str, set[str]] = {}
-    for chain in doc.chains:
-        members = {chain.source, *chain.targets}
-        for mid in members:
-            linked.setdefault(mid, set()).update(members - {mid})
-    # only relations with the same products and trigger can duplicate each other
+    # the positions of the chains that list each mention
+    chains_of: dict[str, set[int]] = {}
+    for i, chain in enumerate(doc.chains):
+        for mid in (chain.source, *chain.targets):
+            chains_of.setdefault(mid, set()).add(i)
+    # only chained relations with the same products and trigger can duplicate each other
     earlier: dict[tuple, list[RelationMention]] = {}
     for rel in doc.relations:
         anchor = by_id.get(rel.company)
@@ -142,14 +140,15 @@ def _relation_rules(doc: Document, by_id: dict[str, EntityMention]) -> Iterable[
         for fault in relation_faults(doc, rel, by_id):
             rule = "V3" if isinstance(fault, SpanCrossesSentence) else "V9"
             yield Violation(rule, Severity.ERROR, doc.doc_id, rel.relation_id, span, str(fault))
-        group = earlier.setdefault((rel.products, rel.trigger), [])
-        for other in group:
-            if rel.company != other.company and other.company in linked.get(rel.company, ()):
-                yield Violation(
-                    "V6", Severity.ERROR, doc.doc_id, rel.relation_id, span,
-                    f"identity-linked company mentions both carry this relation (see {other.relation_id})",
-                )
-        group.append(rel)
+        if chains := chains_of.get(rel.company):
+            group = earlier.setdefault((rel.products, rel.trigger), [])
+            for other in group:  # in document order: two faults of `rel` tie on the sort key
+                if rel.company != other.company and not chains.isdisjoint(chains_of[other.company]):
+                    yield Violation(
+                        "V6", Severity.ERROR, doc.doc_id, rel.relation_id, span,
+                        f"identity-linked company mentions both carry this relation (see {other.relation_id})",
+                    )
+            group.append(rel)
     for chain, fault in chain_faults(doc.chains, by_id):
         source = by_id.get(chain.source)
         span = source.span if source else Span(0, 1)
@@ -168,37 +167,32 @@ def _v5_consistency(doc: Document, products: list[EntityMention]) -> Iterable[Vi
     # some product contains [s, s + width) iff reach[s] >= s + width
     reach = [-1] * (n + 1)
     for m in products:
-        start = max(m.span.start, 0)
-        if start <= n:
-            reach[start] = max(reach[start], m.span.end)
+        reach[m.span.start] = max(reach[m.span.start], m.span.end)
     reach = list(itertools.accumulate(reach, max))
-    # a sequence can recur only where its first word does: index those words alone
-    firsts = {seq[0] for seq in sequences if seq}
-    positions: dict[str, list[int]] = {}
-    for i, word in enumerate(lowered):
-        if word in firsts:
-            positions.setdefault(word, []).append(i)
-    for seq, mention_id in sorted(sequences.items(), key=lambda kv: kv[1]):
-        width = len(seq)
-        starts = positions.get(seq[0], ()) if seq else range(n + 1)
-        for start in starts:
-            if start + width > n or tuple(lowered[start:start + width]) != seq:
-                continue
-            if reach[start] >= start + width:
-                continue
-            yield Violation(
-                "V5", Severity.WARNING, doc.doc_id, mention_id, Span(start, start + width),
-                f"token sequence {' '.join(seq)!r} is annotated as a product elsewhere but not here",
-            )
+    # the distinct widths of the sequences each word begins, narrowest first
+    widths: dict[str, list[int]] = {}
+    for width, word in sorted({(len(seq), seq[0]) for seq in sequences}):
+        widths.setdefault(word, []).append(width)
+    for u, word in enumerate(lowered):
+        if ws := widths.get(word):
+            # the windows that reach[u] covers come first; the rest are uncovered
+            for width in ws[bisect.bisect_right(ws, reach[u] - u):]:
+                if u + width > n:
+                    break
+                if (seq := tuple(lowered[u:u + width])) in sequences:
+                    yield Violation(
+                        "V5", Severity.WARNING, doc.doc_id, sequences[seq], Span(u, u + width),
+                        f"token sequence {' '.join(seq)!r} is annotated as a product elsewhere but not here",
+                    )
 
 
 def validate(doc: Document, stoplist: Iterable[str] = DEFAULT_STOPLIST) -> list[Violation]:
     """Run every registry rule over one document.
 
     Pure and idempotent; output is sorted by (document position, rule id).
-    Precondition: every product mention's span lies within the document's
-    tokens, as `attach_annotations` ensures; V1 and V8 read the tokens at
-    its ends.
+    Precondition: every product mention's span is non-empty and lies within
+    the document's tokens, as `attach_annotations` ensures; V1 and V8 read
+    the tokens at its ends, and V5 the word at its start.
     """
     stop = frozenset(w.lower() for w in stoplist)
     by_id = {e.mention_id: e for e in doc.entities}

@@ -576,6 +576,27 @@ class TestNonUtf8Input:
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr.startswith(f"cannot read corpus {str(bad)!r}: line 2: a string holds a lone surrogate")
 
+    @pytest.mark.parametrize("argv", [
+        ["convert", "--in", "{golden}", "--to", "column"],
+        ["convert", "--in", "{column}", "--to", "corpus"],
+        ["patterns", "expand", "--config", "{config}"],
+    ], ids=["to-column", "to-corpus", "patterns-expand"])
+    def test_output_a_stdout_cannot_encode_exits_2(self, argv, tmp_path):
+        """Run as a user would: an ASCII stdout cannot take the registered sign or an accent."""
+        import promex
+
+        column, config = tmp_path / "a.txt", tmp_path / "a.pat"
+        column.write_text("Acme\tNNP\nmakes\tVBZ\nWidgets\tNNP\n\u00ae\tSYM\n.\t.\n", encoding="utf-8")
+        config.write_text("P1: <ORG> <TRIG:makes> {caf\u00e9} <PRO>\n", encoding="utf-8")
+        package = Path(promex.__file__).resolve().parent
+        paths = {"golden": package / "data" / "golden.corpus", "column": column, "config": config}
+        env = dict(os.environ, PYTHONIOENCODING="ascii", PYTHONPATH=str(package.parent))
+        result = subprocess.run([sys.executable, "-m", "promex.cli", *(a.format(**paths) for a in argv)],
+                                env=env, capture_output=True, text=True)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("cannot write output in stdout's encoding 'ascii': ")
+        assert "Traceback" not in result.stderr
+
 
 class TestByteOrderMark:
     """One leading U+FEFF of a raw-text, column, gazetteer or stoplist file is

@@ -1627,8 +1627,40 @@ def pipeline_cases(draw):
 # ---------------------------------------------------------------------------
 # Differential tests
 
+def human(mention_id: str, etype: EntityType, start: int, end: int) -> EntityMention:
+    """A human mention over [start, end): Nominal for a product, Name for a company."""
+    kind = MentionKind.NOMINAL if etype is EntityType.PRODUCT else MentionKind.NAME
+    return EntityMention(mention_id, etype, Span(start, end), kind, Provenance.HUMAN)
+
+
 @settings(max_examples=300, deadline=None)
 @given(annotated_documents())
+# two product sequences with the same first word and width, each left
+# unannotated once: each window is reported once
+@example(replace(
+    tagged_document("d", [
+        "Acme/NNP sells/VBZ wireless/JJ chargers/NNS and/CC wireless/JJ routers/NNS ./.",
+        "Bosch/NNP sells/VBZ wireless/JJ routers/NNS and/CC wireless/JJ chargers/NNS ./.",
+    ]),
+    entities=(human("m0", EntityType.PRODUCT, 2, 4), human("m1", EntityType.PRODUCT, 5, 7)),
+))
+# pre-annotation nests products that share their end
+@example(preannotate_document(
+    document_from_text("Intel developing Intel developing Intel developing chips ."),
+    PIPELINE_GAZETTEER, INVENTORIES["default"],
+).document)
+# "it" sits in the chains of Intel and of Acme, and all three carry the same
+# relation: two V6 faults of r2, in document order
+@example(replace(
+    tagged_document("d", ["Intel/NNP and/CC Acme/NNP make/VBP chips/NNS ./.", "It/PRP makes/VBZ chips/NNS ./."]),
+    entities=(
+        human("c0", EntityType.COMPANY, 0, 1), human("c1", EntityType.COMPANY, 2, 3),
+        replace(human("c2", EntityType.COMPANY, 6, 7), mention_kind=MentionKind.PRONOMINAL),
+        human("p0", EntityType.PRODUCT, 4, 5),
+    ),
+    relations=tuple(RelationMention(f"r{i}", f"c{i}", ("p0",), Span(3, 4), Provenance.HUMAN) for i in range(3)),
+    chains=(IdentityChain("ch0", "c0", ("c2",)), IdentityChain("ch1", "c1", ("c2",))),
+))
 def test_validate_agrees_with_pairwise_rules(doc):
     assert validate(doc) == oracle_validate(doc)
 

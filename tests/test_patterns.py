@@ -15,6 +15,7 @@ from promex.model import (
 )
 from promex.patterns import (
     MAX_GROUP_DEPTH,
+    MAX_SURFACES,
     Alt,
     BasePattern,
     DuplicatePatternId,
@@ -180,6 +181,19 @@ class TestParseConfig:
         for depth in (MAX_GROUP_DEPTH + 1, 100_000):  # far past Python's recursion limit
             with pytest.raises(PatternSyntaxError) as exc:
                 parse_config("# a comment line first\n" + nested(depth))
+            assert str(exc.value) == message
+
+    def test_surface_count_is_capped(self):
+        def siblings(groups: int) -> str:
+            return "P1: <ORG> <TRIG:by> " + " ".join(f"[w{i}]" for i in range(groups)) + " <PRO>"
+
+        # each sibling group doubles the count; 12 of them reach the cap
+        assert MAX_SURFACES == 2 ** 12
+        assert len(expand(parse_config(siblings(12)))) == MAX_SURFACES
+        message = f"line 2: pattern 'P1' expands to more than {MAX_SURFACES} surfaces"
+        for groups in (13, 64):  # counted, not built: 2 ** 64 surfaces would never fit
+            with pytest.raises(PatternSyntaxError) as exc:
+                parse_config("# a comment line first\n" + siblings(groups))
             assert str(exc.value) == message
 
     def test_leftmost_of_two_errors_is_reported(self):

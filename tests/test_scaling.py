@@ -30,8 +30,10 @@ from promex.model import (
     Document,
     EntityMention,
     EntityType,
+    IdentityChain,
     MentionKind,
     Provenance,
+    RelationMention,
     Span,
     Token,
     TokenColumns,
@@ -42,6 +44,7 @@ from promex.patterns import OrgSlot, _SentenceContext, expand, match_sentence, p
 from promex.validator import validate
 
 from conftest import simple_tokens
+from test_oracles import human
 
 K = 4
 GROWTH = 16
@@ -111,10 +114,41 @@ def growth_ratio(run, short, long) -> float:
     return best_long / best_short
 
 
-def test_validate_and_attach_scale_linearly():
+def gadget_sentences(k: int) -> tuple[Document, tuple, tuple, tuple]:
+    """k sentences `Intel makes wireless gadget<i>s .`, each with its product annotated.
+
+    All k product sequences start with `wireless`, which recurs k times.
+    """
+    doc = tagged_document("d", [f"Intel/NNP makes/VBZ wireless/JJ gadget{i}s/NNS ./." for i in range(k)])
+    products = tuple(human(f"p{i}", EntityType.PRODUCT, 5 * i + 2, 5 * i + 4) for i in range(k))
+    return doc, products, (), ()
+
+
+def one_chain(k: int) -> tuple[Document, tuple, tuple, tuple]:
+    """A Name company and k pronoun companies in one identity chain, each with its own relation."""
+    doc = tagged_document("d", ["Intel/NNP makes/VBZ wireless/JJ chips/NNS ./."]
+                          + ["It/PRP makes/VBZ wireless/JJ chips/NNS ./."] * k)
+    entities, relations = [], []
+    for i in range(k + 1):
+        company = human(f"c{i}", EntityType.COMPANY, 5 * i, 5 * i + 1)
+        entities += [replace(company, mention_kind=MentionKind.PRONOMINAL) if i else company,
+                     human(f"p{i}", EntityType.PRODUCT, 5 * i + 2, 5 * i + 4)]
+        relations.append(RelationMention(f"r{i}", f"c{i}", (f"p{i}",), Span(5 * i + 1, 5 * i + 2), Provenance.HUMAN))
+    chain = IdentityChain("ch0", "c0", tuple(f"c{i}" for i in range(1, k + 1)))
+    return doc, tuple(entities), tuple(relations), (chain,)
+
+
+# the golden documents end to end; many product sequences that share a first
+# word, for V5; one long identity chain, for V6
+@pytest.mark.parametrize("build,k", [
+    (repeated_golden, K),
+    (gadget_sentences, 128),
+    (one_chain, 128),
+], ids=["repeated_golden", "shared_first_word", "long_chain"])
+def test_validate_and_attach_scale_linearly(build, k):
     ratio = growth_ratio(
         lambda inputs: validate(attach_annotations(*inputs)),
-        repeated_golden(K), repeated_golden(GROWTH * K),
+        build(k), build(GROWTH * k),
     )
     assert ratio < MAX_RATIO, f"{GROWTH}x longer document took {ratio:.0f}x as long"
 
