@@ -11,6 +11,8 @@ trademark symbols taken by the candidate before it starts after them.
 `chunk` and `split_coordination` read a sentence either as its `Token`s,
 giving spans from 0, or as `SentenceColumns`, tokens `start` to `stop` of
 a document's columns, giving spans in the document's token coordinates.
+`can_enclose` tells from the tokens next to a span of a `SentenceColumns`
+whether a candidate could strictly contain it.
 """
 
 from __future__ import annotations
@@ -158,3 +160,23 @@ def split_coordination(
             out.extend(c for _, c in chain if c is not None)
         i = j + 1
     return out
+
+
+def can_enclose(columns: SentenceColumns, span: Span) -> bool:
+    """Whether a candidate of `split_coordination` over the sentence could strictly contain `span`.
+
+    Such a candidate holds the token after `span` or the one before it, and
+    holds only chunk-tag tokens, the trademark symbols it absorbed and, if
+    merged from a coordination, the separators after its adjective runs.
+    So only the few tokens next to `span` are read.
+    """
+    texts, tags, start, stop = columns
+    after, before = span.end, span.start - 1
+    if after < stop and (tags[after] in CHUNK_TAGS or texts[after] in TRADEMARK_TEXTS
+                         or separator_ends(texts, after, stop)):
+        return True
+    if before >= start and (tags[before] in CHUNK_TAGS or texts[before] in TRADEMARK_TEXTS):
+        return True
+    # a separator is one or two tokens long
+    return any(sep > start and tags[sep - 1] == "JJ" and span.start in separator_ends(texts, sep, stop)
+               for sep in (before, before - 1))

@@ -15,7 +15,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .chunker import candidate_ends, separator_ends
 from .inflect import inflections
@@ -401,16 +401,29 @@ class _Node:
     size: int = 0  # surfaces ending at or below this node
 
 
-# [inventory, trie root] of the last `_trie` call, updated in place so the module keeps one binding
-_compiled: list = [(), _Node(None)]
+class Triggers(NamedTuple):
+    """What a sentence must hold for a surface of an inventory to match in it:
+    every pattern `parse_config` accepts has one trigger, outside any optional group."""
+
+    firsts: frozenset[str] | None  # lowercased first words of the triggers; None: no word is needed
+    possessive: bool  # whether a surface has a `<POSS>` trigger
+
+
+# [inventory, trie root, triggers] of the last `_trie` call, updated in place so
+# the module keeps one binding
+_compiled: list = [(), _Node(None), Triggers(frozenset(), False)]
 
 
 def _trie(surface_patterns: Sequence[SurfacePattern]) -> _Node:
     """The root of the inventory's trie of elements, built again only when the inventory changes."""
-    cached, root = _compiled
+    cached, root, triggers = _compiled
     if (surfaces := tuple(surface_patterns)) != cached:
         root = _Node(None)
+        # a surface with no trigger, or a trigger that needs no word, can match in any sentence
+        trigger_firsts: frozenset[str] | None = frozenset()
         for surface in surfaces:
+            if not any(isinstance(el, (TriggerLiteral, PossessiveTrigger)) for el in surface.elements):
+                trigger_firsts = None
             node = root
             for el in (*surface.elements, None):
                 node.size += 1
@@ -422,14 +435,25 @@ def _trie(surface_patterns: Sequence[SurfacePattern]) -> _Node:
             node.size += 1
             node.surfaces.append(surface)
         nodes = [root]
+        possessive = False
         while nodes:
             node = nodes.pop()
             starts = [child.firsts for child in node.children.values()]
             node.next_firsts = frozenset().union(*starts) if None not in starts else None
             nodes.extend(node.children.values())
+            if isinstance(node.element, TriggerLiteral) and trigger_firsts is not None:
+                trigger_firsts = None if node.firsts is None else trigger_firsts | node.firsts
+            possessive |= isinstance(node.element, PossessiveTrigger)
+        triggers = Triggers(trigger_firsts, possessive)
     # an equal inventory parsed again takes over, so that next calls compare by identity
-    _compiled[:] = surfaces, root
+    _compiled[:] = surfaces, root, triggers
     return root
+
+
+def trigger_words(surface_patterns: Sequence[SurfacePattern]) -> Triggers:
+    """The `Triggers` of an inventory, found with its trie."""
+    _trie(surface_patterns)
+    return _compiled[2]
 
 
 class _SentenceContext:

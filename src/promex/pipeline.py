@@ -1,10 +1,16 @@
 """End-to-end pre-annotation: ingest, chunk, match, resolve, attach.
 
 This is where matched spans become pre-annotated product and relation
-mentions with their ids.  Every surface relates a company, so a sentence
-that mentions none is neither chunked nor matched.  Everything here is a
-pure function of its inputs, so each document can be pre-annotated in any
-worker process and the results merged in any order.
+mentions with their ids.  A sentence is chunked and matched only when it
+can yield a relation (`may_relate`): it names a company, which every
+surface relates, and either holds a word that can begin a trigger, or a
+`POS` token for `<POSS>`, since `parse_config` gives every pattern one
+trigger outside any optional group; or, for the nested rule, has a company
+mention next to a token that a product candidate can hold: a chunk tag, an
+absorbed trademark symbol or, in a merged adjective coordination, a
+separator after an adjective.  Everything here is a pure function of its
+inputs, so each document can be pre-annotated in any worker process and
+the results merged in any order.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .chunker import SentenceColumns, chunk, split_coordination
+from .chunker import SentenceColumns, can_enclose, chunk, split_coordination
 from .ingest import OrgGazetteer, recognize_orgs
 from .model import (
     Document,
@@ -25,7 +31,7 @@ from .model import (
     by_sentence,
     mention_kind,
 )
-from .patterns import SurfacePattern, match_sentence, resolve_acronyms
+from .patterns import SurfacePattern, Triggers, match_sentence, resolve_acronyms, trigger_words
 
 
 @dataclass(frozen=True)
@@ -33,6 +39,18 @@ class PreannotateResult:
     document: Document
     # every match before fan-out deduplication, for yield reporting
     raw_relations: tuple[RelationMention, ...]
+
+
+def may_relate(columns: SentenceColumns, companies: Sequence[EntityMention], triggers: Triggers) -> bool:
+    """Whether `match_sentence` can find a relation in a sentence that names `companies`:
+    whether it holds a trigger's first word or, for `<POSS>`, a `POS` token, or
+    a company mention that a product candidate could strictly contain."""
+    texts, tags, start, stop = columns
+    return (
+        triggers.firsts is None or not triggers.firsts.isdisjoint(map(str.lower, texts[start:stop]))
+        or triggers.possessive and "POS" in tags[start:stop]
+        or any(can_enclose(columns, c.span) for c in companies)
+    )
 
 
 def preannotate_document(
@@ -44,10 +62,12 @@ def preannotate_document(
 
     Human annotations already on the document are kept; recognized company
     mentions, matched product mentions and relation mentions are added with
-    PreAnnotation provenance.  A sentence with no company mention, human or
-    recognized, is skipped before chunking: no match can come from it.  A
-    match is dropped when one of its products would cross a mention kept
-    before it: human, recognized, or minted from an earlier match.
+    PreAnnotation provenance.  A sentence is skipped before chunking when no
+    match can come from it: it has no company mention, human or recognized,
+    or `may_relate` finds in it no trigger word and no company mention that
+    a candidate could enclose.  A match is dropped when one of its products
+    would cross a mention kept before it: human, recognized, or minted from
+    an earlier match.
     """
     orgs = recognize_orgs(doc, gazetteer)
     # a span already annotated as a product keeps that mention's id
@@ -56,6 +76,7 @@ def preannotate_document(
         if e.entity_type is EntityType.PRODUCT
     }
     kept = NestingIndex(m.span for m in (*doc.entities, *orgs))
+    triggers = trigger_words(surface_patterns)
     minted: list[EntityMention] = []
     raw: list[RelationMention] = []
     for sentence, fixed in zip(doc.sentences, by_sentence(doc, (*doc.entities, *orgs))):
@@ -63,6 +84,8 @@ def preannotate_document(
         if not companies:
             continue
         columns = SentenceColumns(doc.texts, doc.tags, sentence.span.start, sentence.span.end)
+        if not may_relate(columns, companies, triggers):
+            continue
         candidates = [c.span for c in split_coordination(chunk(columns), columns)]
         found = match_sentence(doc, sentence, companies, candidates, surface_patterns)
         # relation ids count every match of the sentence, dropped ones too

@@ -20,7 +20,9 @@ pipeline missed products minted earlier in the same sentence, so where it
 fails to attach them the new one must drop the later match instead.  The
 raw-text tagger that tags each (word, sentence-initial) key once per
 document must agree with `tag`, which tags every token, and no surface
-pattern may match a sentence with no company mention.  The pattern parser
+pattern may match a sentence with no company mention, nor one that
+`may_relate` skips for holding no trigger word and no company mention a
+candidate could enclose.  The pattern parser
 that split a body into element strings and then classified each string
 again by its first and last characters must parse the same bodies into
 the same elements, and reject the same bodies, apart from a `<` or `{`
@@ -149,8 +151,9 @@ from promex.patterns import (
     match_sentence,
     parse_config,
     resolve_acronyms,
+    trigger_words,
 )
-from promex.pipeline import PreannotateResult, preannotate_document
+from promex.pipeline import PreannotateResult, may_relate, preannotate_document
 from promex.validator import DEFAULT_STOPLIST, Severity, Violation, validate
 
 from conftest import spans_cross, spans_overlap
@@ -1772,13 +1775,118 @@ def test_sentence_without_companies_matches_nothing(case):
     assert match_sentence(doc, sentence, [], candidates, surfaces).relations == ()
 
 
-# a `<` or `{` opened again before its closer: drawn bodies hold these only at element starts
-REOPENED = re.compile(r"<[^>]*<|\{[^}]*\{")
+# the shipped inventory, its one `<POSS>` pattern alone, no pattern at all, and a
+# surface with no trigger, which the config syntax rejects but the matcher takes
+GATE_INVENTORIES = {
+    "default": INVENTORIES["default"],
+    "P01": expand(parse_config("P01: <ORG> <POSS> <PRO>")),
+    "empty": [],
+    "triggerless": [SurfacePattern("T#000", "T", (OrgSlot(), Words(("sold",)), ProductSlot()))],
+}
+GATE_WORDS = (
+    ("makes", "VBZ"), ("By", "IN"), ("maker", "NN"), ("from", "IN"), ("includes", "VBZ"), ("of", "IN"),
+    ("'s", "POS"), ("'s", "VBZ"), ("®", "SYM"), ("™", "NN"),
+    ("and", "CC"), ("or", "CC"), (",", ","), ("and", "JJ"), ("or", "JJ"), (",", "JJ"),
+    ("fast", "JJ"), ("2", "CD"), ("leading", "VBG"), ("chip", "NN"), ("phones", "NNS"),
+    ("Watch", "NNP"), ("Labs", "NNPS"), ("the", "DT"), ("it", "PRP"), ("in", "IN"), ("sold", "VBD"),
+)
+# trigger-free sentences that yield only a nested relation, so the gate must keep them
+NESTING_SHAPES = (
+    ("fast/JJ and/CC Apple/NNP", (2, 3)),  # Apple ends a merged coordination
+    ("Apple/JJ and/CC gadgets/NNS", (0, 1)),  # Apple is a non-final adjective unit of one
+    ("and/JJ and/CC Apple/NNP", (2, 3)),
+    ("Apple/NNP ®/SYM", (0, 1)),
+    ("Apple/NNP Watch/NNP", (0, 1)),
+    ("fast/JJ ,/, or/CC Apple/NNP", (3, 4)),  # a separator of two tokens
+    ("leading/VBG Apple/NNP", (1, 2)),  # a chunk tag that is no noun before the company
+    ("Apple/NNP ®/SYM ®/SYM", (2, 3)),  # a trademark symbol absorbed before the company
+)
+
+
+def nesting_case(line: str, span: tuple[int, int]):
+    return "empty", [[tuple(word.rsplit("/", 1)) for word in line.split()]], [span]
+
+
+def nesting_examples(test):
+    """`test` with each of the NESTING_SHAPES as an explicit example."""
+    for shape in NESTING_SHAPES:
+        test = example(nesting_case(*shape))(test)
+    return test
+
+
+@st.composite
+def gate_cases(draw):
+    """An inventory, the tagged sentences of a document and company spans in its last sentence.
+
+    The words are trigger words, clitics tagged `POS` or not, trademark
+    symbols, separators tagged as such or `JJ`, words of the other chunk
+    tags and function words, in runs of one or two, each run a company
+    mention or not.  The sentence sometimes follows another one, so that
+    its positions do not start at 0.
+    """
+    words: list[tuple[str, str]] = []
+    spans: list[tuple[int, int]] = []
+    unit = st.tuples(st.booleans(), st.lists(st.sampled_from(GATE_WORDS), min_size=1, max_size=2))
+    for company, unit_words in draw(st.lists(unit, min_size=1, max_size=6)):
+        if company:
+            spans.append((len(words), len(words) + len(unit_words)))
+        words += unit_words
+    sentences = [[("It", "PRP"), ("is", "VBZ"), (".", ".")]] if draw(st.booleans()) else []
+    return draw(st.sampled_from(sorted(GATE_INVENTORIES))), sentences + [words], spans
+
+
+def gate_arguments(name: str, sentences: list[list[tuple[str, str]]], spans: list[tuple[int, int]]):
+    """`match_sentence`'s arguments for the last of `sentences`, and its columns."""
+    doc = document_from_tokens("d", sentences)
+    sentence = doc.sentences[-1]
+    base = sentence.span.start
+    orgs = [
+        EntityMention(f"c{i}", EntityType.COMPANY, Span(base + a, base + b), MentionKind.NAME,
+                      Provenance.PRE_ANNOTATION)
+        for i, (a, b) in enumerate(spans)
+    ]
+    columns = SentenceColumns(doc.texts, doc.tags, sentence.span.start, sentence.span.end)
+    candidates = [c.span for c in split_coordination(chunk(columns), columns)]
+    return (doc, sentence, orgs, candidates, GATE_INVENTORIES[name]), columns
+
+
+@settings(max_examples=500, deadline=None)
+@given(gate_cases())
+@nesting_examples
+@example(("default", [[("Acme", "NNP"), ("Makes", "VBZ"), ("chips", "NNS")]], [(0, 1)]))
+@example(("P01", [[("Acme", "NNP"), ("'s", "POS"), ("chips", "NNS")]], [(0, 1)]))
+@example(("triggerless", [[("Acme", "NNP"), ("sold", "VBD"), ("chips", "NNS")]], [(0, 1)]))
+def test_sentence_the_gate_skips_matches_nothing(case):
+    args, columns = gate_arguments(*case)
+    doc, sentence, orgs, candidates, surfaces = args
+    if not may_relate(columns, orgs, trigger_words(surfaces)):
+        assert match_sentence(*args).relations == ()
+
+
+@pytest.mark.parametrize("line, span", NESTING_SHAPES)
+def test_gate_keeps_a_company_that_only_nests(line, span):
+    args, columns = gate_arguments(*nesting_case(line, span))
+    assert may_relate(columns, args[2], trigger_words(args[4]))
+    assert [m[3] for m in match_sentence(*args).relations] == [NESTED_PATTERN_ID]
+
+
+def reopened(body: str) -> bool:
+    """Whether an element of `body`, or of a group in it, opens its `<` or `{` again before its closer.
+
+    Only an element that starts with the bracket is read up to the closer;
+    a bare word such as `~make{` ends at the next space.
+    """
+    return any(
+        reopened(raw[1:-1]) if raw[0] == "[" else raw[0] in "<{" and raw[0] in raw[1:]
+        for raw in oracle_tokenize_elements(body, 1)
+    )
 
 
 @settings(max_examples=500, deadline=None)
 @given(pattern_bodies(), st.booleans())
 @example("{ {a|the} ", False)
+@example("~make{ [{a|the}] ", False)
+@example("[of {a {b}]", False)
 @example("<ORG> [to be] [{a|the}] <TRIG:maker of|vendor of> <PRO>", False)
 @example("of [a [b]] a] [~make]", True)
 @example("<ORG> [a", False)
@@ -1792,7 +1900,7 @@ def test_parse_elements_agrees_with_split_then_classify(body, in_optional):
         with pytest.raises(PatternConfigError):
             _parse_elements(body, PATTERN_SETS, 1, in_optional=in_optional)
     else:
-        if REOPENED.search(body):
+        if reopened(body):
             # the old parser read `{a {b}` as one alternation of the words `a {b`
             with pytest.raises(PatternSyntaxError, match="unterminated"):
                 _parse_elements(body, PATTERN_SETS, 1, in_optional=in_optional)

@@ -10,7 +10,8 @@ parsed once per anchor, however many surfaces start with `<ORG>`, the
 nested company-in-candidate rule looks up one candidate per company, a
 candidate is walked as a `<PRO>` anchor only when a later word can follow
 a product, a sentence with no company mention is neither chunked nor
-matched, and pre-annotation builds no `Token` at all: it chunks the
+matched, nor is one with no trigger word and no company mention that a
+candidate could enclose, and pre-annotation builds no `Token` at all: it chunks the
 columns.
 """
 
@@ -284,6 +285,27 @@ def test_sentences_without_companies_are_not_chunked_or_matched(monkeypatch):
     assert [r.pattern_id for r in result.document.relations] == ["P03"]
     # only the last sentence names a company; the other n cannot match
     assert calls == {"chunk": 1, "match_sentence": 1}
+
+
+def test_sentences_without_triggers_or_nesting_are_not_chunked_or_matched(monkeypatch):
+    surfaces = expand(parse_config(default_config_path().read_text(encoding="utf-8")))
+    n = 20
+    doc = tagged_document("d", ["Apple/NNP expanded/VBD the/DT quarter/NN ./."] * n
+                          + ["Acme/NNP makes/VBZ sensors/NNS ./.", "the/DT Apple/NNP Watch/NNP sold/VBD ./."])
+    calls = {"chunk": 0, "match_sentence": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "chunk", counted("chunk", chunk))
+    monkeypatch.setattr(pipeline, "match_sentence", counted("match_sentence", match_sentence))
+    result = pipeline.preannotate_document(doc, OrgGazetteer.from_names(["Acme", "Apple"]), surfaces)
+    assert [r.pattern_id for r in result.document.relations] == ["P03", "nested"]
+    # the n sentences name Apple, but hold no trigger word, and no candidate can enclose Apple
+    assert calls == {"chunk": 2, "match_sentence": 2}
 
 
 def test_preannotate_builds_no_tokens(monkeypatch):
