@@ -2,15 +2,28 @@
 
 The built-in tokenizer and tagger exist so the toolkit is self-contained and
 tests are hermetic; the recommended path for serious use is pre-tagged column
-input (one `TOKEN<TAB>POS[<TAB>BIO]` line per token, blank line between
-sentences, `#` comments without a TAB).  Company mentions are recognised with a
-gazetteer plus a legal-suffix heuristic over capitalized proper-noun runs.
+input, which `read_tagged` reads one line at a time (`str.splitlines`):
+
+* a line that starts with `#` and holds no TAB is a comment, so `#AI<TAB>NNP`
+  is a token line;
+* a line of whitespace only ends the sentence;
+* any other line is a token line of 2 or 3 TAB-separated fields,
+  `TOKEN<TAB>POS[<TAB>BIO]`: a non-empty token, a POS tag that is non-empty
+  once stripped, and a BIO tag (`O`, or `B-` or `I-` and an entity type),
+  stripped, `O` when absent;
+* `I-X` may follow only `B-X` or `I-X` in the same sentence;
+* the document's text is the tokens joined by single spaces.
+
+Company mentions are recognised with a gazetteer plus a legal-suffix
+heuristic over capitalized proper-noun runs.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import add
 from typing import Iterable, Sequence
 
 from .inflect import inflections
@@ -227,61 +240,82 @@ def tag(tokens: Sequence[str]) -> list[str]:
 # the BIO vocabulary of both directions: "O", or B-/I- and an entity type's value
 _BIO_TYPE = {t.value: t for t in EntityType}
 _BIO_TAGS = {"O", *(f"{prefix}-{name}" for name in _BIO_TYPE for prefix in "BI")}
+# each BIO tag with the tags it may follow in a sentence ("O" before the first token)
+_MAY_FOLLOW = {bio: frozenset({f"B-{bio[2:]}", bio}) if bio.startswith("I-") else _BIO_TAGS for bio in _BIO_TAGS}
 # the column format's field separator and every character `str.splitlines` ends a line at
 COLUMN_BREAKS = frozenset("\t\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029")
 
 
+def _joined_document(doc_id: str, texts: Sequence[str], tags: Sequence[str],
+                     spans: Sequence[tuple[int, int]]) -> Document:
+    """The Document of token columns whose text is the tokens joined by single spaces.
+
+    Token i starts after the i tokens before it and a space after each, so
+    its offsets are the sum of their lengths, plus i, and that plus its own length.
+    """
+    chars = list(accumulate(map(len, texts), initial=0))  # chars[i]: the length of the first i tokens
+    starts = tuple(map(add, chars, range(len(texts))))
+    ends = tuple(map(add, chars[1:], range(len(texts))))
+    columns = TokenColumns(tuple(texts), tuple(tags), starts, ends)
+    return make_document(doc_id, " ".join(texts), columns, spans)
+
+
 def document_from_tokens(doc_id: str, sentences: Sequence[Sequence[tuple[str, str]]]) -> Document:
     """A Document of (text, POS) sentences whose text is the tokens joined by spaces."""
-    rows: list[tuple[str, str, int, int]] = []
-    spans: list[tuple[int, int]] = []
-    cursor = 0
-    for sentence in sentences:
-        start = len(rows)
-        for text, pos in sentence:
-            rows.append((text, pos, cursor, cursor + len(text)))
-            cursor += len(text) + 1
-        spans.append((start, len(rows)))
-    columns = TokenColumns.from_rows(rows)
-    return make_document(doc_id, " ".join(columns.texts), columns, spans)
+    bounds = list(accumulate(map(len, sentences), initial=0))
+    rows = [row for sentence in sentences for row in sentence]
+    spans = list(zip(bounds, bounds[1:]))
+    return _joined_document(doc_id, [text for text, _ in rows], [pos for _, pos in rows], spans)
 
 
 def read_tagged(column_text: str, doc_id: str = "doc") -> Document:
-    """Parse the TOKEN/POS/BIO column format into a Document.
+    """Parse the TOKEN/POS/BIO column format, by the grammar in the module docstring, into a Document.
 
-    BIO-marked Company/Product mentions are attached with Human provenance.
-    A `#` line is a comment only when it holds no TAB, so `#AI` can be a token.
+    Each line is split once: a token line goes straight into the token
+    columns, and a sentence's bounds are kept when it ends.  BIO-marked
+    Company/Product mentions are attached with Human provenance.
     The text holds one document: a second `# doc_id:` comment, which opens
     another document in `export_column`'s output, raises MalformedLine.
     """
-    sentences: list[list[tuple[str, str]]] = [[]]
+    texts: list[str] = []
+    tags: list[str] = []
     bios: list[str] = []
+    spans: list[tuple[int, int]] = []
+    start = 0  # where the open sentence starts
+    prev = "O"  # the BIO tag before the next token in its sentence
     doc_id_seen = False
     for line_no, line in enumerate(column_text.splitlines(), start=1):
-        if line.startswith("#") and "\t" not in line:
-            if line.startswith("# doc_id:"):
-                if doc_id_seen:
-                    raise MalformedLine(line_no, "a second '# doc_id:' comment; a column text holds one document")
-                doc_id_seen = True
-            continue
-        if not line.strip():
-            if sentences[-1]:
-                sentences.append([])
-            continue
         fields = line.split("\t")
-        if len(fields) not in (2, 3) or not fields[0] or not fields[1].strip():
-            raise MalformedLine(line_no, line.strip()[:40])
-        bio = fields[2].strip() if len(fields) == 3 else "O"
-        if bio not in _BIO_TAGS:
-            raise MalformedLine(line_no, f"unknown BIO tag {bio!r}")
-        prev_bio = bios[-1] if sentences[-1] else "O"
-        if bio.startswith("I-") and prev_bio not in (f"B-{bio[2:]}", f"I-{bio[2:]}"):
-            raise IllegalBioTransition(line_no, bio)
-        sentences[-1].append((fields[0], fields[1].strip()))
+        # the common line, tested at once: a token, a tag, and a BIO tag that may follow `prev`;
+        # any other line takes the checks one at a time, so that an error names the first it fails
+        if not (len(fields) == 3 and fields[0] and (pos := fields[1].strip())
+                and prev in _MAY_FOLLOW.get(bio := fields[2].strip(), ())):
+            if line.startswith("#") and len(fields) == 1:
+                if line.startswith("# doc_id:"):
+                    if doc_id_seen:
+                        raise MalformedLine(
+                            line_no, "a second '# doc_id:' comment; a column text holds one document")
+                    doc_id_seen = True
+                continue
+            if not line.strip():
+                if start < len(texts):
+                    spans.append((start, len(texts)))
+                    start, prev = len(texts), "O"
+                continue
+            if len(fields) not in (2, 3) or not fields[0] or not (pos := fields[1].strip()):
+                raise MalformedLine(line_no, line.strip()[:40])
+            bio = fields[2].strip() if len(fields) == 3 else "O"
+            if bio not in _MAY_FOLLOW:
+                raise MalformedLine(line_no, f"unknown BIO tag {bio!r}")
+            if prev not in _MAY_FOLLOW[bio]:
+                raise IllegalBioTransition(line_no, bio)
+        texts.append(fields[0])
+        tags.append(pos)
         bios.append(bio)
-    if not sentences[-1]:
-        sentences.pop()
-    doc = document_from_tokens(doc_id, sentences)
+        prev = bio
+    if start < len(texts):
+        spans.append((start, len(texts)))
+    doc = _joined_document(doc_id, texts, tags, spans)
 
     # an I- tag never opens a sentence, so a mention never crosses one
     entities: list[EntityMention] = []

@@ -35,7 +35,10 @@ The relation and chain checks that raised at their first fault, before
 they became the fault generators that `validate` reports from too, must
 make `attach_annotations` raise the same error.  The raw-text tagger that
 built one row per token must build the same document as tagging each
-distinct word once.
+distinct word once.  The column reader that built a row per token and a
+list per sentence, and walked the rows again for the offsets, must read
+each column text into an equal document, or reject it with the same error
+at the same line.
 """
 
 from __future__ import annotations
@@ -110,8 +113,13 @@ from promex.corpus_io import (
 from promex import ingest
 from promex.ingest import (
     _APOSTROPHES,
+    _BIO_TAGS,
+    _BIO_TYPE,
     _PUNCT,
     LEGAL_SUFFIXES,
+    IllegalBioTransition,
+    IngestError,
+    MalformedLine,
     OrgGazetteer,
     _split_core,
     _tag_word,
@@ -1060,6 +1068,82 @@ def oracle_document_from_text(text: str, doc_id: str = "doc") -> Document:
 
 
 # ---------------------------------------------------------------------------
+# The column reader that built a (text, POS) row per token and a list per
+# sentence, and then walked the rows again for the columns and offsets
+
+def oracle_document_from_tokens(doc_id: str, sentences: Sequence[Sequence[tuple[str, str]]]) -> Document:
+    """A Document of (text, POS) sentences whose text is the tokens joined by spaces."""
+    rows: list[tuple[str, str, int, int]] = []
+    spans: list[tuple[int, int]] = []
+    cursor = 0
+    for sentence in sentences:
+        start = len(rows)
+        for text, pos in sentence:
+            rows.append((text, pos, cursor, cursor + len(text)))
+            cursor += len(text) + 1
+        spans.append((start, len(rows)))
+    columns = TokenColumns.from_rows(rows)
+    return make_document(doc_id, " ".join(columns.texts), columns, spans)
+
+
+def oracle_read_tagged(column_text: str, doc_id: str = "doc") -> Document:
+    """Parse the TOKEN/POS/BIO column format into a Document.
+
+    BIO-marked Company/Product mentions are attached with Human provenance.
+    A `#` line is a comment only when it holds no TAB, so `#AI` can be a token.
+    The text holds one document: a second `# doc_id:` comment, which opens
+    another document in `export_column`'s output, raises MalformedLine.
+    """
+    sentences: list[list[tuple[str, str]]] = [[]]
+    bios: list[str] = []
+    doc_id_seen = False
+    for line_no, line in enumerate(column_text.splitlines(), start=1):
+        if line.startswith("#") and "\t" not in line:
+            if line.startswith("# doc_id:"):
+                if doc_id_seen:
+                    raise MalformedLine(line_no, "a second '# doc_id:' comment; a column text holds one document")
+                doc_id_seen = True
+            continue
+        if not line.strip():
+            if sentences[-1]:
+                sentences.append([])
+            continue
+        fields = line.split("\t")
+        if len(fields) not in (2, 3) or not fields[0] or not fields[1].strip():
+            raise MalformedLine(line_no, line.strip()[:40])
+        bio = fields[2].strip() if len(fields) == 3 else "O"
+        if bio not in _BIO_TAGS:
+            raise MalformedLine(line_no, f"unknown BIO tag {bio!r}")
+        prev_bio = bios[-1] if sentences[-1] else "O"
+        if bio.startswith("I-") and prev_bio not in (f"B-{bio[2:]}", f"I-{bio[2:]}"):
+            raise IllegalBioTransition(line_no, bio)
+        sentences[-1].append((fields[0], fields[1].strip()))
+        bios.append(bio)
+    if not sentences[-1]:
+        sentences.pop()
+    doc = oracle_document_from_tokens(doc_id, sentences)
+
+    # an I- tag never opens a sentence, so a mention never crosses one
+    entities: list[EntityMention] = []
+    for start, bio in enumerate(bios):
+        if bio.startswith("B-"):
+            end = start + 1
+            while end < len(bios) and bios[end].startswith("I-"):
+                end += 1
+            span = Span(start, end)
+            entities.append(
+                EntityMention(
+                    mention_id=f"{doc_id}-e{len(entities)}",
+                    entity_type=_BIO_TYPE[bio[2:]],
+                    span=span,
+                    mention_kind=mention_kind(doc.tags, span),
+                    provenance=Provenance.HUMAN,
+                )
+            )
+    return attach_annotations(doc, entities=entities)
+
+
+# ---------------------------------------------------------------------------
 # The pattern parser that split a body into element strings, then worked out
 # each element again from its first and last characters
 
@@ -1584,7 +1668,7 @@ def written_documents(draw) -> Document:
 def outcome(build, args: Sequence):
     try:
         return build(*args)
-    except (CorpusIOError, ModelError) as exc:
+    except (CorpusIOError, IngestError, ModelError) as exc:
         return exc
 
 
@@ -1996,6 +2080,87 @@ def test_document_tags_agree_with_tagging_each_sentence(text):
 @example("Sensors ship . Acme Sensors ship . ® ™")
 def test_document_from_text_agrees_with_tagging_each_row(text):
     assert document_from_text(text, "d") == oracle_document_from_text(text, "d")
+
+
+# every character `str.splitlines` ends a line at, and "\r\n"
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# comments with and without a TAB, a second `# doc_id:`, and blank and whitespace-only lines
+WHOLE_LINES = ("# note", "#", "# doc_id: a", "#\tNNP", "#AI\tNNP\tB-Product", "", " ", "\t", " \t ")
+# the fields of a row: first those a row may hold (a whitespace token, a padded
+# tag, padded BIO tags), then those it may not (an empty token; an empty, blank
+# or lowercase tag; an unknown BIO tag)
+COLUMN_TOKENS = ("Acme", "sensors", "it", "#AI", " ", "")
+COLUMN_TAGS = ("NNP", "NNS", "PRP", " NNS ", "", " ", "nn")
+COLUMN_BIOS = ("O", "O", "B-Company", "I-Company", "B-Product", "I-Product", " I-Product ", "B-Foo", "", "I-")
+
+
+@st.composite
+def column_texts(draw) -> str:
+    """Column text of whole lines and rows of 1 to 4 fields, joined by any line break,
+    often with no final newline.  Half the texts draw rows only from the fields a
+    row may hold, so that many read; `I-` transitions and products on a
+    non-noun still fail some of those."""
+    valid = draw(st.booleans())
+    tokens, tags, bios = (pool[:n] if valid else pool for pool, n in
+                          ((COLUMN_TOKENS, 5), (COLUMN_TAGS, 4), (COLUMN_BIOS, 7)))
+    widths = (2, 3, 3) if valid else (1, 2, 3, 3, 4)
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(draw(st.sampled_from(WHOLE_LINES)))
+            continue
+        fields = [draw(st.sampled_from(tokens)), draw(st.sampled_from(tags)), draw(st.sampled_from(bios)), "x"]
+        lines.append("\t".join(fields[:draw(st.sampled_from(widths))]))
+    breaks = st.sampled_from(LINE_BREAKS)
+    return "".join(line + draw(breaks) for line in lines) + draw(st.sampled_from(("",) * 3 + WHOLE_LINES))
+
+
+@settings(max_examples=500, deadline=None)
+@given(column_texts())
+@example("")
+# a document: padded fields, a token line that starts with `#`, a TAB-only line
+# between sentences, and no final newline
+@example("# doc_id: a\r\nAcme\t NNP \t B-Company \r\n#AI\tNNP\tI-Company\x85\t\nit\tPRP\u2028sensors\tNNS\tB-Product")
+# each error, in the order the reader checks: a second `# doc_id:`, one and four
+# fields, an empty token, an empty tag, an unknown BIO tag, `I-` after `O`,
+# after another type, after a blank line and at the start
+@example("# doc_id: a\nAcme\tNNP\n# doc_id: b\n")
+@example("Acme\tNNP\nAcme\n")
+@example("Acme\tNNP\tO\tx")
+@example("\tNNP\tO")
+@example("Acme\t \tO")
+@example("Acme\tNNP\tB-Foo")
+@example("Acme\tNNP\tO\nsensors\tNNS\tI-Product")
+@example("Acme\tNNP\tB-Product\nsensors\tNNS\tI-Company")
+@example("Acme\tNNP\tB-Company\n \t \nAcme\tNNP\tI-Company")
+@example("Acme\tNNP\tI-Company")
+# and the errors of `make_document` and `attach_annotations`: a lowercase tag,
+# and a product with no noun
+@example("Acme\tnn")
+@example("it\tPRP\tB-Product")
+def test_read_tagged_agrees_with_row_reader(text):
+    new = outcome(read_tagged, (text, "d"))
+    old = outcome(oracle_read_tagged, (text, "d"))
+    assert type(new) is type(old)
+    if isinstance(new, Document):
+        assert new == old
+    else:
+        assert str(new) == str(old)
+        assert getattr(new, "line_no", None) == getattr(old, "line_no", None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.sampled_from(COLUMN_TOKENS), st.sampled_from(COLUMN_TAGS)), max_size=4),
+                max_size=3))
+@example([])
+@example([[("Acme", "NNP"), ("sensors", "NNS")], [("it", "PRP")]])
+# an empty sentence does not partition the tokens
+@example([[("Acme", "NNP")], []])
+def test_document_from_tokens_agrees_with_row_builder(sentences):
+    new = outcome(document_from_tokens, ("d", sentences))
+    old = outcome(oracle_document_from_tokens, ("d", sentences))
+    assert type(new) is type(old)
+    assert new == old if isinstance(new, Document) else str(new) == str(old)
 
 
 @st.composite

@@ -1,4 +1,4 @@
-"""Scaling guards: validating, checking and chunking stay linear in input length.
+"""Scaling guards: validating, checking, chunking and reading column files stay linear in input length.
 
 Each guard times one input and another 16 times as long.  Linear cost
 predicts a time ratio of 16 between them, quadratic cost 256; the bound of
@@ -26,7 +26,7 @@ from promex import pipeline
 from promex.chunker import chunk, split_coordination
 from promex.cli import default_config_path
 from promex.examples import golden_corpus, tagged_document
-from promex.ingest import OrgGazetteer, document_from_text, recognize_orgs
+from promex.ingest import OrgGazetteer, document_from_text, read_tagged, recognize_orgs
 from promex.model import (
     Document,
     EntityMention,
@@ -165,6 +165,16 @@ def test_chunk_and_split_coordination_scale_linearly(unit):
     long = simple_tokens(" ".join([unit] * GROWTH * 128))
     ratio = growth_ratio(split, short, long)
     assert ratio < MAX_RATIO, f"{GROWTH}x longer sentence took {ratio:.0f}x as long"
+
+
+def test_read_tagged_scales_linearly():
+    # a sentence of 6 lines and a blank one, with a Company and a Product mention
+    sentence = ("Acme\tNNP\tB-Company\nGroup\tNNP\tI-Company\nmakes\tVBZ\tO\n"
+                "wireless\tJJ\tB-Product\nsensors\tNNS\tI-Product\n.\t.\tO\n\n")
+    short, long = sentence * 64, sentence * 64 * GROWTH
+    assert len(read_tagged(long).entities) == 2 * 64 * GROWTH
+    ratio = growth_ratio(read_tagged, short, long)
+    assert ratio < MAX_RATIO, f"{GROWTH}x longer column file took {ratio:.0f}x as long"
 
 
 def test_recognize_orgs_scales_linearly_in_sentence_length():
