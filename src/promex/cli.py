@@ -17,8 +17,10 @@ import io
 import os
 import sys
 import zlib
+from bisect import bisect
 from collections import Counter
 from importlib import resources
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TypeVar
 
@@ -56,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("--in", dest="input_dir", required=True, help="directory of input documents")
     p_pre.add_argument("--out", dest="output", required=True, help="corpus file to write")
     p_pre.add_argument("--tagged", action="store_true", help="inputs are TOKEN/POS[/BIO] column files")
-    p_pre.add_argument("--jobs", type=int, default=1, help="worker processes (output is order-independent)")
+    p_pre.add_argument("--jobs", type=int, default=1, help="processes, this one included (never changes the output)")
 
     p_val = sub.add_parser("validate", help="check a corpus against the annotation guidelines")
     p_val.add_argument("--in", dest="input", required=True, help="corpus file")
@@ -121,7 +123,7 @@ def _start_worker(*job) -> None:
 
 def _process(path: Path, compress: bool = False) -> tuple[str | bytes, tuple[RelationMention, ...]] | str:
     """One input file pre-annotated: its corpus line and raw relations, or why it cannot be read.
-    Workers compress the line: a fifth of the bytes to send and to hold until its turn to be written."""
+    A worker compresses the line, to a fifth of the bytes to send and to hold until its turn to be written."""
     gazetteer, surfaces, tagged = _job
     try:
         text = read_text(path)
@@ -133,16 +135,42 @@ def _process(path: Path, compress: bool = False) -> tuple[str | bytes, tuple[Rel
     return (zlib.compress(line.encode(), 1) if compress else line), result.raw_relations
 
 
+def _process_run(paths: list[Path]) -> list:
+    """A worker's task: `_process` of each path of its run, returned in one message."""
+    return [_process(path, True) for path in paths]
+
+
+def _runs(paths: list[Path], sizes: list[int], workers: int) -> list[list[Path]]:
+    """`paths` cut, in order, into `workers` contiguous runs, none empty, of about
+    equal total size: each cut falls at the file boundary nearest its share."""
+    ends = list(accumulate(sizes, initial=0))  # ends[i]: the size of paths[:i]
+    cuts = [0]
+    for k in range(1, workers):
+        share = ends[-1] * k / workers
+        i = bisect(ends, share)
+        if i == len(ends) or share - ends[i - 1] <= ends[i] - share:
+            i -= 1
+        cuts.append(max(cuts[-1] + 1, min(i, len(paths) - (workers - k))))
+    cuts.append(len(paths))
+    return [paths[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
 def _results(paths: list[Path], workers: int, job: tuple) -> Iterator:
-    """`_process` of each path, in input order.  Worker processes take the
-    largest files first, so that none is left with a large one at the end."""
+    """`_process` of each path, in input order.  With several workers this
+    process is one of them: it takes the first of `_runs` and yields each of
+    its results as it is made, while a pool of `workers - 1` processes takes
+    one other run each and returns it in one message, compressed lines that
+    are yielded after the first run."""
+    _start_worker(*job)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=job) as pool:
-            futures = {p: pool.submit(_process, p, True) for p in sorted(paths, key=lambda p: -p.stat().st_size)}
-            yield from (futures.pop(p).result() for p in paths)
+        first, *rest = _runs(paths, [p.stat().st_size for p in paths], workers)
+        with ProcessPoolExecutor(workers - 1, initializer=_start_worker, initargs=job) as pool:
+            futures = [pool.submit(_process_run, run) for run in rest]
+            yield from map(_process, first)
+            for future in futures:
+                yield from future.result()
     else:
-        _start_worker(*job)
         yield from map(_process, paths)
 
 

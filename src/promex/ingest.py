@@ -240,6 +240,8 @@ def tag(tokens: Sequence[str]) -> list[str]:
 # the BIO vocabulary of both directions: "O", or B-/I- and an entity type's value
 _BIO_TYPE = {t.value: t for t in EntityType}
 _BIO_TAGS = {"O", *(f"{prefix}-{name}" for name in _BIO_TYPE for prefix in "BI")}
+# each mention type's B- and I- tags
+_MENTION_TAGS = tuple((f"B-{name}", f"I-{name}", entity_type) for name, entity_type in _BIO_TYPE.items())
 # each BIO tag with the tags it may follow in a sentence ("O" before the first token)
 _MAY_FOLLOW = {bio: frozenset({f"B-{bio[2:]}", bio}) if bio.startswith("I-") else _BIO_TAGS for bio in _BIO_TAGS}
 # the column format's field separator and every character `str.splitlines` ends a line at
@@ -317,23 +319,30 @@ def read_tagged(column_text: str, doc_id: str = "doc") -> Document:
         spans.append((start, len(texts)))
     doc = _joined_document(doc_id, texts, tags, spans)
 
+    # every BIO tag is one of the vocabulary's, so a mention begins exactly where a tag equals
+    # a B- tag, found by `list.index`, and runs on over the I- tags of its type after it;
     # an I- tag never opens a sentence, so a mention never crosses one
-    entities: list[EntityMention] = []
-    for start, bio in enumerate(bios):
-        if bio.startswith("B-"):
+    found: list[tuple[int, int, EntityType]] = []
+    for begin, inside, entity_type in _MENTION_TAGS:
+        start = -1
+        for _ in range(bios.count(begin)):
+            start = bios.index(begin, start + 1)
             end = start + 1
-            while end < len(bios) and bios[end].startswith("I-"):
+            while end < len(bios) and bios[end] == inside:
                 end += 1
-            span = Span(start, end)
-            entities.append(
-                EntityMention(
-                    mention_id=f"{doc_id}-e{len(entities)}",
-                    entity_type=_BIO_TYPE[bio[2:]],
-                    span=span,
-                    mention_kind=mention_kind(doc.tags, span),
-                    provenance=Provenance.HUMAN,
-                )
+            found.append((start, end, entity_type))
+    entities: list[EntityMention] = []
+    for start, end, entity_type in sorted(found):
+        span = Span(start, end)
+        entities.append(
+            EntityMention(
+                mention_id=f"{doc_id}-e{len(entities)}",
+                entity_type=entity_type,
+                span=span,
+                mention_kind=mention_kind(doc.tags, span),
+                provenance=Provenance.HUMAN,
             )
+        )
     return attach_annotations(doc, entities=entities)
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from promex.cli import default_config_path, default_gazetteer_path
+from promex.cli import _runs, default_config_path, default_gazetteer_path
 from promex.corpus_io import document_line, load_corpus, save_corpus
 from promex.ingest import OrgGazetteer
 from promex.model import Corpus, Provenance, RelationMention, Span, Token
@@ -182,13 +182,18 @@ class TestPreannotate:
         assert not out_file.exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_failing_files_leave_the_old_corpus(self, jobs, tmp_path, capsys):
+    def test_failing_files_leave_the_old_corpus(self, jobs, tmp_path, capsys, monkeypatch):
         src = tmp_path / "docs"
         src.mkdir()
         for name in ("a.txt", "c.txt", "e.txt"):
             (src / name).write_text("Sensata develops sensors.")
         (src / "b.txt").write_bytes(b"\xff\xfeAcme sells widgets.\n")
         (src / "d.txt").write_bytes(b"Acme sells \xff gadgets.\n")
+        if jobs == "2":  # b.txt fails in this process's run, d.txt in the worker's
+            monkeypatch.setattr("os.cpu_count", lambda: 2)
+            paths = sorted(src.iterdir())
+            first, second = _runs(paths, [p.stat().st_size for p in paths], 2)
+            assert src / "b.txt" in first and src / "d.txt" in second
         out_file = tmp_path / "out.corpus"
         save_corpus(load_corpus(GOLDEN), str(out_file))
         old = out_file.read_bytes()
@@ -201,13 +206,15 @@ class TestPreannotate:
 
     @pytest.mark.parametrize(
         ("jobs", "cpus", "expected"),
-        # the examples are 7 files
-        [("64", 16, [7]), ("5", 16, [5]), ("3", 2, [2]), ("2", None, []), ("1", 8, []), ("0", 8, []),
+        # the examples are 7 files; this process is one of the workers, so the pool has one fewer
+        [("64", 16, [6]), ("5", 16, [4]), ("3", 2, [1]), ("2", None, []), ("1", 8, []), ("0", 8, []),
          ("-3", 8, [])],
     )
     def test_worker_count_is_capped(self, jobs, cpus, expected, tmp_path, capsys, monkeypatch):
         import concurrent.futures
         from concurrent.futures import Future
+
+        import promex.cli
 
         class RecordingPool:
             """Runs each task at once in this process; records the workers asked for."""
@@ -223,20 +230,85 @@ class TestPreannotate:
                 return None
 
             def submit(self, fn, *args):
-                submitted.append(args[0].stat().st_size)
+                submitted.append(args[0])
                 future = Future()
                 future.set_result(fn(*args))
                 return future
 
-        started, submitted = [], []
+        started, submitted, processed = [], [], []
+        process = promex.cli._process
+
+        def recording_process(path, *args):
+            processed.append(path)
+            return process(path, *args)
+
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(promex.cli, "_process", recording_process)
         monkeypatch.setattr("os.cpu_count", lambda: cpus)
         out_file = tmp_path / "out.corpus"
         argv = ["preannotate", "--in", EXAMPLES_DIR, "--tagged", "--out", str(out_file), "--jobs", jobs]
         code, out, _ = run_cli(argv, capsys)
         assert code == 0 and started == expected
-        assert submitted == sorted(submitted, reverse=True)  # largest file first
+        # one non-empty run per pool process, all submitted before this process starts its own;
+        # the runs, this process's first, are the files in input order
+        assert len(submitted) == sum(expected) and all(submitted)
+        own = [path for path in processed if not any(path in run for run in submitted)]
+        assert own and processed[-len(own):] == own
+        assert [path for run in [own, *submitted] for path in run] == sorted(Path(EXAMPLES_DIR).iterdir())
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == PINNED_OUTPUT["examples"][0]
+
+    @pytest.mark.parametrize(
+        ("sizes", "workers", "lengths"),
+        [
+            ([1000, 2000, 4000, 8000], 2, [3, 1]),  # the long-docs shape
+            ([5] * 6, 2, [3, 3]),
+            ([5] * 6, 3, [2, 2, 2]),
+            ([3, 1, 4, 1, 5], 5, [1] * 5),
+            ([100, 1, 1], 3, [1, 1, 1]),
+            ([1, 1, 100], 2, [2, 1]),
+            ([1, 1, 100], 3, [1, 1, 1]),
+            ([0, 0, 0, 0], 2, [3, 1]),
+        ],
+    )
+    def test_runs_are_contiguous_and_of_about_equal_size(self, sizes, workers, lengths):
+        paths = [Path(f"{i}.txt") for i in range(len(sizes))]
+        runs = _runs(paths, sizes, workers)
+        assert [len(run) for run in runs] == lengths
+        assert [path for run in runs for path in run] == paths
+
+    @given(st.lists(st.integers(0, 10_000), min_size=1, max_size=40), st.integers(1, 40))
+    def test_runs_cover_every_file_once_in_order(self, sizes, workers):
+        workers = min(workers, len(sizes))
+        paths = [Path(f"{i}.txt") for i in range(len(sizes))]
+        runs = _runs(paths, sizes, workers)
+        assert len(runs) == workers and all(runs)
+        assert [path for run in runs for path in run] == paths
+
+    def test_spawned_workers_write_the_jobs_1_output(self, tmp_path, capsys):
+        """Workers started by `spawn`, which `fork` platforms use only when asked,
+        import the module afresh and so see none of this process's state."""
+        import promex
+
+        single = tmp_path / "single.corpus"
+        code, single_yield, _ = run_cli(
+            ["preannotate", "--in", EXAMPLES_DIR, "--tagged", "--out", str(single), "--jobs", "1"], capsys)
+        assert code == 0
+        script = tmp_path / "spawned.py"
+        script.write_text(
+            "import multiprocessing, os, sys\n"
+            "from promex.cli import main\n"
+            "if __name__ == '__main__':\n"
+            "    multiprocessing.set_start_method('spawn')\n"
+            "    os.cpu_count = lambda: 2  # a pool starts on a one-CPU host too\n"
+            "    sys.exit(main(sys.argv[1:]))\n"
+        )
+        multi = tmp_path / "multi.corpus"
+        env = dict(os.environ, PYTHONPATH=str(Path(promex.__file__).resolve().parents[1]))
+        result = subprocess.run(
+            [sys.executable, str(script), "preannotate", "--in", EXAMPLES_DIR, "--tagged", "--out", str(multi),
+             "--jobs", "2"], env=env, capture_output=True, text=True)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert (multi.read_bytes(), result.stdout) == (single.read_bytes(), single_yield)
 
     def test_worker_state_pickles(self):
         gazetteer = OrgGazetteer.from_file(str(default_gazetteer_path()))
