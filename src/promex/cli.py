@@ -16,7 +16,6 @@ import argparse
 import io
 import os
 import sys
-import zlib
 from bisect import bisect
 from collections import Counter
 from importlib import resources
@@ -41,9 +40,7 @@ def default_gazetteer_path() -> Path:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="promex",
-        description="Rule-based pre-annotation and corpus tooling for company/product relations.",
-    )
+        prog="promex", description="Rule-based pre-annotation and corpus tooling for company/product relations.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_patterns = sub.add_parser("patterns", help="pattern inventory operations")
@@ -113,31 +110,29 @@ def _cmd_patterns_expand(args: argparse.Namespace) -> int:
     return 0
 
 
-_job: tuple = ()  # what `_process` works with: gazetteer, surfaces, whether inputs are tagged
-
-
-def _start_worker(*job) -> None:
-    global _job
-    _job = job
-
-
-def _process(path: Path, compress: bool = False) -> tuple[str | bytes, tuple[RelationMention, ...]] | str:
-    """One input file pre-annotated: its corpus line and raw relations, or why it cannot be read.
-    A worker compresses the line, to a fifth of the bytes to send and to hold until its turn to be written."""
-    gazetteer, surfaces, tagged = _job
+def _process(path: Path, job: tuple, failures: list[str], raw: list[tuple[str, RelationMention]]) -> str:
+    """The corpus line of `path`, its raw relations added to `raw`; or "", with why not added to `failures`."""
+    gazetteer, surfaces, tagged = job
     try:
         text = read_text(path)
         doc = read_tagged(text, doc_id=path.stem) if tagged else document_from_text(text, doc_id=path.stem)
         result = preannotate_document(doc, gazetteer, surfaces)
     except _INPUT_ERRORS as exc:
-        return f"{path}: {exc}"
-    line = corpus_io.document_line(result.document)
-    return (zlib.compress(line.encode(), 1) if compress else line), result.raw_relations
+        failures.append(f"{path}: {exc}")
+        return ""
+    raw.extend((path.stem, rel) for rel in result.raw_relations)
+    return corpus_io.document_line(result.document)
 
 
-def _process_run(paths: list[Path]) -> list:
-    """A worker's task: `_process` of each path of its run, returned in one message."""
-    return [_process(path, True) for path in paths]
+def _process_run(paths: list[Path], job: tuple, run_file: str, conn) -> None:
+    """A worker: writes the corpus lines of its run to `run_file`, then sends its failures and raw relations."""
+    failures, raw = [], []
+    try:
+        with open(run_file, "w", encoding="utf-8") as fh:
+            fh.writelines(_process(path, job, failures, raw) for path in paths)
+        conn.send((failures, raw))
+    except Exception:  # no traceback: the parent names this run and the exit code, 1
+        sys.exit(1)
 
 
 def _runs(paths: list[Path], sizes: list[int], workers: int) -> list[list[Path]]:
@@ -155,23 +150,39 @@ def _runs(paths: list[Path], sizes: list[int], workers: int) -> list[list[Path]]
     return [paths[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def _results(paths: list[Path], workers: int, job: tuple) -> Iterator:
-    """`_process` of each path, in input order.  With several workers this
-    process is one of them: it takes the first of `_runs` and yields each of
-    its results as it is made, while a pool of `workers - 1` processes takes
-    one other run each and returns it in one message, compressed lines that
-    are yielded after the first run."""
-    _start_worker(*job)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        first, *rest = _runs(paths, [p.stat().st_size for p in paths], workers)
-        with ProcessPoolExecutor(workers - 1, initializer=_start_worker, initargs=job) as pool:
-            futures = [pool.submit(_process_run, run) for run in rest]
-            yield from map(_process, first)
-            for future in futures:
-                yield from future.result()
-    else:
-        yield from map(_process, paths)
+def _lines(paths: list[Path], workers: int, job: tuple, output: str, failures: list, raw: list) -> Iterator[str]:
+    """`_process` of each path in input order, then IngestError if there are `failures`.  With several workers it
+    starts `workers - 1` processes, each writing one of the `_runs` after the first to a run file beside `output`,
+    yields the first run's lines as made, then each run file's; however it ends, all are joined and removed."""
+    first, *rest = _runs(paths, [p.stat().st_size for p in paths], workers) if workers > 1 else [paths]
+    started = []
+    try:
+        for k, run in enumerate(rest):
+            import multiprocessing  # here, so that `--jobs 1` does not load it
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            run_file = f"{output}.{os.getpid()}.{k}.tmp"
+            process = multiprocessing.Process(target=_process_run, args=(run, job, run_file, sender))
+            process.start()
+            sender.close()  # so that `recv` sees the end of a worker that dies
+            started.append((process, receiver, run_file, run[0]))
+        yield from (_process(path, job, failures, raw) for path in first)
+        for process, receiver, run_file, head in started:
+            try:
+                failed, relations = receiver.recv()
+            except EOFError:
+                process.join()
+                raise IngestError(f"{head}: the worker for its run exited with code {process.exitcode}") from None
+            failures += failed
+            raw += relations
+            with open(run_file, encoding="utf-8") as fh:
+                yield from fh
+    finally:
+        for process, _, run_file, _ in started:
+            process.terminate()  # a no-op on one that has ended
+            process.join()
+            Path(run_file).unlink(missing_ok=True)
+    if failures:  # raised while the corpus is still a temporary file, which is then removed
+        raise IngestError("\n".join(failures))
 
 
 def _cmd_preannotate(args: argparse.Namespace) -> int:
@@ -183,19 +194,9 @@ def _cmd_preannotate(args: argparse.Namespace) -> int:
     stems = Counter(p.stem for p in paths)
     failures = [f"{p}: duplicate doc_id {p.stem!r}" for p in paths if stems[p.stem] > 1]
     raw: list[tuple[str, RelationMention]] = []
-
-    def lines() -> Iterator[str]:
-        workers = min(args.jobs, len(paths), os.cpu_count() or 1)
-        for path, result in zip(paths, _results(paths, workers, (gazetteer, surfaces, args.tagged))):
-            if isinstance(result, str):
-                failures.append(result)
-            else:
-                raw.extend((path.stem, rel) for rel in result[1])
-                yield result[0] if isinstance(result[0], str) else zlib.decompress(result[0]).decode()
-        if failures:  # raised while the corpus is still a temporary file, which is then removed
-            raise IngestError("\n".join(failures))
-
-    corpus_io.save_document_lines(lines(), args.output, corpus_io.SCHEMA_VERSION)
+    workers, job = min(args.jobs, len(paths), os.cpu_count() or 1), (gazetteer, surfaces, args.tagged)
+    corpus_io.save_document_lines(_lines(paths, workers, job, args.output, failures, raw), args.output,
+                                  corpus_io.SCHEMA_VERSION)
     print(analytics.pattern_yield(relations=raw).render())
     return 0
 
@@ -235,9 +236,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         sys.stdout.write("".join(columns))
     else:
         doc = _load("column file", args.input, lambda p: read_tagged(read_text(p), doc_id=Path(p).stem))
-        corpus = Corpus(schema_version=corpus_io.SCHEMA_VERSION, documents=(doc,))
         text = io.StringIO()
-        corpus_io.write_corpus(corpus, text)
+        corpus_io.write_corpus(Corpus(schema_version=corpus_io.SCHEMA_VERSION, documents=(doc,)), text)
         sys.stdout.write(text.getvalue())
     return 0
 

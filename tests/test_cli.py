@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -206,56 +207,140 @@ class TestPreannotate:
 
     @pytest.mark.parametrize(
         ("jobs", "cpus", "expected"),
-        # the examples are 7 files; this process is one of the workers, so the pool has one fewer
+        # the examples are 7 files; this process is one of the workers, so it starts one fewer
         [("64", 16, [6]), ("5", 16, [4]), ("3", 2, [1]), ("2", None, []), ("1", 8, []), ("0", 8, []),
          ("-3", 8, [])],
     )
     def test_worker_count_is_capped(self, jobs, cpus, expected, tmp_path, capsys, monkeypatch):
-        import concurrent.futures
-        from concurrent.futures import Future
-
         import promex.cli
 
-        class RecordingPool:
-            """Runs each task at once in this process; records the workers asked for."""
+        class RecordingProcess:
+            """Runs its worker at once in this process when started; records its run and its message."""
 
-            def __init__(self, max_workers, initializer, initargs):
-                started.append(max_workers)
-                initializer(*initargs)
+            def __init__(self, target, args):
+                self.target, self.args = target, args
 
-            def __enter__(self):
-                return self
+            def start(self):
+                run, job, run_file, conn = self.args
+                submitted.append(run)
+                self.target(run, job, run_file, RecordingConn(conn))
 
-            def __exit__(self, *exc):
-                return None
+            def terminate(self):
+                pass
 
-            def submit(self, fn, *args):
-                submitted.append(args[0])
-                future = Future()
-                future.set_result(fn(*args))
-                return future
+            def join(self):
+                pass
 
-        started, submitted, processed = [], [], []
+        class RecordingConn:
+            def __init__(self, conn):
+                self.conn = conn
+
+            def send(self, message):
+                sent.append(message)
+                self.conn.send(message)
+
+        submitted, sent, processed = [], [], []
         process = promex.cli._process
 
         def recording_process(path, *args):
             processed.append(path)
             return process(path, *args)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(multiprocessing, "Process", RecordingProcess)
         monkeypatch.setattr(promex.cli, "_process", recording_process)
         monkeypatch.setattr("os.cpu_count", lambda: cpus)
         out_file = tmp_path / "out.corpus"
         argv = ["preannotate", "--in", EXAMPLES_DIR, "--tagged", "--out", str(out_file), "--jobs", jobs]
         code, out, _ = run_cli(argv, capsys)
-        assert code == 0 and started == expected
-        # one non-empty run per pool process, all submitted before this process starts its own;
+        assert code == 0 and ([len(submitted)] if submitted else []) == expected
+        # one non-empty run per worker process, all started before this process starts its own;
         # the runs, this process's first, are the files in input order
-        assert len(submitted) == sum(expected) and all(submitted)
+        assert all(submitted)
         own = [path for path in processed if not any(path in run for run in submitted)]
         assert own and processed[-len(own):] == own
         assert [path for run in [own, *submitted] for path in run] == sorted(Path(EXAMPLES_DIR).iterdir())
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == PINNED_OUTPUT["examples"][0]
+        # each worker sends its failures and raw relations, and none of its corpus lines
+        lines = out_file.read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+        assert len(sent) == len(submitted) and all(failures == [] for failures, _ in sent)
+        assert not any(line.encode() in pickle.dumps(message) for message in sent for line in lines)
+        assert sorted(tmp_path.iterdir()) == [out_file]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched `_process` reaches only workers started by fork")
+    @pytest.mark.parametrize(("death", "code"), [("exit", 3), ("raise", 1)])
+    def test_dead_worker_exits_2_naming_its_run(self, death, code, tmp_path, capfd, monkeypatch):
+        """`capfd`, not `capsys`, so that the worker's own stderr is read too."""
+        import promex.cli
+
+        src = tmp_path / "docs"
+        src.mkdir()
+        for name in ("a.txt", "b.txt", "c.txt", "d.txt"):
+            (src / name).write_text("Sensata develops sensors.")
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        paths = sorted(src.iterdir())
+        _, second = _runs(paths, [p.stat().st_size for p in paths], 2)
+        this_process, process = os.getpid(), promex.cli._process
+
+        def dying(path, *args):
+            if os.getpid() != this_process:
+                if death == "exit":
+                    os._exit(3)
+                raise RuntimeError("a fault in the worker")
+            return process(path, *args)
+
+        monkeypatch.setattr(promex.cli, "_process", dying)
+        out_file = tmp_path / "out.corpus"
+        save_corpus(load_corpus(GOLDEN), str(out_file))
+        old = out_file.read_bytes()
+        argv = ["preannotate", "--in", str(src), "--out", str(out_file), "--jobs", "2"]
+        assert run_cli(argv, capfd) == (
+            2, "", f"{second[0]}: the worker for its run exited with code {code}\n")
+        assert out_file.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["docs", "out.corpus"]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("where", ["document_line", "sink"])
+    def test_failed_write_keeps_old_file_with_workers(self, where, tmp_path, golden, capsys, monkeypatch):
+        """`document_line` raising in this process's run takes the exception through the workers'
+        generator; a sink that fails after one line leaves it suspended, to be closed."""
+        import promex.corpus_io
+
+        src = tmp_path / "docs"
+        src.mkdir()
+        for name in ("a.txt", "b.txt", "c.txt", "d.txt"):
+            (src / name).write_text("Sensata develops sensors.")
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        written = []
+        line, save = promex.corpus_io.document_line, promex.corpus_io.save_document_lines
+
+        def fail_on_second(doc):
+            if written:
+                raise OSError(28, "No space left on device")
+            written.append(doc.doc_id)
+            return line(doc)
+
+        def save_failing_on_second(lines, *args):
+            def first_only():
+                yield next(lines)
+                raise OSError(28, "No space left on device")
+            save(first_only(), *args)
+
+        out_file = tmp_path / "out.corpus"
+        save_corpus(Corpus("1.0", golden.documents[:1]), str(out_file))
+        old = out_file.read_bytes()
+        if where == "document_line":
+            monkeypatch.setattr(promex.corpus_io, "document_line", fail_on_second)
+        else:
+            monkeypatch.setattr(promex.corpus_io, "save_document_lines", save_failing_on_second)
+        argv = ["preannotate", "--in", str(src), "--out", str(out_file), "--jobs", "2"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"could not write {str(out_file)!r}: [Errno 28] No space left on device\n"
+        assert written == (["a"] if where == "document_line" else [])  # failed mid-stream, in this process's run
+        assert out_file.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["docs", "out.corpus"]
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(
         ("sizes", "workers", "lengths"),
