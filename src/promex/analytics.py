@@ -8,6 +8,8 @@ exact-span mention F1 per entity type, and relation F1 over
 comes from integer counts summed over the documents: kappa from the 2x2
 table of tokens inside a mention in either layer, F1 from the sizes of the
 two layers' mention or relation sets and of their match.
+Both sum their counts as the documents are read; `agreement` pairs the
+layers' documents by doc_id, holding only those whose partner is unread.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
-from itertools import chain
-from typing import Sequence
+from itertools import zip_longest
+from operator import attrgetter
+from typing import Iterable, Iterator, Sequence
 
 from .model import Corpus, Document, EntityType, RelationMention, Span, is_word
 
@@ -59,20 +62,17 @@ class CorpusStats:
     relations: int
 
     @classmethod
-    def from_corpus(cls, corpus: Corpus) -> "CorpusStats":
-        if not corpus.documents:
+    def from_corpus(cls, corpus: Corpus | Iterable[Document]) -> "CorpusStats":
+        totals, types, texts = Counter(), Counter(), Counter()
+        for doc in getattr(corpus, "documents", corpus):
+            totals.update(documents=1, sentences=len(doc.sentences), relations=len(doc.relations))
+            types.update(e.entity_type for e in doc.entities)
+            texts.update(doc.texts)
+        if not totals:
             raise EmptyCorpus("corpus contains no documents")
-        types = Counter(e.entity_type for d in corpus.documents for e in d.entities)
         # a corpus repeats few distinct token texts: each is tested once
-        texts = Counter(chain.from_iterable(d.texts for d in corpus.documents))
-        return cls(
-            documents=len(corpus.documents),
-            sentences=sum(len(d.sentences) for d in corpus.documents),
-            words=sum(count for text, count in texts.items() if is_word(text)),
-            companies=types[EntityType.COMPANY],
-            products=types[EntityType.PRODUCT],
-            relations=sum(len(d.relations) for d in corpus.documents),
-        )
+        words = sum(count for text, count in texts.items() if is_word(text))
+        return cls(**totals, words=words, companies=types[EntityType.COMPANY], products=types[EntityType.PRODUCT])
 
     def means(self) -> dict[str, str]:
         """Per-document means for every non-document row."""
@@ -98,7 +98,7 @@ class CorpusStats:
         return "\n".join(lines)
 
 
-def stats(corpus: Corpus) -> CorpusStats:
+def stats(corpus: Corpus | Iterable[Document]) -> CorpusStats:
     return CorpusStats.from_corpus(corpus)
 
 
@@ -143,14 +143,19 @@ def _f1(in_a: int, in_b: int, in_both: int) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def _positions(spans: set[Span]) -> set[int]:
-    return {i for span in spans for i in range(span.start, span.end)}
+def _covered(spans: Iterable[Span]) -> int:
+    """How many positions lie inside one of `spans` or more: one sweep over them in order."""
+    total = reach = 0
+    for span in sorted(spans, key=attrgetter("start")):
+        if span.end > reach:
+            total += span.end - (span.start if span.start > reach else reach)
+            reach = span.end
+    return total
 
 
-def _add(counts: list[int], a: set, b: set) -> None:
-    counts[0] += len(a)
-    counts[1] += len(b)
-    counts[2] += len(a & b)
+def _add(counts: list[int], *values: int) -> None:
+    for i, value in enumerate(values):
+        counts[i] += value
 
 
 def _relations(doc: Document) -> dict[tuple, list[Span | None]]:
@@ -164,32 +169,46 @@ def _relations(doc: Document) -> dict[tuple, list[Span | None]]:
     return keyed
 
 
-def agreement(
-    annotations_a: Corpus | Sequence[Document],
-    annotations_b: Corpus | Sequence[Document],
-) -> AgreementScores:
-    """Compare two annotation layers over identical token sequences."""
-    docs_a = {d.doc_id: d for d in getattr(annotations_a, "documents", annotations_a)}
-    docs_b = {d.doc_id: d for d in getattr(annotations_b, "documents", annotations_b)}
-    if set(docs_a) != set(docs_b):
+def _pairs(layer_a: Iterable[Document], layer_b: Iterable[Document]) -> Iterator[tuple[Document, Document]]:
+    """Each document of `layer_a` with the one of `layer_b` of its doc_id, read from both in turn:
+    a document waits until its partner is read.  TokenizationMismatch if one has none."""
+    waiting: tuple[dict[str, Document], dict[str, Document]] = ({}, {})
+    for docs in zip_longest(layer_a, layer_b):
+        for side, doc in enumerate(docs):
+            if doc is not None:
+                if (partner := waiting[1 - side].pop(doc.doc_id, None)) is None:
+                    waiting[side][doc.doc_id] = doc
+                else:
+                    yield (partner, doc) if side else (doc, partner)
+    if any(waiting):
         raise TokenizationMismatch("the two layers cover different documents")
 
+
+def agreement(
+    annotations_a: Corpus | Iterable[Document],
+    annotations_b: Corpus | Iterable[Document],
+) -> AgreementScores:
+    """Compare two annotation layers over identical token sequences, reading each once.  Of the
+    documents tokenized differently, TokenizationMismatch names the smallest doc_id."""
     tokens = 0
     # [in a, in b, in both] per entity type over token positions and over
     # mention spans, and over relations
     covered = {t.value: [0, 0, 0] for t in EntityType}
     mentions = {t.value: [0, 0, 0] for t in EntityType}
     relations = [0, 0, 0]
-    for doc_id in sorted(docs_a):
-        a, b = docs_a[doc_id], docs_b[doc_id]
+    mismatched: list[str] = []
+    for a, b in _pairs(getattr(annotations_a, "documents", annotations_a),
+                       getattr(annotations_b, "documents", annotations_b)):
         if a.texts != b.texts:
-            raise TokenizationMismatch(f"document {doc_id!r} is tokenized differently")
+            mismatched.append(a.doc_id)
+            continue
         tokens += len(a.texts)
         for etype in EntityType:
             spans_a = {m.span for m in a.entities if m.entity_type is etype}
             spans_b = {m.span for m in b.entities if m.entity_type is etype}
-            _add(mentions[etype.value], spans_a, spans_b)
-            _add(covered[etype.value], _positions(spans_a), _positions(spans_b))
+            _add(mentions[etype.value], len(spans_a), len(spans_b), len(spans_a & spans_b))
+            in_a, in_b = _covered(spans_a), _covered(spans_b)
+            _add(covered[etype.value], in_a, in_b, in_a + in_b - _covered([*spans_a, *spans_b]))
         # relations match on arguments; triggers are compared only when both
         # sides have one.  Each relation of `a` takes the first unmatched one
         # of `b` with the same arguments.
@@ -204,6 +223,8 @@ def agreement(
                         del unmatched[j]
                         relations[2] += 1
                         break
+    if mismatched:
+        raise TokenizationMismatch(f"document {min(mismatched)!r} is tokenized differently")
 
     return AgreementScores(
         token_kappa={t: _kappa(tokens, *counts) for t, counts in covered.items()},

@@ -3,7 +3,8 @@
 Subcommands: `patterns expand`, `preannotate`, `validate`, `stats`,
 `agreement`, `convert`.  Human-readable output goes to stdout,
 diagnostics to stderr; exit code 2 signals usage or input problems.
-`_load` reads every file or directory a subcommand names and exits 2 with
+`_load` reads every file or directory a subcommand names, and `_documents`
+each corpus file one document at a time; both exit 2 with
 `cannot read <what> '<path>': <error>` on any of `_INPUT_ERRORS`, which
 `preannotate` applies to each of its input files too; `main` exits 2 with
 the message of a failure that already says what failed, or naming the
@@ -17,7 +18,7 @@ import io
 import os
 import sys
 from bisect import bisect
-from collections import Counter
+from collections import Counter, deque
 from importlib import resources
 from itertools import accumulate
 from pathlib import Path
@@ -25,7 +26,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 from . import analytics, corpus_io, validator
 from .ingest import IngestError, OrgGazetteer, document_from_text, export_column, read_list, read_tagged, read_text
-from .model import Corpus, ModelError, RelationMention
+from .model import Corpus, Document, ModelError, RelationMention
 from .patterns import PatternConfigError, SurfacePattern, expand, parse_config
 from .pipeline import preannotate_document
 
@@ -89,12 +90,29 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _load(what: str, path: str | Path, read: Callable[[str | Path], _T]) -> _T:
-    """`read(path)`, or exit 2 naming `what` and `path` if the input cannot be read."""
+def _unreadable(what: str, path: str | Path, exc: Exception, first: Iterator) -> SystemExit:
+    """Exit 2 naming `what` and `path`, once `first`, a corpus read before, is read: its failure comes first."""
+    deque(first, maxlen=0)
+    return SystemExit(_fail(f"cannot read {what} {str(path)!r}: {exc}"))
+
+
+def _load(what: str, path: str | Path, read: Callable[[str | Path], _T], first: Iterator = iter(())) -> _T:
+    """`read(path)`, or `_unreadable` if the input cannot be read."""
     try:
         return read(path)
     except _INPUT_ERRORS as exc:
-        raise SystemExit(_fail(f"cannot read {what} {str(path)!r}: {exc}"))
+        raise _unreadable(what, path, exc, first)
+
+
+def _documents(path: str, first: Iterator[Document] = iter(())) -> Iterator[Document]:
+    """The documents of the corpus file at `path`, read one at a time, or `_unreadable`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            documents = corpus_io.iter_documents(fh)
+            next(documents)  # the schema version
+            yield from documents
+    except _INPUT_ERRORS as exc:
+        raise _unreadable("corpus", path, exc, first)
 
 
 def _load_surfaces(config: str | None) -> list[SurfacePattern]:
@@ -202,11 +220,11 @@ def _cmd_preannotate(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    corpus = _load("corpus", args.input, corpus_io.load_corpus)
+    documents = _documents(args.input)
     stoplist = set(validator.DEFAULT_STOPLIST)
     if args.stoplist:
-        stoplist.update(map(str.lower, _load("stoplist", args.stoplist, read_list)))
-    violations = validator.validate_corpus(corpus.documents, stoplist)
+        stoplist.update(map(str.lower, _load("stoplist", args.stoplist, read_list, documents)))
+    violations = validator.validate_corpus(documents, stoplist)
     rendered = validator.report(violations, args.fmt)
     if rendered:
         print(rendered)
@@ -214,24 +232,24 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    result = analytics.stats(_load("corpus", args.input, corpus_io.load_corpus))
+    result = analytics.stats(_documents(args.input))
     print(result.render_kv() if args.kv else result.render_table())
     return 0
 
 
 def _cmd_agreement(args: argparse.Namespace) -> int:
-    corpus_a = _load("corpus", args.layer_a, corpus_io.load_corpus)
-    corpus_b = _load("corpus", args.layer_b, corpus_io.load_corpus)
-    print(analytics.agreement(corpus_a, corpus_b).render())
+    layer_a = _documents(args.layer_a)
+    print(analytics.agreement(layer_a, _documents(args.layer_b, layer_a)).render())
     return 0
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     if args.target == "column":
-        corpus = _load("corpus", args.input, corpus_io.load_corpus)
+        documents = _documents(args.input)
         try:  # every document is rendered before any is written
-            columns = [export_column(doc) for doc in corpus.documents]
+            columns = [export_column(doc) for doc in documents]
         except IngestError as exc:  # UnrepresentableDocument, whose message names no file
+            deque(documents, maxlen=0)  # a record that cannot be read, later in the file, is reported instead
             return _fail(f"cannot convert {args.input!r}: {exc}")
         sys.stdout.write("".join(columns))
     else:

@@ -14,7 +14,7 @@ import os
 import re
 from json.encoder import encode_basestring  # the quoting of json.dumps(ensure_ascii=False)
 from sys import intern
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from .model import (
     Corpus,
@@ -188,9 +188,11 @@ def _token_columns(raw_tokens: list) -> TokenColumns | None:
     """The columns of a record's tokens, each taken and type-checked in one pass,
     or None if a token is not an object with each field of exactly its type."""
     try:
-        texts, tags, starts, ends = (tuple(map(get, raw_tokens)) for get in _TOKEN_GETTERS)
+        # through lists, so that each tuple is made at its length: CPython keeps a freed small tuple
+        # for reuse at that length only, and a tuple built from a map starts at another and grows
+        texts, tags, starts, ends = (tuple([*map(get, raw_tokens)]) for get in _TOKEN_GETTERS)
         # one string is kept per tag; `intern` takes nothing but a str
-        tags = tuple(map(intern, tags))
+        tags = tuple([*map(intern, tags)])
     except (KeyError, TypeError):
         return None
     if _all_exactly(texts, str) and _all_exactly(starts, int) and _all_exactly(ends, int):
@@ -250,14 +252,14 @@ def _holds_surrogate(record: dict) -> bool:
     return False
 
 
-def read_corpus(source: IO[str] | Iterable[str]) -> Corpus:
-    """Read a corpus stream, re-validating every model invariant.
+def iter_documents(source: IO[str] | Iterable[str]) -> Iterator[str | Document]:
+    """Yield the header's schema version, then each document of a corpus stream as it is read,
+    re-validating every model invariant; a doc_id seen before raises InvariantViolation.
 
     A line that `json.loads` cannot read, including one nested too deeply or
     holding an integer of more digits than `int` converts, raises MalformedRecord,
     and so does one holding a lone surrogate, which could not be written back.
     """
-    documents: list[Document] = []
     version: str | None = None
     seen_ids: set[str] = set()
     for line_no, line in enumerate(source, start=1):
@@ -277,15 +279,23 @@ def read_corpus(source: IO[str] | Iterable[str]) -> Corpus:
             major = version.split(".", 1)[0]
             if major != SCHEMA_VERSION.split(".", 1)[0]:
                 raise SchemaVersionMismatch(version)
+            yield version
             continue
         doc = _parse_document(record, line_no)
         if doc.doc_id in seen_ids:
             raise InvariantViolation(f"duplicate doc_id {doc.doc_id!r}")
         seen_ids.add(doc.doc_id)
-        documents.append(doc)
+        # a suspended reader holds no line or record: two readers in turn would hold two
+        del line, record
+        yield doc
     if version is None:
         raise MalformedRecord(1, "empty stream: missing header record")
-    return Corpus(schema_version=version, documents=tuple(documents))
+
+
+def read_corpus(source: IO[str] | Iterable[str]) -> Corpus:
+    """Read a corpus stream whole, as `iter_documents` reads it."""
+    documents = iter_documents(source)
+    return Corpus(schema_version=next(documents), documents=tuple(documents))
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:

@@ -277,7 +277,8 @@ def make_document(
     if expected_start != len(tokens.texts):
         raise NonPartitioningSentences(len(spans) - 1 if spans else 0)
 
-    return Document(doc_id, text, *tokens, sentences=tuple(Sentence(i, s) for i, s in enumerate(spans)))
+    # from a list, so that the tuple is made at its length, as `corpus_io._token_columns` makes its columns
+    return Document(doc_id, text, *tokens, sentences=tuple([Sentence(i, s) for i, s in enumerate(spans)]))
 
 
 def _check_entity(doc: Document, mention: EntityMention) -> None:

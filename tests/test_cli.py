@@ -10,6 +10,7 @@ import pickle
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -505,6 +506,13 @@ class TestValidate:
         assert out == ""
         assert err == f"cannot read corpus {str(bad)!r}: duplicate mention id {duplicate!r}\n"
 
+    def test_unreadable_corpus_is_named_before_a_missing_stoplist(self, tmp_path, capsys):
+        header, *records = golden_lines()
+        corpus = write_lines(tmp_path / "bad.corpus", [header, *records, "{not json"])
+        code, out, err = run_cli(["validate", "--in", corpus, "--stoplist", str(tmp_path / "none.txt")], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"cannot read corpus {corpus!r}: line 21: invalid JSON")
+
     def test_stoplist_flag_extends_defaults(self, tmp_path, capsys):
         from promex.examples import annotated_document
 
@@ -600,6 +608,94 @@ class TestAgreement:
         code, _, err = run_cli(["agreement", "--a", GOLDEN, "--b", str(other)], capsys)
         assert code == 2
 
+    def test_layers_in_other_orders_agree_as_in_the_same(self, tmp_path, capsys):
+        header, *records = golden_lines()
+        reversed_golden = write_lines(tmp_path / "reversed.corpus", [header, *reversed(records)])
+        expected = run_cli(["agreement", "--a", GOLDEN, "--b", GOLDEN], capsys)
+        assert run_cli(["agreement", "--a", GOLDEN, "--b", reversed_golden], capsys) == expected
+        assert run_cli(["agreement", "--a", reversed_golden, "--b", GOLDEN], capsys) == expected
+
+    # as when `--a` was read whole before `--b`: a failure to read `--a` comes first
+    @pytest.mark.parametrize("b", ["missing", "bad"])
+    def test_unreadable_a_is_named_before_b(self, b, tmp_path, capsys):
+        header, *records = golden_lines()
+        layer_a = write_lines(tmp_path / "a.corpus", [header, *records[:5], "{not json", *records[5:]])
+        layer_b = str(tmp_path / "b.corpus")
+        if b == "bad":
+            write_lines(layer_b, [header, "[1]", *records])
+        code, out, err = run_cli(["agreement", "--a", layer_a, "--b", layer_b], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"cannot read corpus {layer_a!r}: line 7: invalid JSON")
+
+    def test_unreadable_b_is_named_before_a_mismatch(self, tmp_path, capsys):
+        header, first, *records = golden_lines()
+        lines = [header, retokenized(first), *records[:9], "{not json", *records[9:]]
+        layer_b = write_lines(tmp_path / "b.corpus", lines)
+        code, out, err = run_cli(["agreement", "--a", GOLDEN, "--b", layer_b], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"cannot read corpus {layer_b!r}: line 12: invalid JSON")
+
+    def test_different_documents_are_named_before_a_mismatch(self, tmp_path, capsys):
+        header, first, *records = golden_lines()
+        layer_b = write_lines(tmp_path / "b.corpus", [header, retokenized(first), *records[:-1]])
+        code, out, err = run_cli(["agreement", "--a", GOLDEN, "--b", layer_b], capsys)
+        assert (code, out, err) == (2, "", "the two layers cover different documents\n")
+
+    def test_the_smallest_mismatched_doc_id_is_named(self, tmp_path, capsys):
+        header, *records = golden_lines()
+        edited = [retokenized(line) if i in (3, 7, 12) else line for i, line in enumerate(records)]
+        smallest = min(json.loads(records[i])["doc_id"] for i in (3, 7, 12))
+        layer_b = write_lines(tmp_path / "b.corpus", [header, *reversed(edited)])
+        for argv in (["--a", GOLDEN, "--b", layer_b], ["--a", layer_b, "--b", GOLDEN]):
+            code, out, err = run_cli(["agreement", *argv], capsys)
+            assert (code, out, err) == (2, "", f"document {smallest!r} is tokenized differently\n")
+
+
+def golden_lines() -> list[str]:
+    return Path(GOLDEN).read_text(encoding="utf-8").splitlines()
+
+
+def write_lines(path, lines: list[str]) -> str:
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return str(path)
+
+
+def retokenized(line: str) -> str:
+    """The record of a one-token document with the doc_id of `line`."""
+    from promex.examples import tagged_document
+
+    return document_line(tagged_document(json.loads(line)["doc_id"], ["a/NN"])).rstrip("\n")
+
+
+class TestMemory:
+    """The commands that read a corpus hold one document at a time, not the corpus."""
+
+    @pytest.mark.parametrize("command", [
+        ["validate", "--in", "{f}"], ["stats", "--in", "{f}"], ["agreement", "--a", "{f}", "--b", "{f}"],
+    ], ids=["validate", "stats", "agreement"])
+    def test_peak_does_not_grow_with_the_corpus(self, command, tmp_path, capsys):
+        header, *records = golden_lines()
+
+        def peak_bytes(copies: int) -> int:
+            path = write_lines(tmp_path / f"{copies}.corpus", [header] + [
+                line.replace('{"doc_id":"', f'{{"doc_id":"c{k}-', 1) for k in range(copies) for line in records
+            ])
+            tracemalloc.start()
+            try:
+                code, _, _ = run_cli([arg.format(f=path) for arg in command], capsys)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            return peak
+
+        peak_bytes(1)  # warm up: imports and caches
+        # CPython 3.11 and 3.12 keep up to 2,000 freed 20-item tuples and never reuse
+        # them, so that list grows with the documents of 20 tokens read; fill it first
+        [tuple(range(20)) for _ in range(2000)]
+        one, sixteen = peak_bytes(1), peak_bytes(16)
+        assert sixteen <= 2 * one, f"16 copies peaked at {sixteen} bytes, one at {one}"
+
 
 class TestConvert:
     def test_corpus_to_column(self, capsys):
@@ -625,6 +721,16 @@ class TestConvert:
         assert code == 2
         assert out == ""
         assert str(corpus) in err and "'a\\tb'" in err
+
+    def test_unreadable_record_is_named_before_an_unrepresentable_document(self, tmp_path, capsys):
+        from promex.examples import tagged_document
+
+        header, *records = golden_lines()
+        unrepresentable = document_line(tagged_document("a\tb", ["b/NN"])).rstrip("\n")
+        corpus = write_lines(tmp_path / "bad.corpus", [header, unrepresentable, *records, "{not json"])
+        code, out, err = run_cli(["convert", "--in", corpus, "--to", "column"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"cannot read corpus {corpus!r}: line 22: invalid JSON")
 
     def test_column_text_of_several_documents_exits_2(self, tmp_path, capsys):
         column = tmp_path / "golden.conll"

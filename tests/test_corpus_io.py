@@ -345,21 +345,24 @@ class TestTokenColumns:
         from conftest import run_cli
         from promex import corpus_io
 
-        loaded: list[Corpus] = []
+        loaded: list[list] = []
+        iter_documents = corpus_io.iter_documents
 
-        def load(path: str) -> Corpus:
-            loaded.append(load_corpus(path))
-            return loaded[-1]
+        def read(source):
+            loaded.append(items := [])
+            for item in iter_documents(source):
+                items.append(item)
+                yield item
 
-        monkeypatch.setattr(corpus_io, "load_corpus", load)
+        monkeypatch.setattr(corpus_io, "iter_documents", read)
         monkeypatch.setattr(Token, "__init__", mock.Mock(side_effect=AssertionError("a Token was built")))
         golden = "src/promex/data/golden.corpus"
         for argv in (["validate", "--in", golden], ["stats", "--in", golden, "--kv"],
                      ["agreement", "--a", golden, "--b", golden]):
             code, out, err = run_cli(argv, capsys)
             assert code == 0 and err == "", argv
-        assert len(loaded) == 4
-        assert not any("tokens" in doc.__dict__ for corpus in loaded for doc in corpus.documents)
+        assert [len(items) for items in loaded] == [1 + 19] * 4  # the schema version, then each document
+        assert not any("tokens" in doc.__dict__ for items in loaded for doc in items[1:])
 
     def test_tokens_are_built_from_the_columns(self, golden):
         """Each sentence's `Token`s equal those the reader before token columns built."""

@@ -38,7 +38,12 @@ built one row per token must build the same document as tagging each
 distinct word once.  The column reader that built a row per token and a
 list per sentence, and walked the rows again for the offsets, must read
 each column text into an equal document, or reject it with the same error
-at the same line.
+at the same line.  The coverage count of `agreement` that built the set of
+positions inside each layer's spans must count the same positions, and
+`agreement` of two layers read once each, in any order, must score them as
+the pairwise version does.  The `validate_corpus` that sorted the documents
+before validating them and the `CorpusStats` that held the corpus whole must
+give what the streamed versions give.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from __future__ import annotations
 import io
 import json
 import re
+from collections import Counter
 from dataclasses import replace
 from sys import intern
 from unittest import mock
@@ -55,7 +61,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from promex import corpus_io
-from promex.analytics import AgreementScores, TokenizationMismatch, agreement
+from promex.analytics import AgreementScores, CorpusStats, EmptyCorpus, TokenizationMismatch, _covered, agreement
 from promex.examples import golden_corpus, tagged_document
 from promex.model import (
     Corpus,
@@ -86,6 +92,7 @@ from promex.model import (
     _check_entity,
     attach_annotations,
     by_sentence,
+    is_word,
     make_document,
     mention_kind,
 )
@@ -162,7 +169,7 @@ from promex.patterns import (
     trigger_words,
 )
 from promex.pipeline import PreannotateResult, may_relate, preannotate_document
-from promex.validator import DEFAULT_STOPLIST, Severity, Violation, validate
+from promex.validator import DEFAULT_STOPLIST, Severity, Violation, validate, validate_corpus
 
 from conftest import spans_cross, spans_overlap
 from test_chunker import TAG_POOL
@@ -447,6 +454,39 @@ def oracle_agreement(annotations_a, annotations_b) -> AgreementScores:
         token_kappa={t: _kappa(pairs) for t, pairs in token_pairs.items()},
         mention_f1={t: _f1(mentions_a[t], mentions_b[t]) for t in mentions_a},
         relation_f1=relation_f1,
+    )
+
+
+def _positions(spans: set[Span]) -> set[int]:
+    return {i for span in spans for i in range(span.start, span.end)}
+
+
+def oracle_covered(spans: set[Span]) -> int:
+    """The positions inside `spans`, counted one by one."""
+    return len(_positions(spans))
+
+
+def oracle_validate_corpus(documents: Iterable[Document], stoplist=DEFAULT_STOPLIST) -> list[Violation]:
+    """`validate_corpus` that sorted the whole corpus by doc_id, then validated it."""
+    out: list[Violation] = []
+    for doc in sorted(documents, key=lambda d: d.doc_id):
+        out.extend(validate(doc, stoplist))
+    return out
+
+
+def oracle_stats(corpus: Corpus) -> CorpusStats:
+    """`CorpusStats.from_corpus` over a corpus held whole."""
+    if not corpus.documents:
+        raise EmptyCorpus("corpus contains no documents")
+    types = Counter(e.entity_type for d in corpus.documents for e in d.entities)
+    texts = Counter(text for d in corpus.documents for text in d.texts)
+    return CorpusStats(
+        documents=len(corpus.documents),
+        sentences=sum(len(d.sentences) for d in corpus.documents),
+        words=sum(count for text, count in texts.items() if is_word(text)),
+        companies=types[EntityType.COMPANY],
+        products=types[EntityType.PRODUCT],
+        relations=sum(len(d.relations) for d in corpus.documents),
     )
 
 
@@ -1308,11 +1348,11 @@ def some_of(draw, items: list) -> list:
 
 
 @st.composite
-def layer_pairs(draw):
+def layer_pairs(draw, max_documents: int = 2):
     """Two layers over the same documents; the second keeps some of the first's
     mentions and relations, reordered and often with another trigger."""
     layers: tuple[list[Document], list[Document]] = ([], [])
-    for k in range(draw(st.integers(1, 2))):
+    for k in range(draw(st.integers(1, max_documents))):
         doc = draw(tagged_documents(doc_id=f"d{k}"))
         entities, relations, _ = draw(annotations(doc, loose=False))
         layers[0].append(replace(doc, entities=tuple(entities), relations=tuple(relations)))
@@ -1801,6 +1841,57 @@ def test_agreement_agrees_with_pairwise_matching(layers):
     assert agreement(a, b) == oracle_agreement(a, b)
     corpus_a, corpus_b = Corpus("1.0", tuple(a)), Corpus("1.0", tuple(b))
     assert agreement(corpus_b, corpus_a) == oracle_agreement(corpus_b, corpus_a)
+
+
+def scores_or_mismatch(score, a, b) -> AgreementScores | str:
+    try:
+        return score(a, b)
+    except TokenizationMismatch as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(layer_pairs(max_documents=4), st.data())
+def test_agreement_of_layers_in_any_order_agrees_with_pairwise_matching(layers, data):
+    """The layers are read once each, in any order, and may miss or retokenize documents."""
+    a, b = layers
+    edits = data.draw(st.lists(st.sampled_from(["keep"] * 4 + ["drop", "retokenize"]),
+                               min_size=len(b), max_size=len(b)))
+    b = [tagged_document(doc.doc_id, ["zzz/NN"]) if edit == "retokenize" else doc
+         for doc, edit in zip(b, edits) if edit != "drop"]
+    expected = scores_or_mismatch(oracle_agreement, a, b)
+    shuffled_a, shuffled_b = data.draw(st.permutations(a)), data.draw(st.permutations(b))
+    assert scores_or_mismatch(agreement, iter(shuffled_a), iter(shuffled_b)) == expected
+
+
+# a span of one to twelve positions starting at 0-30
+SPANS = st.builds(lambda start, width: Span(start, start + width), st.integers(0, 30), st.integers(1, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(SPANS, max_size=8), st.sets(SPANS, max_size=8))
+def test_coverage_agrees_with_position_sets(spans_a, spans_b):
+    """Positions inside both layers: inside a, plus inside b, less inside either."""
+    assert _covered(spans_a) == oracle_covered(spans_a)
+    both = _covered(spans_a) + _covered(spans_b) - _covered(spans_a | spans_b)
+    assert both == len(_positions(spans_a) & _positions(spans_b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(annotated_documents(), max_size=4), st.data())
+def test_streamed_validation_and_stats_agree_with_the_whole_corpus(documents, data):
+    """Documents validated and counted as they come, in any order and with repeated doc_ids."""
+    ids = data.draw(st.lists(st.sampled_from(["d0", "d1", "d2"]), min_size=len(documents), max_size=len(documents)))
+    documents = [replace(doc, doc_id=doc_id) for doc, doc_id in zip(documents, ids)]
+    assert validate_corpus(iter(documents)) == oracle_validate_corpus(documents)
+    corpus = Corpus("1.0", tuple(documents))
+    try:
+        expected = oracle_stats(corpus)
+    except EmptyCorpus:
+        with pytest.raises(EmptyCorpus):
+            CorpusStats.from_corpus(iter(documents))
+    else:
+        assert CorpusStats.from_corpus(iter(documents)) == CorpusStats.from_corpus(corpus) == expected
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,7 +4,8 @@ Each guard times one input and another 16 times as long.  Linear cost
 predicts a time ratio of 16 between them, quadratic cost 256; the bound of
 48 leaves room for a host whose speed swings by a factor of two between runs.
 Company recognition and pre-annotation are guarded the same way on one
-long sentence, as raw text with no sentence punctuation makes.
+long sentence, as raw text with no sentence punctuation makes, and
+agreement on a pre-annotated document whose nested products grow with it.
 Matching is guarded by counting work instead: a company coordination is
 parsed once per anchor, however many surfaces start with `<ORG>`, the
 nested company-in-candidate rule looks up one candidate per company, a
@@ -23,6 +24,7 @@ from dataclasses import replace
 import pytest
 
 from promex import pipeline
+from promex.analytics import agreement
 from promex.chunker import chunk, split_coordination
 from promex.cli import default_config_path
 from promex.examples import golden_corpus, tagged_document
@@ -199,6 +201,21 @@ def test_preannotate_scales_linearly_in_sentence_length(text, n):
     assert len(long.sentences) == 1
     ratio = growth_ratio(lambda doc: pipeline.preannotate_document(doc, gazetteer, surfaces), short, long)
     assert ratio < MAX_RATIO, f"{GROWTH}x longer sentence took {ratio:.0f}x as long"
+
+
+def developing_chips(n: int) -> Document:
+    """`Intel developing` n times, then `chips .`, pre-annotated: n nested products
+    that each run to `chips`, so their total width grows with the square of n."""
+    surfaces = expand(parse_config(default_config_path().read_text(encoding="utf-8")))
+    doc = document_from_text("Intel developing " * n + "chips .")
+    return pipeline.preannotate_document(doc, OrgGazetteer.from_names(["Intel"]), surfaces).document
+
+
+def test_agreement_scales_linearly_in_product_nesting():
+    short, long = developing_chips(32), developing_chips(32 * GROWTH)
+    assert (len(short.texts), len(long.texts)) == (66, 1026)
+    ratio = growth_ratio(lambda doc: agreement([doc], [doc]), short, long)
+    assert ratio < MAX_RATIO, f"{GROWTH}x longer document took {ratio:.0f}x as long"
 
 
 def test_company_coordination_is_parsed_once_for_all_surfaces(monkeypatch):
