@@ -64,23 +64,30 @@ def _header_line(schema_version: str) -> str:
     return _dump({"schema_version": schema_version}) + "\n"
 
 
-def _array(items: list[str]) -> list[str]:
-    """The pieces of a JSON array's body: `items` with a comma between each two."""
-    pieces = [","] * (2 * len(items) - 1) if items else []
-    pieces[::2] = items
-    return pieces
+def _array_body(item: str, columns: list, n: int) -> str:
+    """The body of a JSON array of `n` objects, formatted by one `%` call: `item`,
+    a template ending in a comma, is repeated `n` times, less the last comma,
+    and takes its i-th value of each object from `columns[i]`."""
+    if not n:
+        return ""
+    values: list = [None] * (len(columns) * n)
+    for i, column in enumerate(columns):
+        values[i::len(columns)] = column
+    return (item * n)[:-1] % tuple(values)
 
 
 def document_line(doc: Document) -> str:
     """The line that holds `doc` in a corpus file, with its newline.
 
     The tokens and sentences, most of the line, are formatted directly, one
-    item each; the line equals `_dump` of the record holding the same fields.
+    `%` call for each array; the line equals `_dump` of the record holding the
+    same fields.
     """
     quote = encode_basestring
-    tokens = ['{"text":%s,"pos":%s,"start":%d,"end":%d}' % token
-              for token in zip(map(quote, doc.texts), map(quote, doc.tags), doc.char_starts, doc.char_ends)]
-    sentences = ['{"start":%d,"end":%d}' % (s.span.start, s.span.end) for s in doc.sentences]
+    tokens = _array_body('{"text":%s,"pos":%s,"start":%d,"end":%d},', [
+        map(quote, doc.texts), map(quote, doc.tags), doc.char_starts, doc.char_ends], len(doc.texts))
+    spans = [s.span for s in doc.sentences]
+    sentences = _array_body('{"start":%d,"end":%d},', [[s.start for s in spans], [s.end for s in spans]], len(spans))
     entities = [
         {
             "id": e.mention_id,
@@ -105,7 +112,7 @@ def document_line(doc: Document) -> str:
     # one join, so that the line is built without a second copy of it
     return "".join([
         '{"doc_id":', quote(doc.doc_id), ',"text":', quote(doc.text),
-        ',"tokens":[', *_array(tokens), '],"sentences":[', *_array(sentences),
+        ',"tokens":[', tokens, '],"sentences":[', sentences,
         '],"entities":', _dump(entities), ',"relations":', _dump(relations),
         ',"chains":', _dump(chains), "}\n",
     ])

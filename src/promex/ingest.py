@@ -1,8 +1,10 @@
 """Turning raw text or pre-tagged column files into Documents, and Documents back into column files.
 
 The built-in tokenizer and tagger exist so the toolkit is self-contained and
-tests are hermetic; the recommended path for serious use is pre-tagged column
-input, which `read_tagged` reads one line at a time (`str.splitlines`):
+tests are hermetic.  A word's tag depends on the word alone and on whether it
+opens a sentence, so a bounded memo (`TAG_MEMO_SIZE` pairs) tags each distinct
+word once per process.  The recommended path for serious use is pre-tagged
+column input, which `read_tagged` reads one line at a time (`str.splitlines`):
 
 * a line that starts with `#` and holds no TAB is a comment, so `#AI<TAB>NNP`
   is a token line;
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate
 from operator import add
 from typing import Iterable, Sequence
@@ -203,6 +206,12 @@ _SUFFIX_RULES = (
 )
 
 
+# the (word, sentence-initial) pairs whose tags are kept: a full memo holds about
+# 3 MB, some 200 bytes a pair with its word; a pair it has dropped is tagged again
+TAG_MEMO_SIZE = 2 ** 14
+
+
+@lru_cache(maxsize=TAG_MEMO_SIZE)
 def _tag_word(text: str, initial: bool) -> str:
     lower = text.lower()
     if lower in _WORDS:
@@ -398,12 +407,16 @@ def read_list(path: str) -> list[str]:
 
 
 def document_from_text(text: str, doc_id: str = "doc") -> Document:
-    """Tokenize, sentence-split and tag raw text into a Document."""
+    """Tokenize, sentence-split and tag raw text into a Document.
+
+    Tags come from the `_tag_word` memo, so a process tags each distinct
+    (word, sentence-initial) pair once, however many documents hold it.
+    """
     triples = tokenize(text)
     texts, char_starts, char_ends = zip(*triples) if triples else ((), (), ())
     spans = split_sentences(texts)
-    # a document uses few distinct words: tag each once as not sentence-initial,
-    # then tag each sentence's first token again
+    # a document uses few distinct words: look each up once as not sentence-initial,
+    # then look up each sentence's first token again
     tag_of = {word: _tag_word(word, False) for word in set(texts)}
     tags = list(map(tag_of.__getitem__, texts))
     for start, _ in spans:

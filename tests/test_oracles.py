@@ -128,6 +128,7 @@ from promex.ingest import (
     IngestError,
     MalformedLine,
     OrgGazetteer,
+    TAG_MEMO_SIZE,
     _split_core,
     _tag_word,
     document_from_text,
@@ -1102,7 +1103,7 @@ def oracle_document_from_text(text: str, doc_id: str = "doc") -> Document:
     for start, end in spans:
         for i, (text_, cs, ce) in enumerate(triples[start:end]):
             key = (text_, i == 0)
-            pos = tags.get(key) or tags.setdefault(key, _tag_word(*key))
+            pos = tags.get(key) or tags.setdefault(key, _tag_word.__wrapped__(*key))
             rows.append((text_, pos, cs, ce))
     return make_document(doc_id, text, TokenColumns.from_rows(rows), spans)
 
@@ -2091,6 +2092,11 @@ def written(doc: Document) -> str:
 
 @settings(max_examples=300, deadline=None)
 @given(written_documents())
+# the line of an empty or blank raw-text file, one token, and texts and tags that JSON escapes
+@example(document_from_text(" \n", "blank"))
+@example(document_from_tokens("d", [[("Acme", "NNP")]]))
+@example(document_from_tokens('d"\\', [[('say "hi"', '"'), ("a\\b", "\\"), ("\x00\x1f\x7f", "\x01\t"),
+                                        ("\u2028", "\u2028"), ("Acme®", "®")]]))
 def test_document_line_agrees_with_dumping_the_record(doc):
     assert corpus_io.document_line(doc) == oracle_document_line(doc)
 
@@ -2171,6 +2177,19 @@ def test_document_tags_agree_with_tagging_each_sentence(text):
 @example("Sensors ship . Acme Sensors ship . ® ™")
 def test_document_from_text_agrees_with_tagging_each_row(text):
     assert document_from_text(text, "d") == oracle_document_from_text(text, "d")
+
+
+def test_tag_memo_changes_no_document():
+    texts = [doc.text for doc in golden_corpus().documents]
+    _tag_word.cache_clear()
+    cold = [document_from_text(text, "d") for text in texts]
+    misses = _tag_word.cache_info().misses
+    warm = [document_from_text(text, "d") for text in texts]
+    info = _tag_word.cache_info()
+    # the warm pass tags nothing anew
+    assert info.misses == misses and info.hits > 0
+    assert warm == cold == [oracle_document_from_text(text, "d") for text in texts]
+    assert info.maxsize == TAG_MEMO_SIZE == 2 ** 14
 
 
 # every character `str.splitlines` ends a line at, and "\r\n"

@@ -1,4 +1,5 @@
-"""Scaling guards: validating, checking, chunking and reading column files stay linear in input length.
+"""Scaling guards: validating, checking, chunking, tagging raw text, writing a corpus line
+and reading column files stay linear in input length.
 
 Each guard times one input and another 16 times as long.  Linear cost
 predicts a time ratio of 16 between them, quadratic cost 256; the bound of
@@ -27,6 +28,7 @@ from promex import pipeline
 from promex.analytics import agreement
 from promex.chunker import chunk, split_coordination
 from promex.cli import default_config_path
+from promex.corpus_io import document_line
 from promex.examples import golden_corpus, tagged_document
 from promex.ingest import OrgGazetteer, document_from_text, read_tagged, recognize_orgs
 from promex.model import (
@@ -177,6 +179,20 @@ def test_read_tagged_scales_linearly():
     assert len(read_tagged(long).entities) == 2 * 64 * GROWTH
     ratio = growth_ratio(read_tagged, short, long)
     assert ratio < MAX_RATIO, f"{GROWTH}x longer column file took {ratio:.0f}x as long"
+
+
+def test_document_from_text_scales_linearly():
+    # the golden texts, one after another, 16 times and 256 times
+    text = " ".join(doc.text for doc in golden_corpus().documents)
+    short, long = (" ".join([text] * n) for n in (16, 16 * GROWTH))
+    ratio = growth_ratio(document_from_text, short, long)
+    assert ratio < MAX_RATIO, f"{GROWTH}x longer text took {ratio:.0f}x as long"
+
+
+def test_document_line_scales_linearly():
+    short, long = (attach_annotations(*repeated_golden(n)) for n in (16, 16 * GROWTH))
+    ratio = growth_ratio(document_line, short, long)
+    assert ratio < MAX_RATIO, f"{GROWTH}x longer document took {ratio:.0f}x as long"
 
 
 def test_recognize_orgs_scales_linearly_in_sentence_length():
