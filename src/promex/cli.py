@@ -7,8 +7,9 @@ diagnostics to stderr; exit code 2 signals usage or input problems.
 each corpus file one document at a time; both exit 2 with
 `cannot read <what> '<path>': <error>` on any of `_INPUT_ERRORS`, which
 `preannotate` applies to each of its input files too; `main` exits 2 with
-the message of a failure that already says what failed, or naming the
-encoding of a stdout that cannot encode the output.
+the message of a failure that already says what failed, naming the
+encoding of a stdout that cannot encode the output, or when stdout's
+reader has gone away.
 """
 
 from __future__ import annotations
@@ -269,11 +270,16 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # here, so that a reader gone away is met below and not at shutdown
+        return code
     except _STATED_FAILURES as exc:
         return _fail(str(exc))
     except UnicodeEncodeError as exc:  # each command writes its stdout in one write, so none of it got out
         return _fail(f"cannot write output in stdout's encoding {sys.stdout.encoding!r}: {exc}")
+    except BrokenPipeError as exc:  # as with `promex validate ... | head`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so that shutdown's flush cannot fail
+        return _fail(f"cannot write output: {exc}")
 
 
 if __name__ == "__main__":

@@ -31,10 +31,11 @@ total width of the extents: quadratic in document length when nested
 products grow with the sentence.  Pre-annotating `Intel developing` x k
 `chips .` gives such products: on a shared 2-vCPU host, 0.005, 0.014 and
 0.086 s at 502, 1,002 and 2,002 tokens.  V5 costs the products' total
-width, for their token tuples, and at each position whose word begins a
-product sequence, the widths of those sequences that no product covers
-there.  V6 compares pairwise the chained relations that share products
-and a trigger.
+width, for their token tuples, a sort of them by start, and one pass over
+the tokens in C-level calls that lowers each distinct word once; then, at
+each position whose word opens a product sequence, a bisect of the starts
+and the widths of the sequences that no product covers there.  V6
+compares pairwise the chained relations that share products and a trigger.
 """
 
 from __future__ import annotations
@@ -158,32 +159,31 @@ def _relation_rules(doc: Document, by_id: dict[str, EntityMention]) -> Iterable[
 def _v5_consistency(doc: Document, products: list[EntityMention]) -> Iterable[Violation]:
     if not products:
         return
-    lowered = list(map(str.lower, doc.texts))
-    n = len(lowered)
-    sequences = {
-        tuple(lowered[m.span.start:m.span.end]): m.mention_id for m in products
-    }
-    # reach[s]: the largest end of any product starting at or before s, so
-    # some product contains [s, s + width) iff reach[s] >= s + width
-    reach = [-1] * (n + 1)
-    for m in products:
-        reach[m.span.start] = max(reach[m.span.start], m.span.end)
-    reach = list(itertools.accumulate(reach, max))
+    texts, n = doc.texts, len(doc.texts)
+    sequences = {tuple(map(str.lower, texts[m.span.start:m.span.end])): m.mention_id for m in products}
     # the distinct widths of the sequences each word begins, narrowest first
     widths: dict[str, list[int]] = {}
     for width, word in sorted({(len(seq), seq[0]) for seq in sequences}):
         widths.setdefault(word, []).append(width)
-    for u, word in enumerate(lowered):
-        if ws := widths.get(word):
-            # the windows that reach[u] covers come first; the rest are uncovered
-            for width in ws[bisect.bisect_right(ws, reach[u] - u):]:
-                if u + width > n:
-                    break
-                if (seq := tuple(lowered[u:u + width])) in sequences:
-                    yield Violation(
-                        "V5", Severity.WARNING, doc.doc_id, sequences[seq], Span(u, u + width),
-                        f"token sequence {' '.join(seq)!r} is annotated as a product elsewhere but not here",
-                    )
+    # the words, as written, that open a sequence: each distinct word is lowered once
+    distinct = list(set(texts))
+    opening = set(itertools.compress(distinct, map(widths.__contains__, map(str.lower, distinct))))
+    # reach[i]: the largest end of the first i + 1 products by start; of the windows at u,
+    # those that reach[i] covers, for the last i starting at or before u, come first
+    by_start = sorted(products, key=lambda m: m.span.start)
+    starts = [m.span.start for m in by_start]
+    reach = list(itertools.accumulate((m.span.end for m in by_start), max))
+    for u in itertools.compress(range(n), map(opening.__contains__, texts)):
+        i = bisect.bisect_right(starts, u)
+        ws = widths[texts[u].lower()]
+        for width in ws[bisect.bisect_right(ws, reach[i - 1] - u if i else 0):]:
+            if u + width > n:
+                break
+            if (seq := tuple(map(str.lower, texts[u:u + width]))) in sequences:
+                yield Violation(
+                    "V5", Severity.WARNING, doc.doc_id, sequences[seq], Span(u, u + width),
+                    f"token sequence {' '.join(seq)!r} is annotated as a product elsewhere but not here",
+                )
 
 
 def validate(doc: Document, stoplist: Iterable[str] = DEFAULT_STOPLIST) -> list[Violation]:

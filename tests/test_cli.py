@@ -860,6 +860,36 @@ class TestNonUtf8Input:
         assert result.stderr.startswith("cannot write output in stdout's encoding 'ascii': ")
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--in", "{flawed}"],
+        ["stats", "--in", "{golden}"],
+        ["patterns", "expand"],
+    ], ids=["validate", "stats", "patterns-expand"])
+    def test_output_to_a_closed_stdout_exits_2(self, argv, unbuffered, tmp_path):
+        """Run as `promex ... | head` is: the reader of stdout goes away before anything is written."""
+        import promex
+        from promex.examples import annotated_document
+
+        # a product opening with `the`: validate reports it
+        flawed = tmp_path / "flawed.corpus"
+        doc = annotated_document("a", ["the/DT sensors/NNS ./."], entities=[("p1", "product", "nominal", 0, 2)])
+        save_corpus(Corpus("1.0", (doc,)), str(flawed))
+        package = Path(promex.__file__).resolve().parent
+        paths = {"golden": package / "data" / "golden.corpus", "flawed": flawed}
+        env = dict(os.environ, PYTHONPATH=str(package.parent))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        process = subprocess.Popen([sys.executable, "-m", "promex.cli", *(a.format(**paths) for a in argv)],
+                                   env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        process.stdout.close()
+        stderr = process.stderr.read()
+        process.stderr.close()
+        assert process.wait(timeout=60) == 2
+        assert stderr.startswith("cannot write output: ")
+        assert "Traceback" not in stderr and "Exception ignored" not in stderr
+
 
 class TestByteOrderMark:
     """One leading U+FEFF of a raw-text, column, gazetteer or stoplist file is

@@ -1772,6 +1772,35 @@ def human(mention_id: str, etype: EntityType, start: int, end: int) -> EntityMen
     ]),
     entities=(human("m0", EntityType.PRODUCT, 2, 4), human("m1", EntityType.PRODUCT, 5, 7)),
 ))
+# the same product words in two cases: `Wireless routers` annotated and
+# `wireless routers` not, and the reverse for `chargers`
+@example(replace(
+    tagged_document("d", [
+        "Wireless/JJ routers/NNS sell/VBP ./.",
+        "Acme/NNP sells/VBZ wireless/JJ routers/NNS and/CC wireless/JJ chargers/NNS ./.",
+        "Wireless/JJ chargers/NNS sell/VBP ./.",
+    ]),
+    entities=(human("m0", EntityType.PRODUCT, 0, 2), human("m1", EntityType.PRODUCT, 9, 11)),
+))
+# at `wireless` of the first sentence the last product to start is `home`,
+# which ends before it; the earlier, longer product covers the window
+@example(replace(
+    tagged_document("d", [
+        "Acme/NNP makes/VBZ smart/JJ home/NN wireless/JJ routers/NNS ./.",
+        "Bosch/NNP sells/VBZ wireless/JJ routers/NNS ./.",
+    ]),
+    entities=(human("m0", EntityType.PRODUCT, 2, 6), human("m1", EntityType.PRODUCT, 3, 4),
+              human("m2", EntityType.PRODUCT, 9, 11)),
+))
+# at the last `wireless` the widest sequence it opens would run past the last
+# token: cut short there, the window would read as the narrower sequence
+@example(replace(
+    tagged_document("d", [
+        "Acme/NNP sells/VBZ wireless/JJ routers/NNS for/IN homes/NNS ./.",
+        "Bosch/NNP sells/VBZ wireless/JJ routers/NNS",
+    ]),
+    entities=(human("m0", EntityType.PRODUCT, 2, 6), human("m1", EntityType.PRODUCT, 2, 4)),
+))
 # pre-annotation nests products that share their end
 @example(preannotate_document(
     document_from_text("Intel developing Intel developing Intel developing chips ."),

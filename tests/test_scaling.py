@@ -1,5 +1,6 @@
-"""Scaling guards: validating, checking, chunking, tagging raw text, writing a corpus line
-and reading column files stay linear in input length.
+"""Scaling guards: validating, checking, chunking, tagging raw text, writing and reading a
+corpus line, counting corpus statistics, and writing and reading column files stay linear
+in input length.
 
 Each guard times one input and another 16 times as long.  Linear cost
 predicts a time ratio of 16 between them, quadratic cost 256; the bound of
@@ -20,17 +21,18 @@ columns.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import replace
 
 import pytest
 
 from promex import pipeline
-from promex.analytics import agreement
+from promex.analytics import CorpusStats, agreement
 from promex.chunker import chunk, split_coordination
 from promex.cli import default_config_path
-from promex.corpus_io import document_line
+from promex.corpus_io import SCHEMA_VERSION, document_line, iter_documents
 from promex.examples import golden_corpus, tagged_document
-from promex.ingest import OrgGazetteer, document_from_text, read_tagged, recognize_orgs
+from promex.ingest import OrgGazetteer, document_from_text, export_column, read_tagged, recognize_orgs
 from promex.model import (
     Document,
     EntityMention,
@@ -189,9 +191,33 @@ def test_document_from_text_scales_linearly():
     assert ratio < MAX_RATIO, f"{GROWTH}x longer text took {ratio:.0f}x as long"
 
 
-def test_document_line_scales_linearly():
+@pytest.fixture(scope="module")
+def golden_documents() -> tuple[Document, Document]:
+    """`repeated_golden` 16 times and 16 * GROWTH times, annotated."""
     short, long = (attach_annotations(*repeated_golden(n)) for n in (16, 16 * GROWTH))
-    ratio = growth_ratio(document_line, short, long)
+    return short, long
+
+
+def test_document_line_scales_linearly(golden_documents):
+    ratio = growth_ratio(document_line, *golden_documents)
+    assert ratio < MAX_RATIO, f"{GROWTH}x longer document took {ratio:.0f}x as long"
+
+
+def test_iter_documents_scales_linearly(golden_documents):
+    # a corpus of one document: the header, then its line
+    header = f'{{"schema_version":"{SCHEMA_VERSION}"}}\n'
+    short, long = ([header, document_line(doc)] for doc in golden_documents)
+    ratio = growth_ratio(lambda lines: deque(iter_documents(lines), maxlen=0), short, long)
+    assert ratio < MAX_RATIO, f"{GROWTH}x longer corpus line took {ratio:.0f}x as long to read"
+
+
+def test_corpus_stats_scales_linearly(golden_documents):
+    ratio = growth_ratio(lambda doc: CorpusStats.from_corpus([doc]), *golden_documents)
+    assert ratio < MAX_RATIO, f"{GROWTH}x longer document took {ratio:.0f}x as long"
+
+
+def test_export_column_scales_linearly(golden_documents):
+    ratio = growth_ratio(export_column, *golden_documents)
     assert ratio < MAX_RATIO, f"{GROWTH}x longer document took {ratio:.0f}x as long"
 
 
