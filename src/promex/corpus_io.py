@@ -4,6 +4,11 @@ The first line is a header record carrying the schema version; every
 following line is one self-describing document record.  Field order is
 fixed, so files written by this module round-trip byte-identically.
 All model invariants are re-checked on read.
+
+The reader reads every field of a record's tokens, sentences, mentions,
+relations and chains column by column, in C-level passes (`_columns`).  Only
+where a value is off does the per-item reader (`_objects`) read that list
+again, one field at a time, to name the bad field in a MalformedRecord.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ import json
 import operator
 import os
 import re
+from functools import partial
+from itertools import chain, repeat
 from json.encoder import encode_basestring  # the quoting of json.dumps(ensure_ascii=False)
 from sys import intern
 from typing import IO, Iterable, Iterator
@@ -183,50 +190,72 @@ def _objects(record: dict, key: str, layout: tuple, line_no: int) -> list[tuple]
     return [_field(items, i, layout, line_no, path) for i in range(len(items))]
 
 
-_TOKEN_GETTERS = tuple(operator.itemgetter(name) for name, _ in _TOKEN)
-
-
-def _all_exactly(column: tuple, kind: type) -> bool:
+def _all_exactly(column: list, kind: type) -> bool:
     """Whether every value of `column` has exactly type `kind`: a bool is not an int."""
     return operator.countOf(map(type, column), kind) == len(column)
 
 
-def _token_columns(raw_tokens: list) -> TokenColumns | None:
-    """The columns of a record's tokens, each taken and type-checked in one pass,
-    or None if a token is not an object with each field of exactly its type."""
+def _column(values: list, kind) -> list | None:
+    """`values` read as `kind`, each as `_field` reads it, or None if one is off.
+    A nested object (only a relation's trigger is one) is read as its `Span`; an
+    unhashable value looked up as an enum raises TypeError."""
+    if kind in _MEMBERS:
+        values = [*map(_MEMBERS[kind].get, values)]
+        return None if None in values else values
+    if type(kind) is tuple:
+        fields = _columns(values, kind)
+        return None if fields is None else [*map(Span, *fields)]
+    if kind is tuple:
+        strings = _all_exactly(values, list) and _all_exactly([*chain.from_iterable(values)], str)
+        return [*map(tuple, values)] if strings else None
+    return values if _all_exactly(values, kind) else None
+
+
+def _columns(items: list, layout: tuple) -> list[list] | None:
+    """The columns of the objects `items`, one per field of `layout`, each read and
+    type-checked in C-level passes, or None if an item is not an object with each
+    field of exactly its kind.  A field of `_OPTIONAL` may be absent or null."""
+    columns = []
     try:
-        # through lists, so that each tuple is made at its length: CPython keeps a freed small tuple
-        # for reuse at that length only, and a tuple built from a map starts at another and grows
-        texts, tags, starts, ends = (tuple([*map(get, raw_tokens)]) for get in _TOKEN_GETTERS)
-        # one string is kept per tag; `intern` takes nothing but a str
-        tags = tuple([*map(intern, tags)])
+        for name, kind in layout:
+            if name not in _OPTIONAL:
+                column = _column([*map(operator.itemgetter(name), items)], kind)
+            else:
+                values = [*map(dict.get, items, repeat(name))]
+                column = _column([*filter(partial(operator.is_not, None), values)], kind)
+                if column is not None and len(column) < len(values):
+                    present = iter(column)
+                    column = [value if value is None else next(present) for value in values]
+            if column is None:
+                return None
+            columns.append(column)
     except (KeyError, TypeError):
         return None
-    if _all_exactly(texts, str) and _all_exactly(starts, int) and _all_exactly(ends, int):
-        return TokenColumns(texts, tags, starts, ends)
-    return None
+    return columns
+
+
+def _read(record: dict, key: str, layout: tuple, line_no: int) -> list[list]:
+    """The columns of the objects `record[key]`; where `_columns` refuses a value,
+    `_objects` reads them one by one and raises the MalformedRecord naming it."""
+    columns = _columns(_field(record, key, list, line_no), layout)
+    if columns is None:
+        _objects(record, key, layout, line_no)
+    return columns
 
 
 def _parse_document(record: dict, line_no: int) -> Document:
     """Build a document from `record`, reading and type-checking each field once."""
     doc_id = _field(record, "doc_id", str, line_no)
     text = _field(record, "text", str, line_no)
-    tokens = _token_columns(_field(record, "tokens", list, line_no))
-    if tokens is None:
-        # reading the tokens one by one through `_field` raises the MalformedRecord naming the bad one
-        tokens = TokenColumns.from_rows(_objects(record, "tokens", _TOKEN, line_no))
-    sentences = _objects(record, "sentences", _SPAN, line_no)
-    entities = [
-        EntityMention(mention_id, entity_type, Span(start, end), kind, provenance)
-        for mention_id, entity_type, kind, start, end, provenance
-        in _objects(record, "entities", _ENTITY, line_no)
-    ]
-    relations = [
-        RelationMention(relation_id, company, products, trigger and Span(*trigger), provenance, pattern)
-        for relation_id, company, products, trigger, provenance, pattern
-        in _objects(record, "relations", _RELATION, line_no)
-    ]
-    chains = [IdentityChain(*chain) for chain in _objects(record, "chains", _CHAIN, line_no)]
+    texts, tags, starts, ends = _read(record, "tokens", _TOKEN, line_no)
+    # one string per tag; each tuple from a list, made at its length: CPython keeps a freed small
+    # tuple for reuse at that length only, and a tuple built from a map starts at another and grows
+    tokens = TokenColumns(tuple(texts), tuple([*map(intern, tags)]), tuple(starts), tuple(ends))
+    sentences = [*zip(*_read(record, "sentences", _SPAN, line_no))]
+    ids, types, kinds, starts, ends, provenances = _read(record, "entities", _ENTITY, line_no)
+    entities = [*map(EntityMention, ids, types, map(Span, starts, ends), kinds, provenances)]
+    relations = [*map(RelationMention, *_read(record, "relations", _RELATION, line_no))]
+    chains = [*map(IdentityChain, *_read(record, "chains", _CHAIN, line_no))]
 
     try:
         doc = make_document(doc_id, text, tokens, sentences)

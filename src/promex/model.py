@@ -1,8 +1,8 @@
 """Immutable document model for company/product annotation corpora.
 
-All values are frozen dataclasses (`Token` and `Span` with slots): picklable
-for worker processes, compared by structural equality, and never mutated after
-construction.  A `Document` stores its tokens only as four parallel tuples
+All values are frozen dataclasses (`Token` and `Span` with slots), apart from
+`TokenColumns`, a `NamedTuple`: picklable for worker processes, compared by
+structural equality, and never mutated after construction.  A `Document` stores its tokens only as four parallel tuples
 (texts, tags, character starts and ends), and the package reads only these;
 `sentence_tokens` and `tokens` build `Token`s from them on each call, for
 callers that want one value per token.  Invariants are enforced by the
@@ -277,7 +277,7 @@ def make_document(
     if expected_start != len(tokens.texts):
         raise NonPartitioningSentences(len(spans) - 1 if spans else 0)
 
-    # from a list, so that the tuple is made at its length, as `corpus_io._token_columns` makes its columns
+    # from a list, so that the tuple is made at its length, as `corpus_io._parse_document` makes the columns
     return Document(doc_id, text, *tokens, sentences=tuple([Sentence(i, s) for i, s in enumerate(spans)]))
 
 

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
+from .ingest import COLUMN_BREAKS
 from .model import (
     Document,
     EntityMention,
@@ -62,6 +63,9 @@ from .model import (
 BAD_BOUNDARY_TAGS = frozenset({"DT", "IN", "WDT", "WP", "CC"})
 
 DEFAULT_STOPLIST = frozenset({"advanced", "new", "innovative", "leading"})
+
+# a TAB or line break inside a tsv field is written as its Python escape, such as `\t` or `\u2028`
+_TSV_ESCAPES = str.maketrans({c: repr(c)[1:-1] for c in COLUMN_BREAKS})
 
 
 class Severity(str, Enum):
@@ -220,14 +224,16 @@ def validate_corpus(
 
 
 def report(violations: Sequence[Violation], fmt: str = "text") -> str:
-    """Render violations as human-readable text or TAB-separated lines."""
+    """Render violations as human-readable text, or as TAB-separated lines of five
+    fields each, in which a TAB or line break (`ingest.COLUMN_BREAKS`) is escaped."""
     if fmt not in ("text", "tsv"):
         raise UnknownFormat(fmt)
     lines: list[str] = []
     for v in violations:
         span = f"[{v.span.start},{v.span.end})"
         if fmt == "tsv":
-            lines.append("\t".join([v.doc_id, v.rule_id, v.severity.value, span, v.message]))
+            fields = [v.doc_id, v.rule_id, v.severity.value, span, v.message]
+            lines.append("\t".join([field.translate(_TSV_ESCAPES) for field in fields]))
         else:
             lines.append(f"{v.doc_id} {span} {v.rule_id} {v.severity.value}: {v.message}")
     return "\n".join(lines)

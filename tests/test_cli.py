@@ -487,6 +487,21 @@ class TestValidate:
         assert code == 1
         assert "V1\tError" in out
 
+    def test_tsv_row_has_five_fields_when_a_doc_id_holds_a_tab(self, tmp_path, capsys):
+        from promex.examples import annotated_document
+
+        doc = annotated_document(
+            "doc\tone", ["the/DT sensors/NNS"],
+            entities=[("p1", "product", "nominal", 0, 2)],
+        )
+        path = tmp_path / "tab.corpus"
+        save_corpus(Corpus("1.0", (doc,)), str(path))
+        code, out, _ = run_cli(["validate", "--in", str(path), "--format", "tsv"], capsys)
+        assert code == 1
+        rows = out.splitlines()
+        assert rows and all(row.split("\t")[:2] == ["doc\\tone", "V1"] for row in rows)
+        assert {len(row.split("\t")) for row in rows} == {5}
+
     def test_malformed_input_exits_2(self, capsys):
         code, _, err = run_cli(
             ["validate", "--in", "tests/data/tampered-missing-field.corpus"], capsys

@@ -29,8 +29,11 @@ the same elements, and reject the same bodies, apart from a `<` or `{`
 opened again before its closer, which it read as part of one element.
 The corpus reader that built one `Token` per token, and the walk over
 those Tokens that checked them, must read each record into an equal
-document, or reject it with the same error.  The corpus writer that built
-one dict per token and dumped the whole record must write the same line.
+document, or reject it with the same error, and so must the reader that
+read each sentence, mention, relation and chain field by field through
+`_field`, which now only names a field that the column reader refused.
+The corpus writer that built one dict per token and dumped the whole
+record must write the same line.
 The relation and chain checks that raised at their first fault, before
 they became the fault generators that `validate` reports from too, must
 make `attach_annotations` raise the same error.  The raw-text tagger that
@@ -783,7 +786,7 @@ def _check_field_types(
         _require_strings(line_no, "chain id", (c.chain_id, c.source, *c.targets))
 
 
-def oracle_parse_document(record: dict, line_no: int) -> Document:
+def oracle_coercing_parse_document(record: dict, line_no: int) -> Document:
     try:
         doc_id = _require(record, "doc_id", line_no)
         text = _require(record, "text", line_no)
@@ -832,6 +835,37 @@ def oracle_parse_document(record: dict, line_no: int) -> Document:
 
     try:
         doc = make_document_of_tokens(doc_id, text, tokens, sentences)
+        return attach_annotations(doc, entities, relations, chains)
+    except InvariantViolation:
+        raise
+    except ModelError as exc:
+        raise InvariantViolation(f"document {doc_id!r}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# The corpus reader that read every sentence, mention and relation field by field
+
+def oracle_parse_document(record: dict, line_no: int) -> Document:
+    """Each object read through `_field`, one field at a time; the tokens, which the
+    reader took as columns already, as it read them where a token was off."""
+    doc_id = _field(record, "doc_id", str, line_no)
+    text = _field(record, "text", str, line_no)
+    tokens = TokenColumns.from_rows(_objects(record, "tokens", _TOKEN, line_no))
+    sentences = _objects(record, "sentences", _SPAN, line_no)
+    entities = [
+        EntityMention(mention_id, entity_type, Span(start, end), kind, provenance)
+        for mention_id, entity_type, kind, start, end, provenance
+        in _objects(record, "entities", _ENTITY, line_no)
+    ]
+    relations = [
+        RelationMention(relation_id, company, products, trigger and Span(*trigger), provenance, pattern)
+        for relation_id, company, products, trigger, provenance, pattern
+        in _objects(record, "relations", _RELATION, line_no)
+    ]
+    chains = [IdentityChain(*chain) for chain in _objects(record, "chains", _CHAIN, line_no)]
+
+    try:
+        doc = make_document(doc_id, text, tokens, sentences)
         return attach_annotations(doc, entities, relations, chains)
     except InvariantViolation:
         raise
@@ -1676,6 +1710,74 @@ def token_faulted_records(draw) -> dict:
     return record
 
 
+RECORD_LAYOUTS = {"tokens": _TOKEN, "sentences": _SPAN, "entities": _ENTITY, "relations": _RELATION,
+                  "chains": _CHAIN}
+NOT_OBJECTS = [None, True, 1, 1.5, "x", [], ["start", "end"]]
+# the golden relations have no pattern id: one may be set, or be absent or null
+PATTERN_IDS = [DELETE, None, 1, True, ["P01"], "P01", ""]
+
+
+def field_values(kind, old) -> list:
+    """Values, or DELETE, to put in place of `old`, a field of `kind`: ones of
+    other JSON types, unknown enum strings and lists holding a non-string,
+    beside well-typed ones."""
+    if kind is int:
+        old = old if type(old) is int else 0
+        return [DELETE, None, True, False, float(old), old + 0.5, str(old), [old], old + 1, -1]
+    if kind is str:
+        old = old if type(old) is str else "x"
+        return [DELETE, None, True, 1, 1.0, [old], {old: 1}, old + "x", ""]
+    if kind is tuple:
+        old = old if type(old) is list else ["x"]
+        return [DELETE, None, "x", {}, [1], [*old, None], [*old, True], [old], [], old[:1], old * 2]
+    if type(kind) is tuple:  # the trigger of a relation
+        return [DELETE, None, {"start": 1}, {"start": 1, "end": True}, {"start": 1, "end": 2.0},
+                {"start": "1", "end": 2}, {"start": 1, "end": 2}, {"start": 1, "end": 2, "x": 0}, [1, 2], "x", {}]
+    # an enum: its values, and strings that are none of them
+    old = old if type(old) is str else "x"
+    return [DELETE, None, 1, True, [old], *(m.value for m in kind), old.lower(), old.upper(), "Foo", ""]
+
+
+def field_faults(record: dict, section: str) -> Iterator[tuple[tuple, object]]:
+    """(path, value) of each single change to an object of `record[section]`: a field
+    set to one of its `field_values`, an extra key, or an object that is not one."""
+    for i, item in enumerate(record[section]):
+        for value in NOT_OBJECTS:
+            yield (section, i), value
+        if type(item) is not dict:
+            continue
+        yield (section, i, "x"), 1
+        for name, kind in RECORD_LAYOUTS[section]:
+            for value in PATTERN_IDS if name == "pattern_id" else field_values(kind, item.get(name)):
+                yield (section, i, name), value
+
+
+@st.composite
+def field_faulted_records(draw) -> dict:
+    """A golden document record with one or two of the changes of `field_faults`,
+    the second drawn on the record the first made."""
+    record = draw(st.sampled_from(GOLDEN_RECORDS))
+    for _ in range(draw(st.integers(1, 2))):
+        # the section first, so that the few relations and chains are changed as often as the tokens
+        section = draw(st.sampled_from([key for key in RECORD_LAYOUTS if record[key]]))
+        record = with_fault(record, *draw(st.sampled_from(list(field_faults(record, section)))))
+    return record
+
+
+def with_fault(record: dict, path: tuple, value) -> dict:
+    """A copy of `record` with the value at `path` set to `value`, or deleted for DELETE."""
+    record = json.loads(json.dumps(record))
+    *keys, last = path
+    parent = record
+    for key in keys:
+        parent = parent[key]
+    if value is DELETE:
+        parent.pop(last, None)
+    else:
+        parent[last] = json.loads(json.dumps(value))  # a copy: a value is used more than once
+    return record
+
+
 # characters JSON escapes (quote, backslash, controls) and ones it writes as
 # they are with ensure_ascii=False (DEL, NEL, U+2028, U+2029, non-BMP)
 WRITER_CHARS = ('"', "\\", "\x00", "\x08", "\n", "\x1f", "\x7f", "\x85", "\u2028", "\u2029",
@@ -2130,11 +2232,23 @@ def test_document_line_agrees_with_dumping_the_record(doc):
     assert corpus_io.document_line(doc) == oracle_document_line(doc)
 
 
+def reads_alike(record: dict, oracle, *args) -> None:
+    """The reader and `oracle` read `record` into equal documents that write the same line,
+    or raise the same error."""
+    new, old = outcome(corpus_io._parse_document, (record, 2)), outcome(oracle, (record, 2, *args))
+    assert type(new) is type(old)
+    if isinstance(new, Document):
+        assert new == old and written(new) == written(old)
+    else:
+        assert str(new) == str(old)
+        assert getattr(new, "line_no", None) == getattr(old, "line_no", None)
+
+
 @settings(max_examples=400, deadline=None)
 @given(mutated_records())
 def test_reader_agrees_with_coercing_reader(record):
     new = outcome(corpus_io._parse_document, (record, 2))
-    old = outcome(oracle_parse_document, (record, 2))
+    old = outcome(oracle_coercing_parse_document, (record, 2))
     if isinstance(new, Document):
         # `==` takes True for 1; the written bytes do not
         assert new == old and written(new) == written(old)
@@ -2151,14 +2265,34 @@ def test_reader_agrees_with_coercing_reader(record):
 @given(record=mutated_records() | token_faulted_records())
 def test_column_reader_agrees_with_token_reader(build, record):
     """`build` checks the Tokens of the old reader: as columns in `make_document`, or in the old walk."""
-    new = outcome(corpus_io._parse_document, (record, 2))
-    old = outcome(oracle_token_parse_document, (record, 2, build))
-    assert type(new) is type(old)
-    if isinstance(new, Document):
-        assert new == old and written(new) == written(old)
-    else:
-        assert str(new) == str(old)
-        assert getattr(new, "line_no", None) == getattr(old, "line_no", None)
+    reads_alike(record, oracle_token_parse_document, build)
+
+
+@settings(max_examples=500, deadline=None)
+@given(field_faulted_records())
+def test_column_reader_agrees_with_per_field_reader(record):
+    reads_alike(record, oracle_parse_document)
+
+
+def test_column_reader_agrees_with_per_field_reader_on_each_single_fault():
+    """Every change of `field_faults` to the sentences, mentions, relations and chains
+    of the golden records that hold a relation."""
+    checked = 0
+    for golden in GOLDEN_RECORDS:
+        if not golden["relations"]:
+            continue
+        for section in ("sentences", "entities", "relations", "chains"):
+            for fault in field_faults(golden, section):
+                reads_alike(with_fault(golden, *fault), oracle_parse_document)
+                checked += 1
+    assert checked > 1000
+
+
+def test_golden_corpus_is_read_without_the_per_item_reader():
+    """`_objects` runs only to name a field that `_columns` refused."""
+    with mock.patch.object(corpus_io, "_objects", side_effect=AssertionError("_objects was called")):
+        corpus = corpus_io.load_corpus("src/promex/data/golden.corpus")
+    assert len(corpus.documents) == 19
 
 
 @settings(max_examples=400, deadline=None)

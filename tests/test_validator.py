@@ -278,6 +278,15 @@ class TestReport:
         lines = report(self.sample(), "tsv").splitlines()
         assert lines[0].split("\t") == ["d", "V1", "Error", "[0,2)", "starts badly"]
 
+    def test_tsv_escapes_tabs_and_line_breaks_in_a_field(self):
+        """A doc id, an id or a tag in a message may hold a TAB or a line break; each row keeps five fields."""
+        v = Violation("V1", Severity.ERROR, "doc\tone", "p1", Span(2, 4), "ends with 'x'/N\u2028N\x85 \\t\r\n")
+        out = report([v, v], "tsv")
+        assert out == "\n".join(["doc\\tone\tV1\tError\t[2,4)\tends with 'x'/N\\u2028N\\x85 \\t\\r\\n"] * 2)
+        assert [len(row.split("\t")) for row in out.splitlines()] == [5, 5]
+        # the text format is for people: it writes the fields as they are
+        assert report([v], "text") == "doc\tone [2,4) V1 Error: ends with 'x'/N\u2028N\x85 \\t\r\n"
+
     def test_text_format(self):
         text = report(self.sample(), "text")
         assert "V1 Error" in text
